@@ -45,7 +45,7 @@ from .metrics import (
 )
 from .model import (
     BoltzmannMachine,
-    all_energies,
+    ground_set,
     load_model_entry,
     random_machine,
     save_model,
@@ -238,7 +238,8 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
             raise _fail(EXIT_INPUT, "input", f"cannot load training config: {exc}")
         beta = base_cfg.sampler.beta
 
-    runs = []
+    # Only the best machine so far is kept: each machine holds its energy table.
+    best = None
     outputs = []
     for k in range(seeds):
         run_seed = seed + k
@@ -259,17 +260,23 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
                 bm, trace = train_distribution(dataset, arch, cfg)
             else:
                 bm, trace = train_function_approximator(dataset, arch, cfg)
+        except CapacityError as exc:
+            raise _fail(EXIT_INPUT, "capacity", str(exc))
         except (ValueError, DatasetFormatError) as exc:
             raise _fail(EXIT_INPUT, "input", str(exc))
         except TransportError as exc:
             raise _fail(EXIT_TRANSPORT, "transport", str(exc))
+        except ProtocolError as exc:
+            raise _fail(EXIT_TRANSPORT, "protocol", str(exc))
         trace_path = out_dir / f"trace_seed{run_seed}.csv"
         trace.to_csv(trace_path)
         outputs.append(trace_path)
-        runs.append((run_seed, bm, trace))
+        if best is None or trace.final_loss < best[2].final_loss:
+            best = (run_seed, bm, trace)
+        del bm
         click.echo(f"seed {run_seed}: final loss {trace.final_loss:.6g} after {trace.num_steps} steps")
 
-    best_seed, best_bm, best_trace = min(runs, key=lambda r: r[2].final_loss)
+    best_seed, best_bm, best_trace = best
     if base_cfg is not None:
         config_snapshot = {
             "dataset": dataset_id, "arch": arch_spec, "connectivity": connectivity,
@@ -519,15 +526,13 @@ def _check_excited_decrease(bm: BoltzmannMachine, betas: np.ndarray) -> tuple[bo
     """Scan for a beta past which every excited-state probability is
     nonincreasing, extending the grid upward when the critical point lies
     beyond it. Returns (found, beta_c)."""
-    E = all_energies(bm)
-    e_min = E.min()
-    if np.all(E == e_min):
+    ground, _, gaps = ground_set(bm)
+    if gaps.size == 0:
         return True, None
-    gaps = E[E != e_min] - e_min
     grid = np.asarray(betas, dtype=np.float64)
+    g = float(len(ground))
     for _ in range(8):
         probs = np.empty((len(grid), gaps.shape[0]))
-        g = float(np.count_nonzero(E == e_min))
         for i, b in enumerate(grid):
             w = np.exp(-b * gaps)
             probs[i] = w / (g + w.sum())

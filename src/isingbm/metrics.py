@@ -8,6 +8,7 @@ They are pure functions of immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -16,9 +17,11 @@ from .datasets import Dataset
 from .model import (
     ENUMERATION_CAP,
     BoltzmannMachine,
+    SpinState,
     all_energies,
     check_capacity,
-    clamp_visible,
+    ground_set,
+    prefix_energies,
     state_index,
     state_matrix,
 )
@@ -37,7 +40,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        support = tuple(tuple(int(v) for v in s) for s in self.support)
+        support = tuple(tuple(map(int, s)) for s in self.support)
         probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         if len(support) != probs.shape[0]:
             raise ValueError("support and probs must have equal length")
@@ -51,11 +54,15 @@ class Distribution:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
 
-    def as_dict(self) -> dict[tuple[int, ...], float]:
+    @cached_property
+    def _prob_map(self) -> dict[tuple[int, ...], float]:
         return {s: float(p) for s, p in zip(self.support, self.probs)}
 
+    def as_dict(self) -> dict[tuple[int, ...], float]:
+        return dict(self._prob_map)
+
     def prob(self, state: Sequence[int]) -> float:
-        return self.as_dict().get(tuple(int(v) for v in state), 0.0)
+        return self._prob_map.get(tuple(int(v) for v in state), 0.0)
 
 
 def boltzmann_probabilities(bm: BoltzmannMachine, beta: float, cap: int = ENUMERATION_CAP) -> np.ndarray:
@@ -110,7 +117,7 @@ def dataset_distribution(ds: Dataset) -> Distribution:
 
 def kl_divergence(q: Distribution, p: Distribution) -> float:
     """D(q || p) = sum q ln(q/p); +inf when p misses mass where q has some."""
-    p_map = p.as_dict()
+    p_map = p._prob_map
     total = 0.0
     for state, q_v in zip(q.support, q.probs):
         if q_v == 0.0:
@@ -126,7 +133,7 @@ def kl_divergence(q: Distribution, p: Distribution) -> float:
 def hellinger(p_s: Distribution, p_a: Distribution) -> float:
     """(1/2) * sqrt( sum_i (sqrt(p_s_i) - sqrt(p_a_i))^2 ) over the joint support."""
     states = set(p_s.support) | set(p_a.support)
-    a, b = p_s.as_dict(), p_a.as_dict()
+    a, b = p_s._prob_map, p_a._prob_map
     total = sum((np.sqrt(a.get(s, 0.0)) - np.sqrt(b.get(s, 0.0))) ** 2 for s in states)
     return 0.5 * float(np.sqrt(total))
 
@@ -140,15 +147,25 @@ def conditional_probability(
     v_input: Sequence[int],
     cap: int = ENUMERATION_CAP,
 ) -> Distribution:
-    """p(output | input): clamp the input nodes, marginalize the hidden ones."""
+    """p(output | input): the input's slice of the energy table, hidden nodes
+    summed out.
+
+    The slice is read off the machine's table when the whole machine is
+    within the cap; otherwise only the input's 2^(n - m_I) states are
+    enumerated, so the cap applies to the free nodes.
+    """
     if bm.num_visible_output < 1:
         raise ValueError("machine has no output nodes")
-    v_input = tuple(int(v) for v in v_input)
+    v_input = SpinState(v_input, bm.basis).values
     if len(v_input) != bm.num_visible_input:
         raise ValueError(f"expected {bm.num_visible_input} input values, got {len(v_input)}")
-    reduced, _ = clamp_visible(bm, dict(zip(bm.input_indices, v_input)))
-    # Free node order is preserved, so outputs are the leading nodes.
-    return model_probability(reduced, beta, range(bm.num_visible_output), cap)
+    if bm.num_nodes <= cap:
+        E = all_energies(bm, cap).reshape(1 << bm.num_visible_input, -1)[state_index(v_input, bm.basis)]
+    else:
+        E = prefix_energies(bm, v_input, cap)
+    w = np.exp(-beta * (E - E.min())).reshape(1 << bm.num_visible_output, -1).sum(axis=1)
+    support = state_matrix(bm.num_visible_output, bm.basis)
+    return Distribution(tuple(map(tuple, support.tolist())), w / w.sum())
 
 
 def negative_conditional_log_likelihood(
@@ -223,10 +240,8 @@ def excited_mass_curve(
     excited mass = S / (g + S) where S = sum_s exp(-beta d_s); this stays
     strictly decreasing in floating point whenever any gap is positive.
     """
-    E = all_energies(bm, cap)
-    e_min = E.min()
-    gaps = E[E != e_min] - e_min
-    g = float(np.count_nonzero(E == e_min))
+    ground, _, gaps = ground_set(bm, cap)
+    g = float(len(ground))
     out = np.empty(len(betas))
     for i, b in enumerate(np.asarray(betas, dtype=np.float64)):
         S = float(np.exp(-b * gaps).sum())

@@ -154,6 +154,15 @@ class BoltzmannMachine:
         J.flags.writeable = False
         return J
 
+    @cached_property
+    def _energy_table(self) -> np.ndarray:
+        """Read-only energy of every state; parameters are immutable, so it is
+        built at most once per machine. Read it through ``all_energies``,
+        which enforces the enumeration cap."""
+        E = _split_energies(self.biases, self.coupling_matrix, self.basis)
+        E.flags.writeable = False
+        return E
+
     def node_class(self, k: int) -> str:
         if k < self.num_visible_input:
             return "input"
@@ -226,9 +235,11 @@ def energy(bm: BoltzmannMachine, state: SpinState) -> float:
 
 def energies(bm: BoltzmannMachine, states: np.ndarray) -> np.ndarray:
     """Vectorized energy for a (M, N) matrix of configurations."""
-    S = np.asarray(states, dtype=np.float64)
-    J = bm.coupling_matrix
-    return S @ bm.biases + np.einsum("sk,sk->s", S @ J, S)
+    return _table_energies(np.asarray(states, dtype=np.float64), bm.biases, bm.coupling_matrix)
+
+
+def _table_energies(S: np.ndarray, biases: np.ndarray, J: np.ndarray) -> np.ndarray:
+    return S @ biases + np.einsum("sk,sk->s", S @ J, S)
 
 
 def check_capacity(num_nodes: int, cap: int = ENUMERATION_CAP) -> None:
@@ -259,7 +270,11 @@ def state_matrix(
     """
     if stop is None:
         stop = 1 << num_nodes
-    idx = np.arange(start, stop, dtype=np.int64)
+    return _state_rows(np.arange(start, stop, dtype=np.int64), num_nodes, basis)
+
+
+def _state_rows(idx: np.ndarray, num_nodes: int, basis: Basis) -> np.ndarray:
+    """Rows of the state table at the given lexicographic indices."""
     shifts = np.arange(num_nodes - 1, -1, -1, dtype=np.int64)
     bits = (idx[:, None] >> shifts) & 1
     if basis is Basis.PLUS_MINUS:
@@ -279,17 +294,51 @@ def enumerate_states(
 
 
 def all_energies(bm: BoltzmannMachine, cap: int = ENUMERATION_CAP) -> np.ndarray:
-    """Energy of every state, indexed lexicographically; blocked to limit memory."""
-    n = bm.num_nodes
-    check_capacity(n, cap)
-    total = 1 << n
-    if n <= _BLOCK_BITS:
-        return energies(bm, cached_state_table(n, bm.basis))
-    out = np.empty(total)
-    for start in range(0, total, 1 << _BLOCK_BITS):
-        stop = min(start + (1 << _BLOCK_BITS), total)
-        out[start:stop] = energies(bm, state_matrix(n, bm.basis, start, stop))
-    return out
+    """Read-only energy of every state, indexed lexicographically.
+
+    Built once per machine by ``_split_energies`` and kept on it; the cap is
+    checked on every call.
+    """
+    check_capacity(bm.num_nodes, cap)
+    return bm._energy_table
+
+
+def prefix_energies(
+    bm: BoltzmannMachine, prefix: Sequence[int], cap: int = ENUMERATION_CAP
+) -> np.ndarray:
+    """Energy of every state whose leading nodes take the values ``prefix``,
+    indexed lexicographically by the remaining nodes.
+
+    This is the prefix's slice of ``all_energies`` (up to rounding), but only
+    the 2^(n-k) free states are enumerated, so the cap applies to n - k. The
+    fixed nodes fold into the free biases as in ``clamp_visible``.
+    """
+    p = SpinState(prefix, bm.basis).as_array()
+    k = p.shape[0]
+    check_capacity(bm.num_nodes - k, cap)
+    J, b = bm.coupling_matrix, bm.biases
+    offset = p @ b[:k] + p @ J[:k, :k] @ p
+    return offset + _split_energies(b[k:] + p @ J[:k, k:], J[k:, k:], bm.basis)
+
+
+def _split_energies(biases: np.ndarray, J: np.ndarray, basis: Basis) -> np.ndarray:
+    """Energy table of the biases and upper-triangular couplings ``J`` as a
+    sum over a high/low split of the nodes.
+
+    With the leading h nodes as the high half and the rest as the low half,
+    E[hi, lo] = E_hi[hi] + E_lo[lo] + S_hi[hi] @ J[:h, h:] @ S_lo[lo], and the
+    row-major flattening of E is the lexicographic order. The cross term is
+    one GEMM over two half-size state tables. Rounding differs from
+    ``energies`` in the last bits (the sums are grouped differently).
+    """
+    n = biases.shape[0]
+    h = n // 2
+    S_hi = cached_state_table(h, basis)
+    S_lo = cached_state_table(n - h, basis)
+    E = (S_hi @ J[:h, h:]) @ S_lo.T
+    E += _table_energies(S_hi, biases[:h], J[:h, :h])[:, None]
+    E += _table_energies(S_lo, biases[h:], J[h:, h:])[None, :]
+    return E.reshape(-1)
 
 
 def state_index(values: Sequence[int], basis: Basis = Basis.ZERO_ONE) -> int:
@@ -301,23 +350,51 @@ def state_index(values: Sequence[int], basis: Basis = Basis.ZERO_ONE) -> int:
     return idx
 
 
+# Candidates for the ground set are rechecked in blocks of this many rows.
+_RECHECK_ROWS = 1 << 16
+
+
+def ground_set(
+    bm: BoltzmannMachine, cap: int = ENUMERATION_CAP
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Energy minimizers with exact ties, their energy, and every other gap.
+
+    Returns ``(ground, e_min, gaps)``: the lexicographic indices of the
+    minimizers, the minimum energy, and E_s - e_min for every other state in
+    index order (all strictly positive).
+
+    Ties are exact float equality under ``energies``, which sums every state
+    in the same order, so states related by symmetry tie. The table from
+    ``all_energies`` groups the sums differently and can split such ties in
+    the last bits; so every state within a rounding bound of the table's
+    minimum is re-evaluated with ``energies``, and those values decide the
+    ties and the gaps of the near-minimal states.
+    """
+    E = all_energies(bm, cap)
+    # Both paths sum at most n + 1 terms bounded in total by ``scale``, so each
+    # is within about 25 * eps * scale of the true energy; 1e-12 * scale covers
+    # both paths' errors at the minimum with a wide margin.
+    scale = float(np.abs(bm.biases).sum() + np.abs(bm.coupling_matrix).sum())
+    candidates = np.flatnonzero(E <= E.min() + 1e-12 * max(scale, 1.0))
+    exact = np.concatenate([
+        energies(bm, _state_rows(candidates[i:i + _RECHECK_ROWS], bm.num_nodes, bm.basis))
+        for i in range(0, candidates.shape[0], _RECHECK_ROWS)
+    ])
+    e_min = float(exact.min())
+    is_ground = exact == e_min
+    gaps = E - e_min
+    gaps[candidates] = exact - e_min
+    return candidates[is_ground], e_min, np.delete(gaps, candidates[is_ground])
+
+
 def ground_states(
     bm: BoltzmannMachine, cap: int = ENUMERATION_CAP
 ) -> tuple[list[SpinState], float]:
-    """Exact energy minimizers by full enumeration; ties all included.
-
-    Tie detection is exact float equality: every energy comes out of the same
-    arithmetic, so states related by symmetry produce identical values.
-    """
-    E = all_energies(bm, cap)
-    e_min = float(E.min())
-    indices = np.flatnonzero(E == e_min)
-    n = bm.num_nodes
-    states = []
-    for idx in indices:
-        row = state_matrix(n, bm.basis, int(idx), int(idx) + 1)[0]
-        states.append(SpinState(tuple(int(v) for v in row), bm.basis))
-    return states, e_min
+    """Exact energy minimizers by full enumeration; ties all included (see
+    ``ground_set``)."""
+    ground, e_min, _ = ground_set(bm, cap)
+    rows = _state_rows(ground, bm.num_nodes, bm.basis)
+    return [SpinState(tuple(int(v) for v in row), bm.basis) for row in rows], e_min
 
 
 # -- clamping ---------------------------------------------------------------

@@ -25,6 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .datasets import Dataset
+from .errors import CapacityError
 from .metrics import (
     kl_divergence,
     dataset_distribution,
@@ -579,7 +580,7 @@ def train_distribution(
     def loss(bm: BoltzmannMachine) -> float:
         try:
             return kl_divergence(q, visible_marginal(bm, cfg.sampler.beta, cap))
-        except Exception:
+        except CapacityError:  # past the cap the loss is not evaluated
             return float("nan")
 
     def grad(bm, ds, mode, sampler_cfg, counter):
@@ -601,7 +602,7 @@ def train_function_approximator(
     def loss(bm: BoltzmannMachine) -> float:
         try:
             return negative_conditional_log_likelihood(bm, cfg.sampler.beta, dataset, cap)
-        except Exception:
+        except CapacityError:  # past the cap the loss is not evaluated
             return float("nan")
 
     def grad(bm, ds, mode, sampler_cfg, counter):

@@ -83,6 +83,15 @@ def test_bad_arch_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_train_past_enumeration_cap_exits_2(runner, tmp_path):
+    result = runner.invoke(main, [
+        "train", "--dataset", "and", "--arch", "3v22h", "--max-steps", "2",
+        "--out", str(tmp_path / "x")])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"]["kind"] == "capacity"
+
+
 def test_sweep_beta_csv(runner, tmp_path):
     out = tmp_path / "sweep.csv"
     result = runner.invoke(main, [

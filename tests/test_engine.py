@@ -1,0 +1,200 @@
+"""The exact engine: the split energy table, its per-machine cache, ground
+ties and conditionals read off the table, each checked against the naive
+path it replaces."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from isingbm.datasets import adder2, load_fixture
+from isingbm.errors import CapacityError
+from isingbm.metrics import conditional_probability, excited_mass_curve, model_probability
+from isingbm.model import (
+    Basis,
+    BoltzmannMachine,
+    all_energies,
+    clamp_visible,
+    complete_pairs,
+    energies,
+    ground_set,
+    ground_states,
+    prefix_energies,
+    random_machine,
+    state_index,
+    state_matrix,
+)
+
+
+def naive_table(bm):
+    return energies(bm, state_matrix(bm.num_nodes, bm.basis))
+
+
+# ---------------------------------------------------------------- split table
+
+
+@st.composite
+def machines(draw):
+    n = draw(st.integers(1, 12))
+    basis = draw(st.sampled_from(list(Basis)))
+    pairs = complete_pairs(n)
+    if draw(st.booleans()):  # sparse: a random subset of the pairs
+        pairs = [p for p, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                             max_size=len(pairs)))) if keep]
+    values = st.floats(-2.0, 2.0, allow_nan=False)
+    biases = draw(st.lists(values, min_size=n, max_size=n))
+    couplings = {p: draw(values) for p in pairs}
+    n_h = draw(st.integers(0, n))
+    return BoltzmannMachine(n - n_h, 0, n_h, np.array(biases), couplings, basis=basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(machines())
+def test_split_table_matches_naive_energies(bm):
+    E = all_energies(bm)
+    assert E.shape == (1 << bm.num_nodes,)
+    np.testing.assert_allclose(E, naive_table(bm), rtol=0, atol=1e-12)
+
+
+def test_split_table_21_nodes_on_random_rows(rng):
+    bm = random_machine(9, 4, 8, rng, basis=Basis.PLUS_MINUS)
+    rows = rng.integers(0, 1 << 21, size=4096)
+    spins = 2 * ((rows[:, None] >> np.arange(20, -1, -1)) & 1) - 1
+    expected = energies(bm, spins)
+    np.testing.assert_allclose(all_energies(bm)[rows], expected, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------- cache
+
+
+def test_table_is_cached_read_only_and_capped(rng):
+    bm = random_machine(4, 0, 3, rng)
+    E = all_energies(bm)
+    assert all_energies(bm) is E
+    assert not E.flags.writeable
+    with pytest.raises(ValueError):
+        E[0] = 1.0
+    with pytest.raises(CapacityError):
+        all_energies(bm, cap=6)
+    fresh = bm.with_parameters(bm.biases + 0.5, bm.couplings)
+    E2 = all_energies(fresh)
+    assert E2 is not E
+    np.testing.assert_allclose(E2, naive_table(fresh), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------- ground ties
+
+
+def symmetric_machine(n, b, c):
+    return BoltzmannMachine(n, 0, 0, np.full(n, b), {p: c for p in complete_pairs(n)})
+
+
+def test_ground_ties_survive_split_rounding():
+    # Every 3-of-9 state is a minimizer; the split sum rounds some of them
+    # apart, and the recheck against ``energies`` must restore all 84.
+    bm = symmetric_machine(9, -0.871571125375618, 0.35836306604272994)
+    E = naive_table(bm)
+    e_min = E.min()
+    ground, g_min, gaps = ground_set(bm)
+    assert np.array_equal(ground, np.flatnonzero(E == e_min))
+    assert len(ground) == 84 and g_min == e_min
+    assert np.all(gaps > 0)
+    states, s_min = ground_states(bm)
+    assert len(states) == 84 and s_min == e_min
+    assert all(sum(s.values) == 3 for s in states)
+
+    betas = np.array([1.0, 10.0, 100.0])
+    ref_gaps = E[E != e_min] - e_min
+    ref = np.array([np.exp(-b * ref_gaps).sum() / (84 + np.exp(-b * ref_gaps).sum()) for b in betas])
+    np.testing.assert_allclose(excited_mass_curve(bm, betas), ref, rtol=1e-12, atol=0)
+
+
+def naive_ground_set(bm):
+    """The rule of ``ground_set`` applied to the naive table: candidates near
+    its minimum, rechecked together in one ``energies`` batch. Comparing
+    exact ties between batches of different sizes would test BLAS blocking,
+    not the split table."""
+    E = naive_table(bm)
+    scale = float(np.abs(bm.biases).sum() + np.abs(bm.coupling_matrix).sum())
+    candidates = np.flatnonzero(E <= E.min() + 1e-12 * max(scale, 1.0))
+    exact = energies(bm, state_matrix(bm.num_nodes, bm.basis)[candidates])
+    return candidates[exact == exact.min()], float(exact.min()), E
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ground_set_equals_naive_ties_on_symmetric_machines(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        bm = symmetric_machine(int(rng.integers(2, 11)), rng.uniform(-1, 1), rng.uniform(-1, 1))
+        ground, e_min, gaps = ground_set(bm)
+        ref_ground, ref_min, E = naive_ground_set(bm)
+        assert np.array_equal(ground, ref_ground)
+        assert e_min == ref_min
+        np.testing.assert_allclose(gaps, np.delete(E, ref_ground) - ref_min, rtol=1e-12, atol=1e-13)
+
+
+# ---------------------------------------------------------------- conditionals
+
+
+def clamped_reference(bm, beta, v_input):
+    reduced, _ = clamp_visible(bm, dict(zip(bm.input_indices, v_input)))
+    return model_probability(reduced, beta, range(bm.num_visible_output))
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0, 5.0, 20.0])
+def test_conditionals_match_clamp_and_enumerate_on_adder(beta):
+    bm = load_fixture("adder_function")
+    ds = adder2()
+    for d in range(ds.num_rows):
+        got = conditional_probability(bm, beta, ds.input_part(d))
+        ref = clamped_reference(bm, beta, ds.input_part(d))
+        assert got.support == ref.support
+        np.testing.assert_allclose(got.probs, ref.probs, rtol=0, atol=1e-12)
+
+
+def test_conditionals_match_clamp_and_enumerate_on_random_pm1(rng):
+    for _ in range(10):
+        m_i, m_o, n_h = (int(k) for k in rng.integers(1, 4, size=3))
+        bm = random_machine(m_i, m_o, n_h, rng, scale=1.5, basis=Basis.PLUS_MINUS)
+        beta = float(rng.uniform(0.1, 8.0))
+        v_input = tuple(int(v) for v in rng.choice([-1, 1], size=m_i))
+        got = conditional_probability(bm, beta, v_input)
+        ref = clamped_reference(bm, beta, v_input)
+        assert got.support == ref.support
+        np.testing.assert_allclose(got.probs, ref.probs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.3, 5.0])
+def test_conditionals_past_the_cap_enumerate_only_the_input_slice(beta):
+    # 17 nodes, 4 of them inputs: with cap 13 the whole table is past the
+    # cap, but each input's 2^13 slice is not.
+    bm = load_fixture("adder_function")
+    ds = adder2()
+    for d in range(ds.num_rows):
+        got = conditional_probability(bm, beta, ds.input_part(d), cap=13)
+        ref = clamped_reference(bm, beta, ds.input_part(d))
+        assert got.support == ref.support
+        np.testing.assert_allclose(got.probs, ref.probs, rtol=0, atol=1e-12)
+    with pytest.raises(CapacityError):
+        conditional_probability(bm, beta, ds.input_part(0), cap=12)
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_prefix_energies_match_the_table_slice(rng, basis):
+    bm = random_machine(3, 2, 4, rng, scale=1.5, basis=basis)
+    table = naive_table(bm).reshape(1 << 3, -1)
+    for v_input in state_matrix(3, basis):
+        got = prefix_energies(bm, v_input, cap=6)
+        np.testing.assert_allclose(got, table[state_index(v_input, basis)], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("v_input", [(0, 1, 1), (1, 2), (-1, 0), ()])
+def test_conditional_rejects_bad_input(rng, v_input):
+    bm = random_machine(2, 1, 1, rng)
+    with pytest.raises(ValueError):
+        conditional_probability(bm, 1.0, v_input)
+
+
+def test_conditional_rejects_zero_one_values_on_pm1_machine(rng):
+    bm = random_machine(2, 1, 1, rng, basis=Basis.PLUS_MINUS)
+    with pytest.raises(ValueError):
+        conditional_probability(bm, 1.0, (0, 1))

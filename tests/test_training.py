@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isingbm.datasets import from_rows, logic_gate, two_phase
+from isingbm.datasets import adder2, from_rows, logic_gate, two_phase
 from isingbm.metrics import (
     conditional_probability,
     dataset_distribution,
@@ -10,6 +10,7 @@ from isingbm.metrics import (
     visible_marginal,
 )
 from isingbm.model import BoltzmannMachine, random_machine
+from isingbm import training
 from isingbm.samplers import Backend, SamplerConfig
 from isingbm.training import (
     Architecture,
@@ -274,6 +275,32 @@ def test_train_distribution_reduces_loss(rng):
                          sampler=SamplerConfig(beta=3.0), seed=0, loss_every=100)
     bm, trace = train_distribution(ds, Architecture(3, 0, 1), cfg)
     assert trace.final_loss < trace.initial_loss / 3
+
+
+def test_loss_errors_other_than_capacity_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken marginal")
+
+    monkeypatch.setattr(training, "visible_marginal", broken)
+    ds = from_rows(logic_gate("AND").rows)
+    cfg = TrainingConfig(max_steps=2, sampler=SamplerConfig(beta=1.0), seed=0)
+    with pytest.raises(RuntimeError, match="broken marginal"):
+        train_distribution(ds, Architecture(3, 0, 1), cfg)
+
+
+def test_function_loss_is_evaluated_when_only_the_inputs_fit_the_cap():
+    # 9 nodes, 4 inputs: a cap of 6 excludes the whole machine but not the
+    # clamped 5-node remainder that the exact gradient and the loss need.
+    ds = adder2()
+    cfg = TrainingConfig(max_steps=6, sampler=SamplerConfig(beta=2.0), seed=0, loss_every=2)
+    arch = Architecture(4, 3, 2)
+    _, capped = train_function_approximator(ds, arch, cfg, cap=6)
+    _, full = train_function_approximator(ds, arch, cfg)
+    capped_losses = np.array([r.loss for r in capped.records])
+    full_losses = np.array([r.loss for r in full.records])
+    # Steps between loss evaluations carry NaN in both traces.
+    assert np.count_nonzero(np.isfinite(capped_losses)) == np.count_nonzero(np.isfinite(full_losses)) >= 3
+    np.testing.assert_allclose(capped_losses, full_losses, rtol=1e-12)
 
 
 def test_train_two_phase_distribution():
