@@ -17,7 +17,6 @@ from .datasets import Dataset
 from .model import (
     ENUMERATION_CAP,
     BoltzmannMachine,
-    SpinState,
     all_energies,
     check_capacity,
     ground_set,
@@ -147,22 +146,14 @@ def conditional_probability(
     v_input: Sequence[int],
     cap: int = ENUMERATION_CAP,
 ) -> Distribution:
-    """p(output | input): the input's slice of the energy table, hidden nodes
-    summed out.
-
-    The slice is read off the machine's table when the whole machine is
-    within the cap; otherwise only the input's 2^(n - m_I) states are
-    enumerated, so the cap applies to the free nodes.
-    """
+    """p(output | input): the input's slice of the energy table
+    (``prefix_energies``, so the cap applies to the n - m_I free nodes),
+    hidden nodes summed out."""
     if bm.num_visible_output < 1:
         raise ValueError("machine has no output nodes")
-    v_input = SpinState(v_input, bm.basis).values
     if len(v_input) != bm.num_visible_input:
         raise ValueError(f"expected {bm.num_visible_input} input values, got {len(v_input)}")
-    if bm.num_nodes <= cap:
-        E = all_energies(bm, cap).reshape(1 << bm.num_visible_input, -1)[state_index(v_input, bm.basis)]
-    else:
-        E = prefix_energies(bm, v_input, cap)
+    E = prefix_energies(bm, v_input, cap)
     w = np.exp(-beta * (E - E.min())).reshape(1 << bm.num_visible_output, -1).sum(axis=1)
     support = state_matrix(bm.num_visible_output, bm.basis)
     return Distribution(tuple(map(tuple, support.tolist())), w / w.sum())

@@ -250,8 +250,9 @@ def check_capacity(num_nodes: int, cap: int = ENUMERATION_CAP) -> None:
 @lru_cache(maxsize=8)
 def cached_state_table(num_nodes: int, basis: Basis) -> np.ndarray:
     """Float64 copy of the full state table; cached because sweeps and training
-    loops reuse the same table thousands of times. Only sensible for problem
-    sizes that fit one enumeration block."""
+    loops reuse the same table thousands of times. It is built for subsets
+    of a machine's nodes: the halves of the split sum, and the output or
+    hidden nodes of the training moments."""
     table = state_matrix(num_nodes, basis).astype(np.float64)
     table.flags.writeable = False
     return table
@@ -309,13 +310,20 @@ def prefix_energies(
     """Energy of every state whose leading nodes take the values ``prefix``,
     indexed lexicographically by the remaining nodes.
 
-    This is the prefix's slice of ``all_energies`` (up to rounding), but only
-    the 2^(n-k) free states are enumerated, so the cap applies to n - k. The
-    fixed nodes fold into the free biases as in ``clamp_visible``.
+    The cap applies to the n - k free nodes. Within the cap on all n nodes
+    this is the prefix's read-only slice of ``all_energies``; past it, only
+    the 2^(n-k) free states are enumerated by the same split sum (equal to
+    the slice up to rounding), with the fixed nodes folded into the free
+    biases as in ``clamp_visible``.
     """
-    p = SpinState(prefix, bm.basis).as_array()
-    k = p.shape[0]
+    state = SpinState(prefix, bm.basis)
+    k = len(state)
+    if k > bm.num_nodes:
+        raise ValueError(f"prefix has {k} values, machine has {bm.num_nodes} nodes")
     check_capacity(bm.num_nodes - k, cap)
+    if bm.num_nodes <= cap:
+        return all_energies(bm, cap).reshape(1 << k, -1)[state_index(state.values, bm.basis)]
+    p = state.as_array()
     J, b = bm.coupling_matrix, bm.biases
     offset = p @ b[:k] + p @ J[:k, :k] @ p
     return offset + _split_energies(b[k:] + p @ J[:k, k:], J[k:, k:], bm.basis)

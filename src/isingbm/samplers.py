@@ -180,7 +180,7 @@ def gibbs_sample(bm: BoltzmannMachine, cfg: SamplerConfig) -> SampleSet:
         if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thinning == cfg.thinning - 1:
             kept[kept_i] = state.astype(np.int8)
             kept_i += 1
-    raw = kept[:kept_i].reshape(-1, n)[: cfg.num_reads]
+    raw = kept[:kept_i].reshape(kept_i * chains, n)[: cfg.num_reads]
 
     states, counts = _compress(raw)
     return SampleSet(

@@ -9,8 +9,14 @@ gradients reduce to differences of configuration moments:
     d/d(coupling_kl) ->  <s_k * s_l>  likewise
 
 where the "data phase" clamps some nodes to data values and the "model phase"
-is freer. Expectations come either from exact enumeration or from a sampling
-backend. The overall inverse-temperature prefactor of the analytic gradient
+is freer. Every moment comes from one reduction, ``_moments``: signed weights
+on states split into leading and trailing nodes give the mean vector from the
+row and column sums of the weights and the cross block of the second moments
+from one matrix product. Exact mode takes the weights from the machine's
+cached energy table (or an input's slice of it, ``prefix_energies``), so no
+machine is clamped or re-enumerated; sampled mode draws clamped subgraphs
+(``clamp_visible``) and puts the drawn free states behind the fixed values.
+The overall inverse-temperature prefactor of the analytic gradient
 is deliberately dropped: it only rescales the learning rate, while the
 expectations themselves are taken at the sampler's temperature.
 """
@@ -20,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,15 +42,15 @@ from .model import (
     ENUMERATION_CAP,
     Basis,
     BoltzmannMachine,
+    SpinState,
     all_energies,
     cached_state_table,
-    check_capacity,
     clamp_visible,
     complete_pairs,
+    prefix_energies,
+    state_index,
 )
-from .samplers import Backend, SampleSet, SamplerConfig, draw_samples
-
-_BLOCK_BITS = 20
+from .samplers import Backend, SamplerConfig, draw_samples
 
 
 class GradientMode(str, Enum):
@@ -209,133 +215,62 @@ class TrainingTrace:
         tmp = f"{path}.tmp"
         with open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["step", "loss", "delta_inf", "seconds"])
+            writer.writerow(["step", "loss", "delta_inf", "seconds", "sampler_calls_full", "sampler_calls_clamped"])
             for r in self.records:
-                writer.writerow([r.step, repr(float(r.loss)), repr(float(r.delta_inf)), f"{r.seconds:.6f}"])
+                writer.writerow([r.step, repr(float(r.loss)), repr(float(r.delta_inf)), f"{r.seconds:.6f}",
+                                 r.sampler_calls_full, r.sampler_calls_clamped])
         os.replace(tmp, path)
 
 
-# -- moment engines ----------------------------------------------------------
+# -- moments -----------------------------------------------------------------
 
 
-def _moments_from_probs(
-    S: np.ndarray, probs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """First moments and the full second-moment matrix under given weights."""
-    Sf = np.asarray(S, dtype=np.float64)
-    mean = probs @ Sf
-    second = (Sf * probs[:, None]).T @ Sf
+def _moments(W: np.ndarray, S_a: np.ndarray, S_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<s_i> and the full <s_k s_l> matrix under signed weights on joined states.
+
+    ``W[a, b]`` weighs the state whose leading nodes are ``S_a[a]`` and whose
+    trailing nodes are ``S_b[b]``. Moments are linear in the weights, so a
+    data phase (positive) and a model phase (negative) can share one call.
+    """
+    r, c = W.sum(axis=1), W.sum(axis=0)
+    cross = S_a.T @ (W @ S_b)
+    mean = np.concatenate([r @ S_a, c @ S_b])
+    second = np.vstack([np.hstack([S_a.T @ (r[:, None] * S_a), cross]),
+                        np.hstack([cross.T, S_b.T @ (c[:, None] * S_b)])])
     return mean, second
 
 
-def _model_moments_exact(
-    bm: BoltzmannMachine, beta: float, cap: int = ENUMERATION_CAP
+def _boltzmann(E: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-beta * E) normalized along the last axis, shifted for stability."""
+    w = np.exp(-beta * (E - E.min(axis=-1, keepdims=True)))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _drawn_rows(
+    fixed: Sequence[float], states: np.ndarray, counts: np.ndarray, weight: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """<s_i> and <s_i s_j> under the full Boltzmann distribution, blockwise."""
-    n = bm.num_nodes
-    E = all_energies(bm, cap)
-    w = np.exp(-beta * (E - E.min()))
-    probs = w / w.sum()
-    if n <= _BLOCK_BITS:
-        return _moments_from_probs(cached_state_table(n, bm.basis), probs)
-    mean = np.zeros(n)
-    second = np.zeros((n, n))
-    for start in range(0, 1 << n, 1 << _BLOCK_BITS):
-        stop = min(start + (1 << _BLOCK_BITS), 1 << n)
-        S = state_matrix(n, bm.basis, start, stop)
-        m, s2 = _moments_from_probs(S, probs[start:stop])
-        mean += m
-        second += s2
-    return mean, second
+    """Drawn free states behind the fixed leading values, sharing ``weight``
+    in proportion to their counts."""
+    fixed = np.broadcast_to(np.asarray(fixed, dtype=np.float64), (states.shape[0], len(fixed)))
+    return np.hstack([fixed, states]), weight * counts / counts.sum()
 
 
-def _moments_from_samples(
-    states: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    total = float(weights.sum())
-    return _moments_from_probs(states, np.asarray(weights, dtype=np.float64) / total)
+def _sample_moments(rows: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of stacked ``_drawn_rows`` under their signed weights."""
+    states, weights = zip(*rows)
+    return _moments(np.concatenate(weights)[:, None], np.vstack(states), np.zeros((1, 0)))
 
 
-def _fill_clamped(
-    bm: BoltzmannMachine,
-    assignment: Mapping[int, int],
-    free: Sequence[int],
-    free_mean: np.ndarray,
-    free_second: np.ndarray,
-    pairs: Sequence[tuple[int, int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lift reduced-subgraph moments back to full-machine node/pair moments."""
-    n = bm.num_nodes
-    mean = np.zeros(n)
-    for k, v in assignment.items():
-        mean[k] = float(v)
-    pos = {k: i for i, k in enumerate(free)}
-    for k in free:
-        mean[k] = free_mean[pos[k]]
-    pair_mean = np.empty(len(pairs))
-    for i, (k, l) in enumerate(pairs):
-        k_free, l_free = k in pos, l in pos
-        if k_free and l_free:
-            pair_mean[i] = free_second[pos[k], pos[l]]
-        elif k_free:
-            pair_mean[i] = mean[l] * free_mean[pos[k]]
-        elif l_free:
-            pair_mean[i] = mean[k] * free_mean[pos[l]]
-        else:
-            pair_mean[i] = mean[k] * mean[l]
-    return mean, pair_mean
+def _data_rows(bm: BoltzmannMachine, dataset: Dataset) -> np.ndarray:
+    """The dataset's visible rows, checked against the machine's basis."""
+    rows = [SpinState(dataset.row(d), bm.basis).values for d in range(dataset.num_rows)]
+    return np.array(rows, dtype=np.float64).reshape(-1, bm.num_visible)
 
 
-def _conditional_moments_exact(
-    bm: BoltzmannMachine,
-    beta: float,
-    assignment: Mapping[int, int],
-    pairs: Sequence[tuple[int, int]],
-    cap: int = ENUMERATION_CAP,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact <s_i> and <s_k s_l> with the given nodes clamped to data."""
-    reduced, _ = clamp_visible(bm, assignment)
-    check_capacity(reduced.num_nodes, cap)
-    S = cached_state_table(reduced.num_nodes, bm.basis)
-    E = S @ reduced.biases + np.einsum("sk,sk->s", S @ reduced.coupling_matrix, S)
-    w = np.exp(-beta * (E - E.min()))
-    probs = w / w.sum()
-    free_mean, free_second = _moments_from_probs(S, probs)
-    free = [k for k in range(bm.num_nodes) if k not in assignment]
-    return _fill_clamped(bm, assignment, free, free_mean, free_second, pairs)
-
-
-def _conditional_moments_sampled(
-    bm: BoltzmannMachine,
-    assignment: Mapping[int, int],
-    pairs: Sequence[tuple[int, int]],
-    cfg: SamplerConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped-subgraph sampling estimate of the conditional moments."""
-    reduced, _ = clamp_visible(bm, assignment)
-    ss = draw_samples(reduced, cfg)
-    free_mean, free_second = _moments_from_samples(ss.states, ss.counts)
-    free = [k for k in range(bm.num_nodes) if k not in assignment]
-    return _fill_clamped(bm, assignment, free, free_mean, free_second, pairs)
-
-
-def _conditional_moments_from_sample_set(
-    bm: BoltzmannMachine,
-    ss: SampleSet,
-    assignment: Mapping[int, int],
-    pairs: Sequence[tuple[int, int]],
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Reuse full-graph samples whose clamped nodes match; None when unseen."""
-    keys = sorted(assignment)
-    target = np.array([assignment[k] for k in keys], dtype=ss.states.dtype)
-    mask = np.all(ss.states[:, keys] == target, axis=1)
-    if not mask.any():
-        return None
-    states = ss.states[mask]
-    weights = ss.counts[mask]
-    mean, second = _moments_from_samples(states, weights)
-    pair_mean = np.array([second[k, l] for k, l in pairs])
-    return mean, pair_mean
+def _estimate(bm: BoltzmannMachine, mean: np.ndarray, second: np.ndarray) -> GradientEstimate:
+    pairs = sorted(bm.couplings)
+    k, l = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return GradientEstimate(mean, tuple(pairs), second[k, l])
 
 
 def _derived_seed(*parts: int) -> int:
@@ -356,52 +291,50 @@ def grad_dkl(
 ) -> GradientEstimate:
     """Relative-entropy gradient: data-phase moments minus model-phase moments.
 
-    The data phase clamps each data row onto the visible nodes and takes
-    hidden-node expectations; the model phase is the unclamped machine. In
-    sampled mode the model phase comes from one full-graph draw, and a row's
-    conditional falls back to a clamped-subgraph draw when (policy "auto") the
-    row never showed up in the full draw, or (policy "always") for every row.
+    The data phase weighs each data row's hidden states by q(v) p(h | v); the
+    model phase is the unclamped machine. Exact mode reads both off the
+    energy table. In sampled mode the model phase comes from one full-graph
+    draw, and a row's conditional falls back to a clamped-subgraph draw when
+    (policy "auto") the row never showed up in the full draw, or (policy
+    "always") for every row.
     """
     if dataset.num_bits != bm.num_visible:
         raise ValueError(
             f"dataset rows have {dataset.num_bits} bits, machine has {bm.num_visible} visible nodes"
         )
     cfg = sampler_cfg or SamplerConfig()
-    pairs = sorted(bm.couplings)
+    V = _data_rows(bm, dataset)
+    n, m, basis = bm.num_nodes, bm.num_visible, bm.basis
 
     if mode is GradientMode.EXACT:
-        model_mean, model_second = _model_moments_exact(bm, cfg.beta, cap)
-        model_pair = np.array([model_second[k, l] for k, l in pairs])
-        full_ss = None
-    else:
-        full_ss = draw_samples(bm, cfg)
-        if call_counter is not None:
-            call_counter["full"] = call_counter.get("full", 0) + 1
-        model_mean, model_second = _moments_from_samples(full_ss.states, full_ss.counts)
-        model_pair = np.array([model_second[k, l] for k, l in pairs])
+        E = all_energies(bm, cap)
+        h = n // 2  # the halves of the split sum: no state table wider than n - h
+        model = _moments(
+            _boltzmann(E, cfg.beta).reshape(1 << h, -1),
+            cached_state_table(h, basis),
+            cached_state_table(n - h, basis),
+        )
+        E_rows = E.reshape(1 << m, -1)[[state_index(v, basis) for v in V]]
+        W = dataset.weights[:, None] * _boltzmann(E_rows, cfg.beta)
+        data = _moments(W, V, cached_state_table(n - m, basis))
+        return _estimate(bm, data[0] - model[0], data[1] - model[1])
 
-    data_mean = np.zeros(bm.num_nodes)
-    data_pair = np.zeros(len(pairs))
-    for d in range(dataset.num_rows):
-        assignment = dict(zip(bm.visible_indices, dataset.row(d)))
-        if mode is GradientMode.EXACT:
-            mean, pair_mean = _conditional_moments_exact(bm, cfg.beta, assignment, pairs, cap)
-        else:
-            reuse = None
-            if clamped_resample == "auto":
-                reuse = _conditional_moments_from_sample_set(bm, full_ss, assignment, pairs)
-            if reuse is None:
-                row_cfg = replace(cfg, seed=_derived_seed(cfg.seed, d, 1))
-                mean, pair_mean = _conditional_moments_sampled(bm, assignment, pairs, row_cfg)
-                if call_counter is not None:
-                    call_counter["clamped"] = call_counter.get("clamped", 0) + 1
-            else:
-                mean, pair_mean = reuse
+    full_ss = draw_samples(bm, cfg)
+    if call_counter is not None:
+        call_counter["full"] = call_counter.get("full", 0) + 1
+    rows = [_drawn_rows((), full_ss.states, full_ss.counts, -1.0)]
+    for d, v in enumerate(V):
         q = float(dataset.weights[d])
-        data_mean += q * mean
-        data_pair += q * pair_mean
-
-    return GradientEstimate(data_mean - model_mean, tuple(pairs), data_pair - model_pair)
+        seen = np.all(full_ss.states[:, :m] == v, axis=1)
+        if clamped_resample == "auto" and seen.any():
+            rows.append(_drawn_rows((), full_ss.states[seen], full_ss.counts[seen], q))
+        else:
+            reduced, _ = clamp_visible(bm, dict(enumerate(v)))
+            ss = draw_samples(reduced, replace(cfg, seed=_derived_seed(cfg.seed, d, 1)))
+            if call_counter is not None:
+                call_counter["clamped"] = call_counter.get("clamped", 0) + 1
+            rows.append(_drawn_rows(v, ss.states, ss.counts, q))
+    return _estimate(bm, *_sample_moments(rows))
 
 
 def grad_ncll(
@@ -416,7 +349,9 @@ def grad_ncll(
 
     Per row this is the fully-clamped expectation (inputs and outputs at data
     values, hidden subgraph free) minus the input-clamped expectation (hidden
-    and output nodes free). Parameters touching only clamped nodes cancel
+    and output nodes free). Exact mode reads both phases off the row input's
+    slice of the energy table (``prefix_energies``, so the cap applies to the
+    n - m_I free nodes). Parameters touching only clamped inputs cancel
     exactly. Sampled mode draws both clamped subgraphs for every row.
     """
     if dataset.io_split is None:
@@ -427,27 +362,36 @@ def grad_ncll(
             f"({bm.num_visible_input}, {bm.num_visible_output})"
         )
     cfg = sampler_cfg or SamplerConfig()
-    pairs = sorted(bm.couplings)
+    V = _data_rows(bm, dataset)
+    m_i, m_o, basis = bm.num_visible_input, bm.num_visible_output, bm.basis
 
-    g_mean = np.zeros(bm.num_nodes)
-    g_pair = np.zeros(len(pairs))
-    for d in range(dataset.num_rows):
-        input_clamp = dict(zip(bm.input_indices, dataset.input_part(d)))
-        full_clamp = {**input_clamp, **dict(zip(bm.output_indices, dataset.output_part(d)))}
-        if mode is GradientMode.EXACT:
-            mean_data, pair_data = _conditional_moments_exact(bm, cfg.beta, full_clamp, pairs, cap)
-            mean_model, pair_model = _conditional_moments_exact(bm, cfg.beta, input_clamp, pairs, cap)
-        else:
-            cfg_a = replace(cfg, seed=_derived_seed(cfg.seed, d, 2))
-            cfg_b = replace(cfg, seed=_derived_seed(cfg.seed, d, 3))
-            mean_data, pair_data = _conditional_moments_sampled(bm, full_clamp, pairs, cfg_a)
-            mean_model, pair_model = _conditional_moments_sampled(bm, input_clamp, pairs, cfg_b)
+    if mode is GradientMode.EXACT:
+        S_out = cached_state_table(m_o, basis)
+        S_hidden = cached_state_table(bm.num_hidden, basis)
+        mean, second = np.zeros(bm.num_nodes), np.zeros((bm.num_nodes, bm.num_nodes))
+        for v in V:
+            # rows: the data row (x, y), then (x, o) for every output o
+            E = prefix_energies(bm, v[:m_i], cap).reshape(1 << m_o, -1)
+            W = np.vstack([_boltzmann(E[state_index(v[m_i:], basis)], cfg.beta),
+                           -_boltzmann(E.reshape(-1), cfg.beta).reshape(E.shape)])
+            S_a = np.vstack([v, np.hstack([np.broadcast_to(v[:m_i], (1 << m_o, m_i)), S_out])])
+            row_mean, row_second = _moments(W, S_a, S_hidden)
+            mean += row_mean
+            second += row_second
+    else:
+        rows = []
+        for d, v in enumerate(V):
+            for fixed, sign, tag in ((v, 1.0, 2), (v[:m_i], -1.0, 3)):
+                reduced, _ = clamp_visible(bm, dict(enumerate(fixed)))
+                ss = draw_samples(reduced, replace(cfg, seed=_derived_seed(cfg.seed, d, tag)))
+                rows.append(_drawn_rows(fixed, ss.states, ss.counts, sign))
             if call_counter is not None:
                 call_counter["clamped"] = call_counter.get("clamped", 0) + 2
-        g_mean += mean_data - mean_model
-        g_pair += pair_data - pair_model
-
-    return GradientEstimate(g_mean, tuple(pairs), g_pair)
+        mean, second = _sample_moments(rows)
+    # Both phases fix the inputs, so their terms are the same constants.
+    mean[:m_i] = 0.0
+    second[:m_i, :m_i] = 0.0
+    return _estimate(bm, mean, second)
 
 
 def finite_difference_gradient(

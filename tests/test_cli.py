@@ -64,7 +64,20 @@ def test_train_is_rerunnable_bit_identically(runner, tmp_path):
     for name in ("trace_seed0.csv",):
         rows_a = list(csv.reader((tmp_path / "a" / name).open()))
         rows_b = list(csv.reader((tmp_path / "b" / name).open()))
-        assert [r[:3] for r in rows_a] == [r[:3] for r in rows_b]
+        assert rows_a[0][4:] == ["sampler_calls_full", "sampler_calls_clamped"]
+        assert [r[:3] + r[4:] for r in rows_a] == [r[:3] + r[4:] for r in rows_b]
+
+
+def test_train_sampled_gibbs_without_hidden_nodes(runner, tmp_path):
+    # the fully clamped data phase leaves no free node to draw
+    out = tmp_path / "g"
+    result = runner.invoke(main, [
+        "train", "--dataset", "and", "--arch", "2i1o0h", "--mode", "function",
+        "--gradient", "sampled", "--backend", "gibbs", "--reads", "50", "--max-steps", "2",
+        "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = list(csv.reader((out / "trace_seed0.csv").open()))
+    assert [r[4:] for r in rows[1:]] == [["0", "0"], ["0", "8"], ["0", "8"]]  # step 0 draws nothing
 
 
 def test_missing_dataset_exits_2_with_error_json(runner, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from isingbm.metrics import hellinger, model_probability
 from isingbm.model import Basis, BoltzmannMachine, random_machine
 from isingbm.samplers import (
+    Backend,
     SampleSet,
     SamplerConfig,
     empirical_distribution,
@@ -112,6 +113,28 @@ def test_gibbs_deterministic(rng):
     cfg = SamplerConfig(beta=1.0, num_reads=400, seed=5, burn_in=100, thinning=2, num_chains=4)
     a, b = gibbs_sample(bm, cfg), gibbs_sample(bm, cfg)
     assert np.array_equal(a.states, b.states) and np.array_equal(a.counts, b.counts)
+
+
+def test_gibbs_on_a_machine_with_no_nodes(rng):
+    # a fully clamped subgraph: one empty state carrying every read, as the
+    # exact backend returns
+    empty = BoltzmannMachine(0, 0, 0, np.zeros(0), {})
+    cfg = SamplerConfig(num_reads=7, burn_in=3, thinning=2, num_chains=3)
+    ss = gibbs_sample(empty, cfg)
+    exact = exact_sample(empty, cfg)
+    assert ss.states.shape == exact.states.shape == (1, 0)
+    assert ss.counts.tolist() == exact.counts.tolist() == [7.0]
+
+    from isingbm.datasets import from_rows
+    from isingbm.training import GradientMode, grad_dkl
+
+    bm = random_machine(2, 0, 0, rng)
+    counter: dict = {}
+    grad = grad_dkl(bm, from_rows([(0, 1), (1, 1)]), GradientMode.SAMPLED,
+                    SamplerConfig(num_reads=20, burn_in=5, thinning=1, backend=Backend.GIBBS),
+                    clamped_resample="always", call_counter=counter)
+    assert counter == {"full": 1, "clamped": 2}
+    assert np.all(np.isfinite(grad.to_vector()))
 
 
 def test_gibbs_matches_exact_distribution(rng):

@@ -9,7 +9,16 @@ from isingbm.metrics import (
     negative_conditional_log_likelihood,
     visible_marginal,
 )
-from isingbm.model import BoltzmannMachine, random_machine
+from isingbm.errors import CapacityError
+from isingbm.model import (
+    Basis,
+    BoltzmannMachine,
+    clamp_visible,
+    complete_pairs,
+    energies,
+    random_machine,
+    state_matrix,
+)
 from isingbm import training
 from isingbm.samplers import Backend, SamplerConfig
 from isingbm.training import (
@@ -150,6 +159,118 @@ def test_grad_ncll_zero_when_conditional_matches_data():
     ds = logic_gate("AND")
     grad = grad_ncll(bm, ds, GradientMode.EXACT, SamplerConfig(beta=25.0))
     assert grad.linf() < 1e-3
+
+
+# ---------------------------------------------------------------- clamp-and-enumerate reference
+
+
+def clamped_moments(bm, beta, assignment):
+    """<s> and <s s^T> with the given nodes clamped, by enumerating the
+    reduced machine that ``clamp_visible`` builds."""
+    reduced, _ = clamp_visible(bm, assignment)
+    free = [k for k in range(bm.num_nodes) if k not in assignment]
+    S_free = state_matrix(len(free), bm.basis).astype(np.float64)
+    E = energies(reduced, S_free)
+    p = np.exp(-beta * (E - E.min()))
+    p /= p.sum()
+    S = np.empty((p.shape[0], bm.num_nodes))
+    S[:, free] = S_free
+    for k, v in assignment.items():
+        S[:, k] = v
+    return p @ S, (S * p[:, None]).T @ S
+
+
+def reference_gradient(bm, mean, second):
+    pairs = sorted(bm.couplings)
+    return GradientEstimate(mean, tuple(pairs), [second[k, l] for k, l in pairs])
+
+
+def reference_grad_dkl(bm, ds, beta):
+    mean, second = clamped_moments(bm, beta, {})
+    mean, second = -mean, -second
+    for d in range(ds.num_rows):
+        m, s = clamped_moments(bm, beta, dict(enumerate(ds.row(d))))
+        mean, second = mean + ds.weights[d] * m, second + ds.weights[d] * s
+    return reference_gradient(bm, mean, second)
+
+
+def reference_grad_ncll(bm, ds, beta):
+    mean, second = np.zeros(bm.num_nodes), np.zeros((bm.num_nodes, bm.num_nodes))
+    for d in range(ds.num_rows):
+        m_data, s_data = clamped_moments(bm, beta, dict(enumerate(ds.row(d))))
+        m_model, s_model = clamped_moments(bm, beta, dict(enumerate(ds.input_part(d))))
+        mean, second = mean + m_data - m_model, second + s_data - s_model
+    return reference_gradient(bm, mean, second)
+
+
+def random_rows(rng, width, basis, count=4):
+    rows = state_matrix(width, basis)
+    return rows[rng.choice(rows.shape[0], size=min(count, rows.shape[0]), replace=False)]
+
+
+def assert_same_gradient(got, ref, atol=1e-12):
+    assert got.pairs == ref.pairs
+    np.testing.assert_allclose(got.d_bias, ref.d_bias, rtol=0, atol=atol)
+    np.testing.assert_allclose(got.d_pair, ref.d_pair, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_exact_gradients_match_clamp_and_enumerate(rng, basis):
+    for trial in range(8):
+        m_i, m_o = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        n_h = 0 if trial < 2 else int(rng.integers(1, 4))  # n_h = 0 included
+        bm = random_machine(m_i, m_o, n_h, rng, scale=1.5, basis=basis)
+        beta = float(rng.uniform(0.5, 2.0))
+        rows = random_rows(rng, m_i + m_o, basis)
+        ds = from_rows(rows, rng.uniform(0.2, 1.0, size=len(rows)))
+        assert_same_gradient(grad_dkl(bm, ds, GradientMode.EXACT, SamplerConfig(beta=beta)),
+                             reference_grad_dkl(bm, ds, beta))
+        ds_io = from_rows(rows, io_split=(m_i, m_o))
+        assert_same_gradient(grad_ncll(bm, ds_io, GradientMode.EXACT, SamplerConfig(beta=beta)),
+                             reference_grad_ncll(bm, ds_io, beta))
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_exact_ncll_gradient_past_the_cap(rng, basis):
+    # cap < n <= cap + m_I: only the n - m_I free nodes are enumerated
+    bm = random_machine(3, 1, 3, rng, scale=1.5, basis=basis)
+    ds = from_rows(random_rows(rng, 4, basis, count=6), io_split=(3, 1))
+    for cap in (4, 5, 6):
+        got = grad_ncll(bm, ds, GradientMode.EXACT, SamplerConfig(beta=1.3), cap=cap)
+        assert_same_gradient(got, reference_grad_ncll(bm, ds, 1.3))
+    with pytest.raises(CapacityError):
+        grad_ncll(bm, ds, GradientMode.EXACT, SamplerConfig(beta=1.3), cap=3)
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_exact_grad_dkl_on_21_nodes(rng, basis):
+    # a 3v2h core plus 16 decoupled zero-bias hidden nodes: each is a fair
+    # coin in both phases, independent of the rest
+    core = random_machine(3, 0, 2, rng, basis=basis)
+    n = 21
+    couplings = {pair: core.couplings.get(pair, 0.0) for pair in complete_pairs(n)}
+    bm = BoltzmannMachine(3, 0, 18, np.concatenate([core.biases, np.zeros(16)]), couplings, basis=basis)
+    ds = from_rows(random_rows(rng, 3, basis), [0.5, 0.2, 0.2, 0.1])
+    ref = reference_grad_dkl(core, ds, 1.1)
+    coin_mean = 0.5 if basis is Basis.ZERO_ONE else 0.0
+    d_bias = np.concatenate([ref.d_bias, np.zeros(16)])  # a coin's mean is the same in both phases
+    core_pairs = ref.coupling_dict()
+    # <s_k c> = <s_k> coin_mean, and pairs of two coins cancel
+    d_pair = [core_pairs[(k, l)] if l < 5 else (coin_mean * d_bias[k] if k < 5 else 0.0)
+              for k, l in complete_pairs(n)]
+    got = grad_dkl(bm, ds, GradientMode.EXACT, SamplerConfig(beta=1.1))
+    # sums over 2^18 hidden states round to about 1e-12 here
+    assert_same_gradient(got, GradientEstimate(d_bias, tuple(complete_pairs(n)), d_pair), atol=1e-10)
+
+
+@pytest.mark.parametrize("mode", list(GradientMode))
+def test_gradients_reject_rows_outside_the_basis(rng, mode):
+    bm = random_machine(2, 1, 1, rng, basis=Basis.PLUS_MINUS)
+    cfg = SamplerConfig(beta=1.0, num_reads=20)
+    with pytest.raises(ValueError):
+        grad_dkl(bm, from_rows([(0, 1, 1), (1, 1, 0)]), mode, cfg)
+    with pytest.raises(ValueError):
+        grad_ncll(bm, logic_gate("AND"), mode, cfg)
 
 
 def test_finite_difference_gradient_on_quadratic():
@@ -384,9 +505,11 @@ def test_trace_requires_increasing_steps():
 
 def test_trace_csv_export(tmp_path):
     trace = TrainingTrace((TraceRecord(0, 1.5, float("nan"), 0.0),
-                           TraceRecord(1, 0.5, 0.25, 0.1)))
+                           TraceRecord(1, 0.5, 0.25, 0.1, 1, 3)))
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,loss,delta_inf,seconds"
+    assert lines[0] == "step,loss,delta_inf,seconds,sampler_calls_full,sampler_calls_clamped"
+    assert lines[1].endswith(",0,0")
     assert lines[2].startswith("1,0.5,0.25,")
+    assert lines[2].endswith(",1,3")
