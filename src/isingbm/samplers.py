@@ -25,7 +25,23 @@ import requests
 
 from .errors import CapacityError, ProtocolError, TransportError
 from .metrics import Distribution, boltzmann_probabilities
-from .model import ENUMERATION_CAP, Basis, BoltzmannMachine, convert_basis, state_matrix
+from .model import (
+    ENUMERATION_CAP,
+    Basis,
+    BoltzmannMachine,
+    _state_rows,
+    cached_state_table,
+    convert_basis,
+    state_matrix,
+)
+
+# Gibbs tabulates every site's conditional for every state up to this many
+# nodes: the probabilities (float64) and the next-state rows (two int64 per
+# site) take about 24·n·2^n bytes: 5.5 MB at 14 nodes, 25 MB at 16.
+# Larger machines compute each site's field from the chains' states.
+_TABLE_BITS = 14
+# Gibbs draws its uniforms about this many at a time (512 KB), in whole sweeps.
+_UNIFORM_BLOCK = 1 << 16
 
 
 class Backend(str, Enum):
@@ -131,17 +147,20 @@ def exact_sample(
         )
     rng = np.random.default_rng(cfg.seed)
     draws = rng.choice(probs.shape[0], size=cfg.num_reads, p=probs)
+    return _index_sample_set(draws, bm, cfg, "exact")
+
+
+def _index_sample_set(
+    draws: np.ndarray, bm: BoltzmannMachine, cfg: SamplerConfig, backend_id: str
+) -> SampleSet:
+    """Sample set of ``cfg.num_reads`` lexicographic state indices."""
     idx, counts = np.unique(draws, return_counts=True)
-    shifts = np.arange(n - 1, -1, -1)
-    bits = ((idx[:, None] >> shifts) & 1).astype(np.int8)
-    if bm.basis is Basis.PLUS_MINUS:
-        bits = (2 * bits - 1).astype(np.int8)
     return SampleSet(
-        states=bits,
+        states=_state_rows(idx, bm.num_nodes, bm.basis),
         counts=counts,
         beta=cfg.beta,
         num_reads=cfg.num_reads,
-        backend_id="exact",
+        backend_id=backend_id,
         basis=bm.basis,
     )
 
@@ -154,43 +173,75 @@ def gibbs_sample(bm: BoltzmannMachine, cfg: SamplerConfig) -> SampleSet:
     sigmoid(-beta * dE_k), where dE_k is the energy change from the lower to
     the upper symbol given the current neighbors. Chains are initialized from
     fair coins, burned in, then thinned until the read quota is met.
+
+    Up to ``_TABLE_BITS`` nodes each chain is carried as its state index and
+    every conditional is read off a table built once per call; past that the
+    fields are computed from the chains' states. Both read the same uniforms
+    in the same order, so they return the same draws.
     """
     n = bm.num_nodes
-    lo, hi = bm.basis.symbols
-    span = hi - lo  # 1 in the {0,1} basis, 2 in {-1,+1}
     chains = cfg.num_chains
     per_chain = -(-cfg.num_reads // chains)  # ceil
+    total_sweeps = cfg.burn_in + per_chain * cfg.thinning
+    keep = range(cfg.burn_in + cfg.thinning - 1, total_sweeps, cfg.thinning)
 
+    rng = np.random.default_rng(cfg.seed)
+    start_hi = rng.random((chains, n)) >= 0.5
+    sweeps = enumerate(_sweep_uniforms(rng, total_sweeps, n, chains))
+    backend_id = f"gibbs/chains={chains}"
+
+    lo, hi = bm.basis.symbols
     J = bm.coupling_matrix
     J_sym = J + J.T
-    rng = np.random.default_rng(cfg.seed)
 
-    state = np.where(rng.random((chains, n)) < 0.5, lo, hi).astype(np.float64)
+    def p_hi(S: np.ndarray, k: int) -> np.ndarray:
+        """Probability that site k takes its upper symbol given each row of S."""
+        # dE = E(site=hi) - E(site=lo); J_sym has a zero diagonal, so the
+        # site's own value drops out of the neighbor sum.
+        d_e = (hi - lo) * (bm.biases[k] + S @ J_sym[:, k])
+        return 1.0 / (1.0 + np.exp(np.clip(cfg.beta * d_e, -500, 500)))
+
+    if n <= _TABLE_BITS:
+        masks = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+        every = np.arange(1 << n, dtype=np.int64)
+        S = cached_state_table(n, bm.basis)
+        tables = [
+            (np.stack([every & ~m, every | m]), p_hi(S, k))
+            for k, m in enumerate(masks)
+        ]
+        idx = start_hi @ masks
+        kept = np.empty((per_chain, chains), dtype=np.int64)
+        for sweep, u in sweeps:
+            for (step_k, p_k), u_k in zip(tables, u):
+                idx = step_k[(u_k < p_k[idx]).view(np.int8), idx]
+            if sweep in keep:
+                kept[keep.index(sweep)] = idx
+        return _index_sample_set(kept.reshape(-1)[: cfg.num_reads], bm, cfg, backend_id)
+
+    state = np.where(start_hi, hi, lo).astype(np.float64)
     kept = np.empty((per_chain, chains, n), dtype=np.int8)
-    total_sweeps = cfg.burn_in + per_chain * cfg.thinning
-
-    kept_i = 0
-    for sweep in range(total_sweeps):
-        for k in range(n):
-            # dE = E(site=hi) - E(site=lo); J_sym has a zero diagonal, so the
-            # site's own value drops out of the neighbor sum.
-            d_e = span * (bm.biases[k] + state @ J_sym[:, k])
-            p_hi = 1.0 / (1.0 + np.exp(np.clip(cfg.beta * d_e, -500, 500)))
-            state[:, k] = np.where(rng.random(chains) < p_hi, hi, lo)
-        if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thinning == cfg.thinning - 1:
-            kept[kept_i] = state.astype(np.int8)
-            kept_i += 1
-    raw = kept[:kept_i].reshape(kept_i * chains, n)[: cfg.num_reads]
-
-    states, counts = _compress(raw)
+    for sweep, u in sweeps:
+        for k, u_k in enumerate(u):
+            state[:, k] = np.where(u_k < p_hi(state, k), hi, lo)
+        if sweep in keep:
+            kept[keep.index(sweep)] = state
+    states, counts = _compress(kept.reshape(per_chain * chains, n)[: cfg.num_reads])
     return SampleSet(
         states=states,
         counts=counts,
         beta=cfg.beta,
         num_reads=cfg.num_reads,
-        backend_id=f"gibbs/chains={chains}",
+        backend_id=backend_id,
         basis=bm.basis,
     )
+
+
+def _sweep_uniforms(rng: np.random.Generator, sweeps: int, n: int, chains: int):
+    """Yield each sweep's (n, chains) uniforms. They are drawn in blocks of
+    whole sweeps, in the stream order of one ``rng.random(chains)`` per site."""
+    block = max(1, _UNIFORM_BLOCK // max(1, n * chains))
+    for start in range(0, sweeps, block):
+        yield from rng.random((min(block, sweeps - start), n, chains))
 
 
 # -- remote backend -----------------------------------------------------------
@@ -207,13 +258,14 @@ def remote_sample(
     The wire format is fixed to the {-1,+1} basis, so the machine is converted
     on the way out and the returned states are mapped back. The service does
     not know the caller's temperature; the returned ``beta`` is whatever the
-    caller assumed in ``cfg``.
+    caller assumed in ``cfg``. A machine with no nodes (a fully clamped
+    subgraph) has one state; it gets every read without a request.
     """
-    if bm.num_nodes == 0:
-        raise ValueError("cannot sample an empty machine")
     endpoint = endpoint or cfg.endpoint or os.environ.get(ENDPOINT_ENV_VAR)
     if not endpoint:
         raise ValueError(f"no endpoint given and {ENDPOINT_ENV_VAR} is unset")
+    if bm.num_nodes == 0:
+        return _index_sample_set(np.zeros(cfg.num_reads, dtype=np.int64), bm, cfg, f"remote({endpoint})")
 
     wire_bm = bm if bm.basis is Basis.PLUS_MINUS else convert_basis(bm)
     payload = {

@@ -30,10 +30,34 @@ def test_remote_keeps_plus_minus_basis(mock_server, rng):
     assert hellinger(empirical_distribution(ss), exact) <= 0.03
 
 
-def test_remote_empty_machine_rejected_before_network():
+def test_remote_empty_machine_answered_before_network(monkeypatch):
+    # one empty state carrying every read, as the exact and Gibbs backends
+    # return; the endpoint is dead, so a request would raise TransportError
     empty = BoltzmannMachine(0, 0, 0, np.zeros(0), {})
-    with pytest.raises(ValueError):
-        remote_sample(empty, SamplerConfig(num_reads=10), "http://127.0.0.1:1")
+    ss = remote_sample(empty, SamplerConfig(num_reads=10), "http://127.0.0.1:1")
+    assert ss.states.shape == (1, 0)
+    assert ss.counts.tolist() == [10.0]
+    assert ss.num_reads == 10
+    monkeypatch.delenv("ISINGBM_ENDPOINT", raising=False)
+    with pytest.raises(ValueError):  # an endpoint is still required
+        remote_sample(empty, SamplerConfig(num_reads=10))
+
+
+def test_sampled_function_training_without_hidden_nodes(mock_server):
+    # the NCLL data phase fixes every node of a machine with no hidden ones
+    from isingbm.datasets import logic_gate
+    from isingbm.samplers import Backend
+    from isingbm.training import Architecture, GradientMode, TrainingConfig, train_function_approximator
+
+    ds = logic_gate("AND")
+    cfg = TrainingConfig(max_steps=3, delta_theta_min=0.0, gradient_mode=GradientMode.SAMPLED, seed=0,
+                         sampler=SamplerConfig(beta=2.0, num_reads=200, backend=Backend.REMOTE,
+                                               endpoint=mock_server.url))
+    bm, trace = train_function_approximator(ds, Architecture(2, 1, 0), cfg)
+    assert trace.num_steps == 3
+    assert [r.sampler_calls_clamped for r in trace.records[1:]] == [2 * ds.num_rows] * 3
+    assert np.all(np.isfinite(bm.biases))
+    assert np.isfinite(trace.final_loss)
 
 
 def test_remote_dead_endpoint_is_transport_error(rng):

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from isingbm import samplers
 from isingbm.metrics import hellinger, model_probability
 from isingbm.model import Basis, BoltzmannMachine, random_machine
 from isingbm.samplers import (
@@ -135,6 +139,85 @@ def test_gibbs_on_a_machine_with_no_nodes(rng):
                     clamped_resample="always", call_counter=counter)
     assert counter == {"full": 1, "clamped": 2}
     assert np.all(np.isfinite(grad.to_vector()))
+
+
+def per_site_gibbs(bm, cfg):
+    """Reference kernel: one numpy round and one ``rng.random(chains)`` per
+    site update, rows compressed with ``np.unique(axis=0)``."""
+    n = bm.num_nodes
+    lo, hi = bm.basis.symbols
+    chains = cfg.num_chains
+    per_chain = -(-cfg.num_reads // chains)
+    J_sym = bm.coupling_matrix + bm.coupling_matrix.T
+    rng = np.random.default_rng(cfg.seed)
+    state = np.where(rng.random((chains, n)) < 0.5, lo, hi).astype(np.float64)
+    kept = []
+    for sweep in range(cfg.burn_in + per_chain * cfg.thinning):
+        for k in range(n):
+            d_e = (hi - lo) * (bm.biases[k] + state @ J_sym[:, k])
+            p_hi = 1.0 / (1.0 + np.exp(np.clip(cfg.beta * d_e, -500, 500)))
+            state[:, k] = np.where(rng.random(chains) < p_hi, hi, lo)
+        if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thinning == cfg.thinning - 1:
+            kept.append(state.astype(np.int8))
+    raw = np.array(kept).reshape(per_chain * chains, n)[: cfg.num_reads]
+    return np.unique(raw, axis=0, return_counts=True)
+
+
+@st.composite
+def gibbs_runs(draw):
+    n = draw(st.integers(0, 8))
+    basis = draw(st.sampled_from(list(Basis)))
+    bm = random_machine(n, 0, 0, np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                        scale=draw(st.floats(0.1, 3.0)), basis=basis)
+    chains = draw(st.integers(1, 20))
+    per_chain = draw(st.integers(1, 6))
+    reads = per_chain * chains - draw(st.integers(0, chains - 1))
+    cfg = SamplerConfig(beta=draw(st.floats(0.05, 5.0)), num_reads=reads,
+                        burn_in=draw(st.integers(0, 30)), thinning=draw(st.integers(1, 3)),
+                        seed=draw(st.integers(0, 2**32 - 1)), num_chains=chains)
+    # uniforms come in blocks of whole sweeps: put the block just below, at
+    # or just past the run's sweep count, or a few blocks inside it
+    sweeps = cfg.burn_in + per_chain * cfg.thinning
+    block_sweeps = max(1, (sweeps + draw(st.integers(-2, 2))) // draw(st.integers(1, 3)))
+    return bm, cfg, block_sweeps * max(1, n * chains)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gibbs_runs())
+@example((random_machine(3, 0, 0, np.random.default_rng(0)),
+          SamplerConfig(num_reads=8, burn_in=3, thinning=2, seed=1, num_chains=2), 7 * 3 * 2))
+@example((random_machine(3, 0, 0, np.random.default_rng(0), basis=Basis.PLUS_MINUS),
+          SamplerConfig(num_reads=8, burn_in=3, thinning=2, seed=1, num_chains=2), 11 * 3 * 2))
+def test_table_path_equals_field_path_and_per_site_reference(run):
+    bm, cfg, block = run
+    with mock.patch.object(samplers, "_UNIFORM_BLOCK", block):
+        table = gibbs_sample(bm, cfg)
+        with mock.patch.object(samplers, "_TABLE_BITS", -1):
+            field = gibbs_sample(bm, cfg)
+    states, counts = per_site_gibbs(bm, cfg)
+    for ss in (table, field):
+        assert ss.states.dtype == np.int8 and ss.states.shape == states.shape
+        assert ss.states.tobytes() == states.tobytes()
+        assert ss.counts.tobytes() == counts.astype(np.float64).tobytes()
+
+
+def test_gibbs_draws_of_a_training_config_are_unchanged():
+    # the benchmark's sampled-training Gibbs config on a 3v2h bipartite
+    # machine; states and counts as drawn by the one-round-per-site kernel
+    bm = BoltzmannMachine(3, 0, 2, np.array([0.3, -0.5, 0.2, -0.1, 0.4]),
+                          {(0, 3): -0.8, (0, 4): 0.6, (1, 3): 0.5, (1, 4): -0.7, (2, 3): 0.9, (2, 4): -0.4})
+    cfg = SamplerConfig(beta=3.0, num_reads=200, burn_in=20, thinning=2, num_chains=10, seed=20261018,
+                        backend=Backend.GIBBS)
+    ss = gibbs_sample(bm, cfg)
+    assert ss.states.tolist() == [
+        [0, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 0, 1, 1], [0, 0, 1, 0, 0],
+        [0, 1, 0, 0, 0], [0, 1, 0, 0, 1], [0, 1, 0, 1, 0], [0, 1, 0, 1, 1], [0, 1, 1, 0, 0],
+        [0, 1, 1, 0, 1], [1, 0, 0, 0, 0], [1, 0, 0, 1, 0], [1, 0, 0, 1, 1], [1, 0, 1, 1, 1],
+        [1, 1, 0, 0, 0], [1, 1, 0, 1, 0], [1, 1, 0, 1, 1], [1, 1, 1, 0, 0], [1, 1, 1, 0, 1],
+        [1, 1, 1, 1, 1],
+    ]
+    assert ss.counts.tolist() == [3, 1, 5, 1, 1, 12, 32, 5, 10, 6, 70, 1, 14, 2, 1, 6, 15, 7, 4, 3, 1]
+    assert ss.backend_id == "gibbs/chains=10"
 
 
 def test_gibbs_matches_exact_distribution(rng):
