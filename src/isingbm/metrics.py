@@ -7,7 +7,6 @@ They are pure functions of immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -16,13 +15,18 @@ import numpy as np
 from .datasets import Dataset
 from .model import (
     ENUMERATION_CAP,
+    Basis,
     BoltzmannMachine,
+    SpinState,
+    _basis_of,
+    _row_indices,
+    _state_rows,
+    _weighting,
     all_energies,
     check_capacity,
     ground_set,
     prefix_energies,
     state_index,
-    state_matrix,
 )
 
 if TYPE_CHECKING:  # avoid a runtime cycle with samplers
@@ -31,37 +35,78 @@ if TYPE_CHECKING:  # avoid a runtime cycle with samplers
 DEFAULT_BETA_GRID = np.geomspace(0.1, 10.0, 40)
 
 
-@dataclass(frozen=True)
 class Distribution:
-    """Probabilities over an explicit support of configurations."""
+    """Probabilities over an explicit support of configurations.
 
-    support: tuple[tuple[int, ...], ...]
-    probs: np.ndarray
+    The support is kept as the states' lexicographic indices (``_index``, in
+    the given order) with their width and basis, so equal indices mean equal
+    states; ``support`` as tuples is built on first use. The {0,1} and
+    {-1,+1} alphabets share one state, all ones, and lookups across them
+    match it alone, as equal tuples would.
+    """
 
-    def __post_init__(self):
-        support = tuple(tuple(map(int, s)) for s in self.support)
-        probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
+    def __init__(self, support: Sequence[Sequence[int]], probs: Sequence[float]):
+        support = list(support)
+        probs = np.asarray(probs, dtype=np.float64).reshape(-1)
         if len(support) != probs.shape[0]:
             raise ValueError("support and probs must have equal length")
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {probs.sum()}, expected 1")
-        if len(set(support)) != len(support):
+        if len({len(s) for s in support}) != 1:
+            raise ValueError("support entries must be states of one width in one basis")
+        rows = np.array(support, dtype=np.int64)
+        self._set(_row_indices(rows), probs, rows.shape[1], _basis_of(rows))
+        keys = self._sorted[0]
+        if np.any(keys[1:] == keys[:-1]):
             raise ValueError("support entries must be distinct")
+
+    @classmethod
+    def _indexed(cls, probs: np.ndarray, width: int, basis: Basis, index: np.ndarray | None = None):
+        """Unchecked constructor, for a probability vector over distinct state
+        indices (every state of ``width`` nodes, in order, when omitted)."""
+        dist = cls.__new__(cls)
+        if index is None:
+            index = np.arange(1 << width, dtype=np.int64)
+            dist._sorted = (index, index)  # already in order
+        dist._set(index, np.asarray(probs, dtype=np.float64), width, basis)
+        return dist
+
+    def _set(self, index: np.ndarray, probs: np.ndarray, width: int, basis: Basis) -> None:
         probs.flags.writeable = False
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
+        self._index, self.probs, self._width, self._basis = index, probs, width, basis
 
     @cached_property
-    def _prob_map(self) -> dict[tuple[int, ...], float]:
-        return {s: float(p) for s, p in zip(self.support, self.probs)}
+    def support(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, _state_rows(self._index, self._width, self._basis).tolist()))
+
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self._index, kind="stable")
+        return self._index[order], order
+
+    def _find(self, index: np.ndarray, width: int, basis: Basis) -> np.ndarray:
+        """Position in this support of each given state, -1 where absent."""
+        if width != self._width:
+            return np.full(index.shape[0], -1)
+        if basis is not self._basis:  # the alphabets share one state: all ones
+            index = np.where(index == (1 << width) - 1, index, -1)
+        keys, order = self._sorted
+        at = np.searchsorted(keys, index).clip(max=keys.shape[0] - 1)
+        return np.where(keys[at] == index, order[at], -1)
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
-        return dict(self._prob_map)
+        return {s: float(p) for s, p in zip(self.support, self.probs)}
 
     def prob(self, state: Sequence[int]) -> float:
-        return self._prob_map.get(tuple(int(v) for v in state), 0.0)
+        values = tuple(int(v) for v in state)
+        if len(values) != self._width or not set(values) <= set(self._basis.symbols):
+            return 0.0
+        i = state_index(values, self._basis)
+        keys, order = self._sorted
+        k = int(np.searchsorted(keys, i))
+        return float(self.probs[order[k]]) if k < keys.shape[0] and keys[k] == i else 0.0
 
 
 def boltzmann_probabilities(bm: BoltzmannMachine, beta: float, cap: int = ENUMERATION_CAP) -> np.ndarray:
@@ -101,39 +146,44 @@ def model_probability(
     proj = [int(k) for k in projection]
     if any(not 0 <= k < bm.num_nodes for k in proj):
         raise ValueError("projection indices out of range")
-    marginal = _project_probs(probs, bm.num_nodes, proj)
-    support = state_matrix(len(proj), bm.basis)
-    return Distribution(tuple(map(tuple, support.tolist())), marginal)
+    return Distribution._indexed(_project_probs(probs, bm.num_nodes, proj), len(proj), bm.basis)
 
 
 def visible_marginal(bm: BoltzmannMachine, beta: float, cap: int = ENUMERATION_CAP) -> Distribution:
-    return model_probability(bm, beta, bm.visible_indices, cap)
+    """Exact Boltzmann marginal over the visible nodes, u / Z of the weighting."""
+    wt = _weighting(bm, beta, cap)
+    return Distribution._indexed(wt.u / wt.Z, bm.num_visible, bm.basis)
 
 
 def dataset_distribution(ds: Dataset) -> Distribution:
-    return Distribution(tuple(ds.row(d) for d in range(ds.num_rows)), ds.weights)
+    return Distribution._indexed(ds.weights, ds.num_bits, _basis_of(ds.rows), _row_indices(ds.rows))
+
+
+def _probs_of(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndarray]:
+    """p's probability of each state in q's support (0 where p lacks it), and
+    the positions in p's support that q lacks."""
+    at = p._find(q._index, q._width, q._basis)
+    found = at >= 0
+    p_on_q = np.where(found, p.probs[at], 0.0)
+    missing = np.ones(p.probs.shape[0], dtype=bool)
+    missing[at[found]] = False
+    return p_on_q, missing
 
 
 def kl_divergence(q: Distribution, p: Distribution) -> float:
     """D(q || p) = sum q ln(q/p); +inf when p misses mass where q has some."""
-    p_map = p._prob_map
-    total = 0.0
-    for state, q_v in zip(q.support, q.probs):
-        if q_v == 0.0:
-            continue
-        p_v = p_map.get(state, 0.0)
-        if p_v <= 0.0:
-            return float("inf")
-        total += q_v * np.log(q_v / p_v)
+    has = q.probs > 0.0
+    q_v, p_v = q.probs[has], _probs_of(p, q)[0][has]
+    if np.any(p_v <= 0.0):
+        return float("inf")
     # Clip the tiny negative float residue that appears when q == p.
-    return float(max(total, 0.0))
+    return max(float(np.sum(q_v * np.log(q_v / p_v))), 0.0)
 
 
 def hellinger(p_s: Distribution, p_a: Distribution) -> float:
     """(1/2) * sqrt( sum_i (sqrt(p_s_i) - sqrt(p_a_i))^2 ) over the joint support."""
-    states = set(p_s.support) | set(p_a.support)
-    a, b = p_s._prob_map, p_a._prob_map
-    total = sum((np.sqrt(a.get(s, 0.0)) - np.sqrt(b.get(s, 0.0))) ** 2 for s in states)
+    p_a_on_s, only_a = _probs_of(p_a, p_s)
+    total = np.sum((np.sqrt(p_s.probs) - np.sqrt(p_a_on_s)) ** 2) + np.sum(p_a.probs[only_a])
     return 0.5 * float(np.sqrt(total))
 
 
@@ -146,17 +196,27 @@ def conditional_probability(
     v_input: Sequence[int],
     cap: int = ENUMERATION_CAP,
 ) -> Distribution:
-    """p(output | input): the input's slice of the energy table
-    (``prefix_energies``, so the cap applies to the n - m_I free nodes),
-    hidden nodes summed out."""
-    if bm.num_visible_output < 1:
+    """p(output | input), hidden nodes summed out.
+
+    Within the cap on all n nodes it is read off the machine's weighting: the
+    input's 2^m_O rows of r, reshifted to the slice's own minimum. Past it,
+    the input's slice comes from ``prefix_energies``, so the cap applies to
+    the n - m_I free nodes.
+    """
+    m_o = bm.num_visible_output
+    if m_o < 1:
         raise ValueError("machine has no output nodes")
     if len(v_input) != bm.num_visible_input:
         raise ValueError(f"expected {bm.num_visible_input} input values, got {len(v_input)}")
-    E = prefix_energies(bm, v_input, cap)
-    w = np.exp(-beta * (E - E.min())).reshape(1 << bm.num_visible_output, -1).sum(axis=1)
-    support = state_matrix(bm.num_visible_output, bm.basis)
-    return Distribution(tuple(map(tuple, support.tolist())), w / w.sum())
+    if bm.num_nodes <= cap:
+        wt = _weighting(bm, beta, cap)
+        first = state_index(SpinState(v_input, bm.basis).values, bm.basis) << m_o
+        r, m = wt.r[first:first + (1 << m_o)], wt.m[first:first + (1 << m_o)]
+        w = r * np.exp(-beta * (m - m.min()))
+    else:
+        E = prefix_energies(bm, v_input, cap)
+        w = np.exp(-beta * (E - E.min())).reshape(1 << m_o, -1).sum(axis=1)
+    return Distribution._indexed(w / w.sum(), m_o, bm.basis)
 
 
 def negative_conditional_log_likelihood(
@@ -187,23 +247,25 @@ def dkl_beta_derivatives(
     second = sum_v q(v) (Var(E) - Var(E | v))
 
     where the unconditional moments are under the full Boltzmann distribution
-    and the conditional ones under p(hidden | v) at the same beta.
+    and the conditional ones under p(hidden | v) at the same beta. Both are
+    read off the machine's weighting.
     """
-    n_hidden = bm.num_hidden
-    E = all_energies(bm, cap)
-    w = np.exp(-beta * (E - E.min()))
-    probs = w / w.sum()
-    mean_E = float(probs @ E)
-    var_E = float(probs @ (E - mean_E) ** 2)
+    wt = _weighting(bm, beta, cap)
+    E = all_energies(bm, cap).reshape(wt.w.shape)
+    # p[v, h] = w[v, h] s[v]: each moment is a weighted row sum, then a dot with s.
+    s = wt.u / (wt.r * wt.Z)
+    mean_E = float(s @ np.einsum("vh,vh->v", wt.w, E))
+    dev = E - mean_E
+    dev *= dev
+    var_E = float(s @ np.einsum("vh,vh->v", wt.w, dev))
 
-    E_by_visible = E.reshape(1 << bm.num_visible, 1 << n_hidden)
     first = -mean_E
     second = 0.0
     for d in range(ds.num_rows):
         q_v = float(ds.weights[d])
-        row = E_by_visible[state_index(ds.row(d), bm.basis)]
-        w_row = np.exp(-beta * (row - row.min()))
-        p_cond = w_row / w_row.sum()
+        v = state_index(ds.row(d), bm.basis)
+        row = E[v]
+        p_cond = wt.w[v] / wt.r[v]
         cond_mean = float(p_cond @ row)
         cond_var = float(p_cond @ (row - cond_mean) ** 2)
         first += q_v * cond_mean
@@ -280,11 +342,12 @@ def fit_beta(
 
     E = all_energies(bm, cap)
     E = E - E.min()
+    if sample_set.num_nodes != bm.num_nodes or sample_set.basis is not bm.basis:
+        raise ValueError("sample set does not match the machine's nodes and basis")
     # Empirical weights aligned to the lexicographic state order.
-    emp = np.zeros(E.shape[0])
     total = float(sample_set.counts.sum())
-    for state, count in zip(sample_set.states, sample_set.counts):
-        emp[state_index(state, bm.basis)] += count / total
+    emp = np.bincount(_row_indices(sample_set.states), weights=sample_set.counts / total,
+                      minlength=E.shape[0])
     sqrt_emp = np.sqrt(emp)
 
     def distance(beta: float) -> float:

@@ -22,6 +22,12 @@ import numpy as np
 from .model import Basis, BoltzmannMachine, energies, state_matrix
 from .samplers import SAMPLE_ROUTE
 
+# A request body is bounded by what the node limit allows: every bias and every
+# coupling triple of a complete graph, each in at most this many bytes of JSON
+# (a float's repr takes at most 24), plus the rest of the document.
+_BYTES_PER_TERM = 64
+_BODY_OVERHEAD = 4096
+
 
 class MockAnnealerServer:
     """Threaded HTTP server; use as a context manager or start()/stop()."""
@@ -39,6 +45,7 @@ class MockAnnealerServer:
         self.beta_drift = beta_drift
         self.seed = seed
         self.max_nodes = max_nodes
+        self._max_body = _BODY_OVERHEAD + _BYTES_PER_TERM * (max_nodes + max_nodes * (max_nodes - 1) // 2)
         self._request_counter = 0
         self._lock = threading.Lock()
         self._httpd = ThreadingHTTPServer((host, port), _make_handler(self))
@@ -97,6 +104,15 @@ def _make_handler(server: MockAnnealerServer):
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
+                if length < 0:
+                    raise ValueError
+            except ValueError:
+                self._reply(400, {"error": "Content-Length must be a nonnegative integer"})
+                return
+            if length > server._max_body:
+                self._reply(413, {"error": f"{length}-byte body exceeds service limit {server._max_body}"})
+                return
+            try:
                 doc = json.loads(self.rfile.read(length))
                 if doc.get("basis") != Basis.PLUS_MINUS.value:
                     raise ValueError(f"basis must be {Basis.PLUS_MINUS.value!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -276,11 +276,33 @@ def state_matrix(
 
 def _state_rows(idx: np.ndarray, num_nodes: int, basis: Basis) -> np.ndarray:
     """Rows of the state table at the given lexicographic indices."""
-    shifts = np.arange(num_nodes - 1, -1, -1, dtype=np.int64)
+    shifts = np.arange(num_nodes - 1, -1, -1, dtype=object if idx.dtype == object else np.int64)
     bits = (idx[:, None] >> shifts) & 1
     if basis is Basis.PLUS_MINUS:
         return (2 * bits - 1).astype(np.int8)
     return bits.astype(np.int8)
+
+
+def _row_indices(rows: np.ndarray) -> np.ndarray:
+    """Lexicographic index of each state row, the inverse of ``_state_rows``.
+
+    The upper symbol, 1, is the set bit in either basis, so rows of valid
+    states map one to one. The indices are int64 up to 62 nodes and Python
+    ints (an object array) past that.
+    """
+    rows = np.asarray(rows)
+    n = rows.shape[1]
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64 if n <= 62 else object)
+    return (rows == 1) @ weights
+
+
+def _basis_of(rows: np.ndarray) -> Basis:
+    """The alphabet a matrix of states is written in; all ones reads as {0,1}."""
+    for basis in Basis:
+        lo, hi = basis.symbols
+        if np.all((rows == lo) | (rows == hi)):
+            return basis
+    raise ValueError("support entries must be states of one width in one basis")
 
 
 def enumerate_states(
@@ -302,6 +324,51 @@ def all_energies(bm: BoltzmannMachine, cap: int = ENUMERATION_CAP) -> np.ndarray
     """
     check_capacity(bm.num_nodes, cap)
     return bm._energy_table
+
+
+class _Weighting(NamedTuple):
+    """Boltzmann weights of one machine at one beta, shifted per visible row.
+
+    With the table as E[v, h] and m[v] = min_h E[v, h]: w[v, h] =
+    exp(-beta (E[v, h] - m[v])), r[v] = sum_h w[v, h], u[v] = r[v] exp(-beta
+    (m[v] - min m)) and Z = sum u. The visible marginal is u / Z, the full
+    Boltzmann probabilities are w[v, h] u[v] / (r[v] Z), and p(h | v) is
+    w[v] / r[v].
+    """
+
+    beta: float
+    w: np.ndarray
+    r: np.ndarray
+    m: np.ndarray
+    u: np.ndarray
+    Z: float
+
+
+def _weighting(bm: BoltzmannMachine, beta: float, cap: int = ENUMERATION_CAP) -> _Weighting:
+    """The machine's weighting at ``beta``, by one exp of its energy table.
+
+    Like the table, it is kept read-only on the immutable machine, in a
+    one-entry slot keyed by beta: the quantities of one beta point share it,
+    and a new beta replaces it. The cap is checked on every call.
+    """
+    check_capacity(bm.num_nodes, cap)
+    beta = float(beta)
+    slot = bm.__dict__.get("_weighting")
+    if slot is not None and slot.beta == beta:
+        return slot
+    bm.__dict__.pop("_weighting", None)  # free the old weights before making new ones
+    E = all_energies(bm, cap).reshape(1 << bm.num_visible, -1)
+    m = E.min(axis=1)
+    w = E - m[:, None]
+    w *= -beta
+    np.exp(w, out=w)
+    r = w.sum(axis=1)
+    u = r * np.exp(-beta * (m - m.min()))
+    for a in (w, r, m, u):
+        a.flags.writeable = False
+    slot = _Weighting(beta, w, r, m, u, float(u.sum()))
+    object.__setattr__(bm, "_weighting", slot)
+    return slot
 
 
 def prefix_energies(

@@ -29,6 +29,7 @@ from .model import (
     ENUMERATION_CAP,
     Basis,
     BoltzmannMachine,
+    _row_indices,
     _state_rows,
     cached_state_table,
     convert_basis,
@@ -106,8 +107,11 @@ class SampleSet:
                 raise ValueError("counts must be positive integers")
             if int(counts.sum()) != self.num_reads:
                 raise ValueError("counts must sum to num_reads")
-        seen = {tuple(int(b) for b in s) for s in states}
-        if len(seen) != states.shape[0]:
+        lo, hi = self.basis.symbols
+        if not np.all((states == lo) | (states == hi)):
+            raise ValueError(f"state values not in basis {self.basis.value}")
+        index = np.sort(_row_indices(states))
+        if np.any(index[1:] == index[:-1]):
             raise ValueError("states must be distinct")
         states.flags.writeable = False
         counts.flags.writeable = False
@@ -341,13 +345,9 @@ def empirical_distribution(
     proj = [int(k) for k in projection]
     if any(not 0 <= k < ss.num_nodes for k in proj):
         raise ValueError("projection indices out of range")
-    agg: dict[tuple[int, ...], float] = {}
-    for state, count in zip(ss.states, ss.counts):
-        key = tuple(int(state[k]) for k in proj)
-        agg[key] = agg.get(key, 0.0) + float(count)
-    total = sum(agg.values())
-    support = tuple(sorted(agg))
-    return Distribution(support, np.array([agg[s] / total for s in support]))
+    index, inverse = np.unique(_row_indices(ss.states[:, proj]), return_inverse=True)
+    agg = np.bincount(inverse.reshape(-1), weights=ss.counts)
+    return Distribution._indexed(agg / agg.sum(), len(proj), ss.basis, index)
 
 
 def merge_sample_sets(sets: Sequence[SampleSet]) -> SampleSet:

@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isingbm.datasets import adder2, load_fixture
+from isingbm.datasets import adder2, from_rows, load_fixture
 from isingbm.errors import CapacityError
-from isingbm.metrics import conditional_probability, excited_mass_curve, model_probability
+from isingbm.metrics import (
+    conditional_probability,
+    dataset_distribution,
+    dkl_beta_derivatives,
+    excited_mass_curve,
+    kl_divergence,
+    model_probability,
+    visible_marginal,
+)
 from isingbm.model import (
     Basis,
     BoltzmannMachine,
@@ -18,6 +26,8 @@ from isingbm.model import (
     energies,
     ground_set,
     ground_states,
+    model_from_dict,
+    model_to_dict,
     prefix_energies,
     random_machine,
     state_index,
@@ -198,3 +208,134 @@ def test_conditional_rejects_zero_one_values_on_pm1_machine(rng):
     bm = random_machine(2, 1, 1, rng, basis=Basis.PLUS_MINUS)
     with pytest.raises(ValueError):
         conditional_probability(bm, 1.0, (0, 1))
+
+
+# ---------------------------------------------------------------- one weighting per beta
+#
+# The references are the formulas each quantity used before the weighting:
+# an exp of the whole table per quantity, and one per conditional.
+
+
+def ref_visible_marginal(bm, beta):
+    E = naive_table(bm)
+    w = np.exp(-beta * (E - E.min()))
+    return (w / w.sum()).reshape(1 << bm.num_visible, -1).sum(axis=1)
+
+
+def ref_dkl_beta_derivatives(bm, beta, ds):
+    E = naive_table(bm)
+    w = np.exp(-beta * (E - E.min()))
+    probs = w / w.sum()
+    mean_E = float(probs @ E)
+    var_E = float(probs @ (E - mean_E) ** 2)
+    E_by_visible = E.reshape(1 << bm.num_visible, 1 << bm.num_hidden)
+    first, second = -mean_E, 0.0
+    for d in range(ds.num_rows):
+        q_v = float(ds.weights[d])
+        row = E_by_visible[state_index(ds.row(d), bm.basis)]
+        w_row = np.exp(-beta * (row - row.min()))
+        p_cond = w_row / w_row.sum()
+        cond_mean = float(p_cond @ row)
+        cond_var = float(p_cond @ (row - cond_mean) ** 2)
+        first += q_v * cond_mean
+        second += q_v * (var_E - cond_var)
+    return first, second
+
+
+def ref_conditional(bm, beta, v_input):
+    E = naive_table(bm).reshape(1 << bm.num_visible_input, -1)[state_index(v_input, bm.basis)]
+    w = np.exp(-beta * (E - E.min())).reshape(1 << bm.num_visible_output, -1).sum(axis=1)
+    return w / w.sum()
+
+
+def ref_kl(q_rows, q_probs, p_probs, basis):
+    total = 0.0
+    for row, q_v in zip(q_rows, q_probs):
+        p_v = p_probs[state_index(row, basis)]
+        if p_v <= 0.0:
+            return float("inf")
+        total += q_v * np.log(q_v / p_v)
+    return max(total, 0.0)
+
+
+def random_split_machine(rng, basis):
+    m_i, m_o = (int(k) for k in rng.integers(1, 4, size=2))
+    n_h = int(rng.integers(0, 5))
+    return random_machine(m_i, m_o, n_h, rng, scale=2.0, basis=basis)
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+@pytest.mark.parametrize("beta", [0.3, 1.0, 5.0, 20.0, 50.0])
+def test_weighted_quantities_match_the_formulas_they_replace(basis, beta):
+    rng = np.random.default_rng(int(beta * 10) + (basis is Basis.PLUS_MINUS))
+    for trial in range(6):
+        bm = random_split_machine(rng, basis)
+        if trial == 0:  # always one machine without hidden nodes
+            bm = random_machine(2, 2, 0, rng, basis=basis)
+        m = bm.num_visible
+        V = state_matrix(m, basis)
+        picked = rng.choice(1 << m, size=min(1 << m, 5), replace=False)
+        ds = from_rows(V[picked].tolist(), rng.uniform(0.1, 1.0, size=len(picked)))
+
+        marginal = visible_marginal(bm, beta)
+        ref = ref_visible_marginal(bm, beta)
+        assert np.all(np.isfinite(marginal.probs))
+        np.testing.assert_allclose(marginal.probs, ref, rtol=0, atol=1e-12)
+
+        d1, d2 = dkl_beta_derivatives(bm, beta, ds)
+        r1, r2 = ref_dkl_beta_derivatives(bm, beta, ds)
+        assert np.isfinite(d1) and np.isfinite(d2)
+        assert abs(d1 - r1) <= 1e-12 and abs(d2 - r2) <= 1e-12
+
+        kl = kl_divergence(dataset_distribution(ds), marginal)
+        ref_value = ref_kl(ds.rows, ds.weights, ref, basis)
+        assert kl == ref_value or abs(kl - ref_value) <= 1e-12
+
+        for v_input in state_matrix(bm.num_visible_input, basis):
+            cond = conditional_probability(bm, beta, tuple(v_input))
+            assert np.all(np.isfinite(cond.probs))
+            np.testing.assert_allclose(cond.probs, ref_conditional(bm, beta, v_input), rtol=0, atol=1e-12)
+
+
+def fresh_copy(bm):
+    return model_from_dict(model_to_dict(bm))[0]
+
+
+def test_weighting_slot_hit_is_bytes_of_a_fresh_machine():
+    bm = load_fixture("adder_function")
+    ds = adder2()
+    for beta in (0.7, 5.0):
+        first = visible_marginal(bm, beta)
+        again = visible_marginal(bm, beta)  # a hit: every quantity below reads the slot
+        fresh = fresh_copy(bm)
+        assert again.probs.tobytes() == first.probs.tobytes() == visible_marginal(fresh, beta).probs.tobytes()
+        assert dkl_beta_derivatives(bm, beta, ds) == dkl_beta_derivatives(fresh_copy(bm), beta, ds)
+        for d in range(ds.num_rows):
+            got = conditional_probability(bm, beta, ds.input_part(d))
+            ref = conditional_probability(fresh_copy(bm), beta, ds.input_part(d))
+            assert got.probs.tobytes() == ref.probs.tobytes()
+
+
+def test_weighting_slot_holds_one_beta_and_the_cap_still_applies(rng):
+    from isingbm.model import _weighting
+
+    bm = random_machine(2, 1, 3, rng)
+    slot = _weighting(bm, 2.0)
+    assert _weighting(bm, 2.0) is slot
+    assert not slot.w.flags.writeable and not slot.u.flags.writeable
+    other = _weighting(bm, 3.0)
+    assert other is not slot and other.beta == 3.0
+    assert bm._weighting is other  # the new beta replaced the entry
+    assert visible_marginal(bm, 3.0).probs.tobytes() == visible_marginal(fresh_copy(bm), 3.0).probs.tobytes()
+
+    # a smaller cap still refuses the machine after the slot is filled
+    ds = from_rows([(0, 0, 1)])
+    with pytest.raises(CapacityError):
+        visible_marginal(bm, 3.0, cap=5)
+    with pytest.raises(CapacityError):
+        dkl_beta_derivatives(bm, 3.0, ds, cap=5)
+    with pytest.raises(CapacityError):
+        conditional_probability(bm, 3.0, (1, 0), cap=3)
+    # between n - m_I and n the conditional takes the input's slice instead
+    np.testing.assert_allclose(conditional_probability(bm, 3.0, (1, 0), cap=4).probs,
+                               conditional_probability(bm, 3.0, (1, 0)).probs, rtol=0, atol=1e-12)

@@ -18,8 +18,9 @@ from isingbm.metrics import (
     negative_conditional_log_likelihood,
     visible_marginal,
 )
-from isingbm.model import BoltzmannMachine, random_machine
-from isingbm.samplers import SamplerConfig, exact_sample
+from isingbm.metrics import _golden_section
+from isingbm.model import Basis, BoltzmannMachine, all_energies, random_machine, state_index
+from isingbm.samplers import Backend, SamplerConfig, exact_sample, gibbs_sample
 
 
 def uniform_machine(n):
@@ -37,6 +38,95 @@ def test_distribution_validation():
         Distribution(((0,), (1,)), np.array([0.4, 0.7]))
     with pytest.raises(ValueError):
         Distribution(((0,), (1,)), np.array([-0.1, 1.1]))
+
+
+# The divergences as they were computed on supports of tuples, before the
+# support was keyed by state index: the reference for the index-keyed ones.
+
+
+def ref_kl(q, p):
+    p_map = dict(zip(q_support(p), p.probs))
+    total = 0.0
+    for state, q_v in zip(q_support(q), q.probs):
+        if q_v == 0.0:
+            continue
+        p_v = p_map.get(state, 0.0)
+        if p_v <= 0.0:
+            return float("inf")
+        total += q_v * np.log(q_v / p_v)
+    return float(max(total, 0.0))
+
+
+def ref_hellinger(p_s, p_a):
+    a, b = dict(zip(q_support(p_s), p_s.probs)), dict(zip(q_support(p_a), p_a.probs))
+    total = sum((np.sqrt(a.get(s, 0.0)) - np.sqrt(b.get(s, 0.0))) ** 2 for s in set(a) | set(b))
+    return 0.5 * float(np.sqrt(total))
+
+
+def q_support(dist):
+    return [tuple(int(v) for v in s) for s in dist.support]
+
+
+def random_distribution(rng, width, basis, size):
+    lo, hi = basis.symbols
+    rows = {tuple(int(v) for v in rng.choice([lo, hi], size=width)) for _ in range(size)}
+    probs = rng.uniform(0.0, 1.0, size=len(rows))
+    probs[rng.random(len(rows)) < 0.2] = 0.0  # some states carry no mass
+    probs[0] += 0.1
+    return Distribution(sorted(rows, key=lambda r: rng.random()), probs / probs.sum())
+
+
+def test_divergences_match_tuple_reference_across_widths_and_bases(rng):
+    for _ in range(200):
+        width_a, width_b = (int(w) for w in rng.integers(0, 4, size=2))
+        basis_a, basis_b = (list(Basis)[int(k)] for k in rng.integers(0, 2, size=2))
+        a = random_distribution(rng, width_a, basis_a, int(rng.integers(1, 10)))
+        b = random_distribution(rng, width_b, basis_b, int(rng.integers(1, 10)))
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert kl_divergence(x, y) == pytest.approx(ref_kl(x, y), rel=1e-12, abs=1e-15)
+            assert hellinger(x, y) == pytest.approx(ref_hellinger(x, y), rel=1e-12, abs=1e-15)
+
+
+def test_divergences_of_disjoint_widths_and_bases():
+    zero_one = Distribution(((0, 0), (0, 1), (1, 0)), np.array([0.2, 0.3, 0.5]))
+    wider = Distribution(((0, 0, 0),), np.array([1.0]))
+    assert kl_divergence(zero_one, wider) == float("inf")
+    assert hellinger(zero_one, wider) == pytest.approx(1 / np.sqrt(2), abs=1e-15)  # the disjoint maximum
+    plus_minus = Distribution(((-1, -1), (-1, 1), (1, -1)), np.array([0.2, 0.3, 0.5]))
+    assert kl_divergence(zero_one, plus_minus) == float("inf")
+    assert hellinger(zero_one, plus_minus) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+    # the two alphabets share exactly one state, all ones, as equal tuples do
+    ones_01 = Distribution(((1, 1), (0, 1)), np.array([0.5, 0.5]))
+    ones_pm = Distribution(((1, 1), (-1, 1)), np.array([0.5, 0.5]))
+    assert hellinger(ones_01, ones_pm) == pytest.approx(ref_hellinger(ones_01, ones_pm), abs=1e-15)
+    assert ones_pm.prob((1, 1)) == 0.5 and ones_pm.prob((0, 1)) == 0.0
+
+
+def test_distribution_keeps_order_and_answers_every_lookup():
+    dist = Distribution([(1, 0), (0, 0), (1, 1)], [0.5, 0.25, 0.25])
+    assert dist.support == ((1, 0), (0, 0), (1, 1))
+    assert dist.probs.tolist() == [0.5, 0.25, 0.25]
+    assert dist.as_dict() == {(1, 0): 0.5, (0, 0): 0.25, (1, 1): 0.25}
+    assert dist.prob((1, 0)) == 0.5 and dist.prob([0, 0]) == 0.25
+    assert dist.prob((0, 1)) == 0.0
+    assert dist.prob((1,)) == 0.0 and dist.prob((1, 0, 0)) == 0.0  # wrong width
+    assert dist.prob((-1, 0)) == 0.0 and dist.prob((2, 0)) == 0.0  # not a state of its alphabet
+    with pytest.raises(ValueError):
+        dist.probs[0] = 1.0
+    with pytest.raises(ValueError, match="one width in one basis"):
+        Distribution(((0,), (0, 1)), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="one width in one basis"):
+        Distribution(((0, 1), (-1, 1)), np.array([0.5, 0.5]))
+
+
+def test_distribution_past_62_nodes():
+    rows = [tuple([1] * 70), tuple([0] * 69 + [1]), tuple([1] + [0] * 69)]
+    dist = Distribution(rows, [0.5, 0.25, 0.25])
+    assert dist.support == tuple(rows)
+    assert dist.prob(rows[2]) == 0.25 and dist.prob((0,) * 70) == 0.0
+    assert kl_divergence(dist, dist) == 0.0
+    with pytest.raises(ValueError, match="distinct"):
+        Distribution([rows[0], rows[0]], [0.5, 0.5])
 
 
 # ---------------------------------------------------------------- model probability
@@ -255,6 +345,48 @@ def test_fit_beta_single_node_self_consistency():
     ss = exact_sample(bm, SamplerConfig(beta=2.0, num_reads=1_000_000, seed=3))
     beta_star, _ = fit_beta(ss, bm)
     assert beta_star == pytest.approx(2.0, abs=0.1)
+
+
+def ref_fit_beta_loop_alignment(sample_set, bm):
+    """fit_beta as it aligned the sample set: one state_index per state."""
+    E = all_energies(bm)
+    E = E - E.min()
+    emp = np.zeros(E.shape[0])
+    total = float(sample_set.counts.sum())
+    for state, count in zip(sample_set.states, sample_set.counts):
+        emp[state_index(state, bm.basis)] += count / total
+    sqrt_emp = np.sqrt(emp)
+
+    def distance(beta):
+        w = np.exp(-beta * E)
+        p = w / w.sum()
+        return 0.5 * float(np.sqrt(np.sum((sqrt_emp - np.sqrt(p)) ** 2)))
+
+    betas = DEFAULT_BETA_GRID
+    curve = [(float(b), distance(float(b))) for b in betas]
+    values = np.array([v for _, v in curve])
+    best = int(np.argmin(values))
+    lo, hi = betas[max(best - 1, 0)], betas[min(best + 1, len(betas) - 1)]
+    beta_star = _golden_section(distance, lo, hi, tol=1e-4 * float(hi))
+    if distance(beta_star) > values[best]:
+        beta_star = float(betas[best])
+    return float(beta_star), curve
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_fit_beta_on_gibbs_samples_is_bit_identical_to_loop_alignment(rng, basis):
+    bm = random_machine(3, 0, 3, rng, basis=basis)
+    ss = gibbs_sample(bm, SamplerConfig(beta=2.0, num_reads=3000, burn_in=50, thinning=2, seed=5,
+                                        num_chains=4, backend=Backend.GIBBS))
+    assert 1 < ss.states.shape[0] < 1 << 6
+    assert fit_beta(ss, bm) == ref_fit_beta_loop_alignment(ss, bm)
+
+
+def test_fit_beta_refuses_a_sample_set_of_another_machine(rng):
+    bm = random_machine(3, 0, 1, rng)
+    ss = exact_sample(random_machine(3, 0, 2, rng), SamplerConfig(num_reads=50))
+    with pytest.raises(ValueError, match="nodes and basis"):
+        fit_beta(ss, bm)
 
 
 def test_fit_beta_empty_grid():

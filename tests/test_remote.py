@@ -141,3 +141,46 @@ def test_sampled_gradient_through_remote_backend(mock_server, rng):
     assert counter == {"full": 1, "clamped": 2}
     assert np.max(np.abs(sampled.d_bias - exact.d_bias)) < 0.05
     assert np.max(np.abs(sampled.d_pair - exact.d_pair)) < 0.05
+
+
+def _post_with_length(server, length: str, body: bytes = b"") -> tuple[int, dict]:
+    import http.client
+    from urllib.parse import urlsplit
+
+    from isingbm.samplers import SAMPLE_ROUTE
+
+    url = urlsplit(server.url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    try:
+        conn.putrequest("POST", SAMPLE_ROUTE)
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("length", ["-1", "-4096", "12.5", "many"])
+def test_mock_rejects_negative_or_non_integer_length(mock_server, length):
+    # a negative length would read to EOF and wait for the client to close
+    status, doc = _post_with_length(mock_server, length, b"{}")
+    assert status == 400
+    assert "Content-Length" in doc["error"]
+
+
+def test_mock_answers_413_to_a_body_past_its_node_limit(mock_server):
+    # the body is neither read nor waited for: only the header is sent
+    status, doc = _post_with_length(mock_server, str(10**12))
+    assert status == 413
+    assert "exceeds service limit" in doc["error"]
+    # a full machine at the node limit still fits, and is served
+    n = mock_server.max_nodes
+    bm = random_machine(n, 0, 0, np.random.default_rng(0), basis=Basis.PLUS_MINUS)
+    body = json.dumps({"basis": "pm1", "biases": [float(b) for b in bm.biases],
+                       "couplings": [[k, l, v] for (k, l), v in sorted(bm.couplings.items())],
+                       "num_reads": 5}).encode()
+    status, doc = _post_with_length(mock_server, str(len(body)), body)
+    assert status == 200 and sum(doc["counts"]) == 5
+

@@ -46,6 +46,28 @@ def test_sample_set_invariants():
     SampleSet(np.array([[0], [1]]), np.array([0.5, 0.5]), 1.0, 0, "t", exhaustive=True)
 
 
+def test_sample_set_distinctness_by_index_in_both_bases_and_past_62_nodes(rng):
+    for basis in Basis:
+        lo, hi = basis.symbols
+        rows = np.where(rng.random((40, 9)) < 0.5, lo, hi)
+        uniq = np.unique(rows, axis=0)
+        SampleSet(uniq, np.ones(len(uniq)), 1.0, len(uniq), "t", basis=basis)
+        with pytest.raises(ValueError, match="^states must be distinct$"):
+            SampleSet(np.vstack([uniq, uniq[-1:]]), np.ones(len(uniq) + 1), 1.0, len(uniq) + 1, "t", basis=basis)
+    wide = np.zeros((3, 70), dtype=np.int8)
+    wide[1, 0] = wide[2, 69] = 1  # differ only in the first and in the last node
+    SampleSet(wide, np.ones(3), 1.0, 3, "t")
+    with pytest.raises(ValueError, match="^states must be distinct$"):
+        SampleSet(wide[[0, 1, 0]], np.ones(3), 1.0, 3, "t")
+
+
+def test_sample_set_refuses_values_outside_its_basis():
+    with pytest.raises(ValueError, match="not in basis"):
+        SampleSet(np.array([[0], [2]]), np.array([1, 1]), 1.0, 2, "t")
+    with pytest.raises(ValueError, match="not in basis"):
+        SampleSet(np.array([[0, 1]]), np.array([1]), 1.0, 1, "t", basis=Basis.PLUS_MINUS)
+
+
 # ---------------------------------------------------------------- exact backend
 
 
@@ -262,6 +284,20 @@ def test_empirical_distribution_simple_counts():
     ss2 = SampleSet(np.array([[0, 0], [1, 1]]), np.array([3, 1]), 1.0, 4, "t")
     dist = empirical_distribution(ss2)
     assert dist.prob((0, 0)) == 0.75 and dist.prob((1, 1)) == 0.25
+
+
+def test_empirical_distribution_projects_and_sorts_like_tuple_keys(rng):
+    for basis in Basis:
+        bm = random_machine(3, 0, 2, rng, basis=basis)
+        ss = exact_sample(bm, SamplerConfig(beta=0.5, num_reads=500, seed=2))
+        proj = [4, 0, 2]
+        agg = {}
+        for state, count in zip(ss.states, ss.counts):
+            key = tuple(int(state[k]) for k in proj)
+            agg[key] = agg.get(key, 0.0) + float(count)
+        emp = empirical_distribution(ss, proj)
+        assert emp.support == tuple(sorted(agg))
+        assert emp.probs.tolist() == [agg[s] / 500 for s in sorted(agg)]
 
 
 def test_empirical_of_exhaustive_equals_model_probability(rng):
