@@ -70,9 +70,31 @@ EXIT_INPUT = 2
 EXIT_TRANSPORT = 3
 
 
+# The error boundary: what a command raises, its exit code and its kind.
+_EXIT_CODES = {
+    CapacityError: (EXIT_INPUT, "capacity"),
+    DatasetFormatError: (EXIT_INPUT, "input"),
+    ValueError: (EXIT_INPUT, "input"),
+    TransportError: (EXIT_TRANSPORT, "transport"),
+    ProtocolError: (EXIT_TRANSPORT, "protocol"),
+}
+
+
 def _fail(code: int, kind: str, message: str) -> "SystemExit":
     sys.stderr.write(json.dumps({"error": {"kind": kind, "message": message}}) + "\n")
     return SystemExit(code)
+
+
+class _ErrorBoundary(click.Group):
+    """Turns the failures in ``_EXIT_CODES``, raised by any command, into an
+    exit code and one JSON error line on stderr; anything else is exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(_EXIT_CODES) as exc:
+            code, kind = next(v for t, v in _EXIT_CODES.items() if isinstance(exc, t))
+            raise _fail(code, kind, str(exc))
 
 
 def _utc_now() -> str:
@@ -163,7 +185,7 @@ def _resolve_model(spec: str) -> tuple[BoltzmannMachine, dict, Path | None]:
         raise _fail(EXIT_INPUT, "input", f"model {spec!r} is neither a fixture name nor a file")
     try:
         bm, meta = load_model_entry(path)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise _fail(EXIT_INPUT, "input", f"cannot parse model {spec!r}: {exc}")
     return bm, meta, path
 
@@ -187,7 +209,7 @@ def _state_label(state) -> str:
     return "".join("1" if int(v) > 0 else "0" for v in state)
 
 
-@click.group()
+@click.group(cls=_ErrorBoundary)
 @click.version_option(__version__)
 def main():
     """Train and analyze Boltzmann machines over Ising graphs."""
@@ -234,7 +256,7 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
     if config_path is not None:
         try:
             base_cfg = TrainingConfig.from_dict(json.loads(config_path.read_text()))
-        except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, TypeError) as exc:
             raise _fail(EXIT_INPUT, "input", f"cannot load training config: {exc}")
         beta = base_cfg.sampler.beta
 
@@ -255,19 +277,10 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
                 sampler=_sampler_config(backend, beta, reads, run_seed, 1000, 10, chains, False, endpoint),
                 init_range=init_range, seed=run_seed, loss_every=loss_every,
             )
-        try:
-            if mode == "distribution":
-                bm, trace = train_distribution(dataset, arch, cfg)
-            else:
-                bm, trace = train_function_approximator(dataset, arch, cfg)
-        except CapacityError as exc:
-            raise _fail(EXIT_INPUT, "capacity", str(exc))
-        except (ValueError, DatasetFormatError) as exc:
-            raise _fail(EXIT_INPUT, "input", str(exc))
-        except TransportError as exc:
-            raise _fail(EXIT_TRANSPORT, "transport", str(exc))
-        except ProtocolError as exc:
-            raise _fail(EXIT_TRANSPORT, "protocol", str(exc))
+        if mode == "distribution":
+            bm, trace = train_distribution(dataset, arch, cfg)
+        else:
+            bm, trace = train_function_approximator(dataset, arch, cfg)
         trace_path = out_dir / f"trace_seed{run_seed}.csv"
         trace.to_csv(trace_path)
         outputs.append(trace_path)
@@ -344,21 +357,18 @@ def cmd_sweep_beta(model_spec, dataset_spec, grid_spec, out_path):
     if conds:
         header += [f"cond_prob_{lbl}" for lbl in input_labels]
 
-    try:
-        rows = []
-        for beta in grid:
-            marginal = visible_marginal(bm, float(beta))
-            d1, d2 = dkl_beta_derivatives(bm, float(beta), dataset)
-            record = [float(beta), kl_divergence(q, marginal), d1, d2]
-            record += [marginal.prob(dataset.row(d)) for d in range(dataset.num_rows)]
-            if conds:
-                record += [
-                    conditional_probability(bm, float(beta), dataset.input_part(d)).prob(dataset.output_part(d))
-                    for d in range(dataset.num_rows)
-                ]
-            rows.append(record)
-    except CapacityError as exc:
-        raise _fail(EXIT_INPUT, "capacity", str(exc))
+    rows = []
+    for beta in grid:
+        marginal = visible_marginal(bm, float(beta))
+        d1, d2 = dkl_beta_derivatives(bm, float(beta), dataset)
+        record = [float(beta), kl_divergence(q, marginal), d1, d2]
+        record += [marginal.prob(dataset.row(d)) for d in range(dataset.num_rows)]
+        if conds:
+            record += [
+                conditional_probability(bm, float(beta), dataset.input_part(d)).prob(dataset.output_part(d))
+                for d in range(dataset.num_rows)
+            ]
+        rows.append(record)
 
     out_path.parent.mkdir(parents=True, exist_ok=True)
     tmp = out_path.with_suffix(out_path.suffix + ".tmp")
@@ -410,40 +420,33 @@ def cmd_fit_beta(model_spec, sample_file, backend, beta, sizes, reads, chains,
     report: dict = {"backend": backend, "entries": []}
     inputs: list[Path] = []
 
-    try:
-        if sample_file is not None:
-            if model_spec is None:
-                raise _fail(EXIT_INPUT, "usage", "--sample-file requires --model")
-            bm, _, model_path = _resolve_model(model_spec)
-            ss = load_sample_set(sample_file)
-            beta_star, curve = fit_beta(ss, bm, grid)
-            report["entries"].append({
-                "source": str(sample_file),
-                "beta_star": beta_star,
-                "curve": [[b, d] for b, d in curve],
-            })
-            inputs = [p for p in [model_path, sample_file] if p]
-        else:
-            m = re.fullmatch(r"(\d+):(\d+)", sizes.strip())
-            if not m:
-                raise _fail(EXIT_INPUT, "usage", f"bad --sizes {sizes!r}; expected lo:hi")
-            lo, hi = int(m.group(1)), int(m.group(2))
-            for size in range(lo, hi + 1):
-                rng = np.random.default_rng(seed + size)
-                bm = random_machine(size, 0, 0, rng)
-                cfg = _sampler_config(backend, beta, reads, seed + size, 500, 10,
-                                      chains, exhaustive, endpoint)
-                ss = draw_samples(bm, cfg)
-                beta_star, _ = fit_beta(ss, bm, grid)
-                report["entries"].append({"size": size, "beta_star": beta_star})
-                click.echo(f"size {size}: beta* = {beta_star:.4f}")
-            report["generating_beta"] = beta
-    except TransportError as exc:
-        raise _fail(EXIT_TRANSPORT, "transport", str(exc))
-    except ProtocolError as exc:
-        raise _fail(EXIT_TRANSPORT, "protocol", str(exc))
-    except CapacityError as exc:
-        raise _fail(EXIT_INPUT, "capacity", str(exc))
+    if sample_file is not None:
+        if model_spec is None:
+            raise _fail(EXIT_INPUT, "usage", "--sample-file requires --model")
+        bm, _, model_path = _resolve_model(model_spec)
+        ss = load_sample_set(sample_file)
+        beta_star, curve = fit_beta(ss, bm, grid)
+        report["entries"].append({
+            "source": str(sample_file),
+            "beta_star": beta_star,
+            "curve": [[b, d] for b, d in curve],
+        })
+        inputs = [p for p in [model_path, sample_file] if p]
+    else:
+        m = re.fullmatch(r"(\d+):(\d+)", sizes.strip())
+        if not m:
+            raise _fail(EXIT_INPUT, "usage", f"bad --sizes {sizes!r}; expected lo:hi")
+        lo, hi = int(m.group(1)), int(m.group(2))
+        for size in range(lo, hi + 1):
+            rng = np.random.default_rng(seed + size)
+            bm = random_machine(size, 0, 0, rng)
+            cfg = _sampler_config(backend, beta, reads, seed + size, 500, 10,
+                                  chains, exhaustive, endpoint)
+            ss = draw_samples(bm, cfg)
+            beta_star, _ = fit_beta(ss, bm, grid)
+            report["entries"].append({"size": size, "beta_star": beta_star})
+            click.echo(f"size {size}: beta* = {beta_star:.4f}")
+        report["generating_beta"] = beta
 
     out_path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out_path, report)
@@ -571,16 +574,7 @@ def cmd_sample(model_spec, backend, beta, reads, chains, burn_in, thinning,
     bm, _, model_path = _resolve_model(model_spec)
     cfg = _sampler_config(backend, beta, reads, seed, burn_in, thinning, chains,
                           exhaustive, endpoint)
-    try:
-        ss = draw_samples(bm, cfg)
-    except TransportError as exc:
-        raise _fail(EXIT_TRANSPORT, "transport", str(exc))
-    except ProtocolError as exc:
-        raise _fail(EXIT_TRANSPORT, "protocol", str(exc))
-    except CapacityError as exc:
-        raise _fail(EXIT_INPUT, "capacity", str(exc))
-    except ValueError as exc:
-        raise _fail(EXIT_INPUT, "input", str(exc))
+    ss = draw_samples(bm, cfg)
 
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_sample_set(ss, out_path)

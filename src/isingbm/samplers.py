@@ -14,14 +14,17 @@ All backends are deterministic for a fixed (machine, config, seed).
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
-import requests
 
 from .errors import CapacityError, ProtocolError, TransportError
 from .metrics import Distribution, boltzmann_probabilities
@@ -123,11 +126,6 @@ class SampleSet:
         return self.states.shape[1]
 
 
-def _compress(raw_states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse repeated rows into (distinct states, counts)."""
-    return np.unique(np.asarray(raw_states, dtype=np.int8), axis=0, return_counts=True)
-
-
 def exact_sample(
     bm: BoltzmannMachine, cfg: SamplerConfig, cap: int = ENUMERATION_CAP
 ) -> SampleSet:
@@ -155,15 +153,20 @@ def exact_sample(
 
 
 def _index_sample_set(
-    draws: np.ndarray, bm: BoltzmannMachine, cfg: SamplerConfig, backend_id: str
+    draws: np.ndarray, bm: BoltzmannMachine, cfg: SamplerConfig, backend_id: str,
+    weights: np.ndarray | None = None,
 ) -> SampleSet:
-    """Sample set of ``cfg.num_reads`` lexicographic state indices."""
-    idx, counts = np.unique(draws, return_counts=True)
+    """Sample set of lexicographic state indices, each read once or ``weights`` times."""
+    if weights is None:
+        idx, counts = np.unique(draws, return_counts=True)
+    else:
+        idx, inverse = np.unique(draws, return_inverse=True)
+        counts = np.bincount(inverse, weights=weights)
     return SampleSet(
         states=_state_rows(idx, bm.num_nodes, bm.basis),
         counts=counts,
         beta=cfg.beta,
-        num_reads=cfg.num_reads,
+        num_reads=int(counts.sum()),
         backend_id=backend_id,
         basis=bm.basis,
     )
@@ -229,15 +232,8 @@ def gibbs_sample(bm: BoltzmannMachine, cfg: SamplerConfig) -> SampleSet:
             state[:, k] = np.where(u_k < p_hi(state, k), hi, lo)
         if sweep in keep:
             kept[keep.index(sweep)] = state
-    states, counts = _compress(kept.reshape(per_chain * chains, n)[: cfg.num_reads])
-    return SampleSet(
-        states=states,
-        counts=counts,
-        beta=cfg.beta,
-        num_reads=cfg.num_reads,
-        backend_id=backend_id,
-        basis=bm.basis,
-    )
+    draws = _row_indices(kept.reshape(per_chain * chains, n)[: cfg.num_reads])
+    return _index_sample_set(draws, bm, cfg, backend_id)
 
 
 def _sweep_uniforms(rng: np.random.Generator, sweeps: int, n: int, chains: int):
@@ -252,6 +248,7 @@ def _sweep_uniforms(rng: np.random.Generator, sweeps: int, n: int, chains: int):
 
 ENDPOINT_ENV_VAR = "ISINGBM_ENDPOINT"
 SAMPLE_ROUTE = "/v1/sample"
+_TIMEOUT_S = 60.0  # per socket operation: connect, send, each read
 
 
 def remote_sample(
@@ -268,6 +265,8 @@ def remote_sample(
     endpoint = endpoint or cfg.endpoint or os.environ.get(ENDPOINT_ENV_VAR)
     if not endpoint:
         raise ValueError(f"no endpoint given and {ENDPOINT_ENV_VAR} is unset")
+    if urllib.parse.urlsplit(endpoint).scheme not in ("http", "https"):
+        raise ValueError(f"endpoint {endpoint!r} is not an http(s) URL")
     if bm.num_nodes == 0:
         return _index_sample_set(np.zeros(cfg.num_reads, dtype=np.int64), bm, cfg, f"remote({endpoint})")
 
@@ -278,20 +277,30 @@ def remote_sample(
         "couplings": [[k, l, v] for (k, l), v in sorted(wire_bm.couplings.items())],
         "num_reads": cfg.num_reads,
     }
-    url = endpoint.rstrip("/") + SAMPLE_ROUTE
+    # Proxies come from the environment, as for any urllib request.
+    request = urllib.request.Request(
+        endpoint.rstrip("/") + SAMPLE_ROUTE, data=json.dumps(payload, allow_nan=False).encode(),
+        headers={"Content-Type": "application/json"},
+    )
     try:
-        resp = requests.post(url, json=payload, timeout=60)
-    except (requests.ConnectionError, requests.Timeout) as exc:
-        raise TransportError(f"sampling service unreachable: {exc}") from exc
-
-    if resp.status_code == 413:
-        raise CapacityError(f"service rejected problem size: {resp.text.strip()}")
-    if resp.status_code >= 500:
-        raise TransportError(f"service error {resp.status_code}: {resp.text.strip()}")
-    if resp.status_code != 200:
-        raise ProtocolError(f"unexpected status {resp.status_code}: {resp.text.strip()}")
+        try:
+            reply = urllib.request.urlopen(request, timeout=_TIMEOUT_S)
+        except urllib.error.HTTPError as exc:  # any status outside 2xx; read its body too
+            reply = exc
+        with reply:
+            status, body = reply.status, reply.read()
+    except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
+        reason = getattr(exc, "reason", exc)
+        raise TransportError(f"sampling service unreachable: {request.full_url}: {reason}") from exc
+    text = body.decode("utf-8", "replace").strip()
+    if status == 413:
+        raise CapacityError(f"service rejected problem size: {text}")
+    if status >= 500:
+        raise TransportError(f"service error {status}: {text}")
+    if status != 200:
+        raise ProtocolError(f"unexpected status {status}: {text}")
     try:
-        doc = resp.json()
+        doc = json.loads(body)
         samples = np.asarray(doc["samples"], dtype=np.int64)
         counts = np.asarray(doc["counts"], dtype=np.int64)
     except (ValueError, KeyError, TypeError) as exc:
@@ -306,19 +315,9 @@ def remote_sample(
     if not np.all(np.isin(samples, (-1, 1))):
         raise ProtocolError("sample values must be -1/+1")
 
-    if bm.basis is Basis.ZERO_ONE:
-        samples = (samples + 1) // 2
-    # Merge duplicate rows while preserving the reported multiplicities.
-    uniq, inverse = np.unique(samples.astype(np.int8), axis=0, return_inverse=True)
-    merged = np.bincount(inverse, weights=counts.astype(np.float64)).astype(np.int64)
-    return SampleSet(
-        states=uniq,
-        counts=merged,
-        beta=cfg.beta,
-        num_reads=int(merged.sum()),
-        backend_id=str(doc.get("backend_id", f"remote({endpoint})")),
-        basis=bm.basis,
-    )
+    # Duplicate rows are merged, keeping the reported multiplicities.
+    backend_id = str(doc.get("backend_id", f"remote({endpoint})"))
+    return _index_sample_set(_row_indices(samples), bm, cfg, backend_id, counts)
 
 
 def draw_samples(
@@ -359,17 +358,15 @@ def merge_sample_sets(sets: Sequence[SampleSet]) -> SampleSet:
         raise ValueError("exhaustive sample sets cannot be merged")
     if any(s.basis is not first.basis or s.num_nodes != first.num_nodes for s in sets):
         raise ValueError("sample sets disagree on basis or node count")
-    agg: dict[tuple[int, ...], int] = {}
-    for s in sets:
-        for state, count in zip(s.states, s.counts):
-            key = tuple(int(b) for b in state)
-            agg[key] = agg.get(key, 0) + int(count)
-    keys = sorted(agg)
+    index, inverse = np.unique(
+        np.concatenate([_row_indices(s.states) for s in sets]), return_inverse=True
+    )
+    counts = np.bincount(inverse, weights=np.concatenate([s.counts for s in sets]))
     return SampleSet(
-        states=np.array(keys, dtype=np.int8),
-        counts=np.array([agg[k] for k in keys]),
+        states=_state_rows(index, first.num_nodes, first.basis),
+        counts=counts,
         beta=first.beta,
-        num_reads=int(sum(agg.values())),
+        num_reads=int(counts.sum()),
         backend_id=first.backend_id,
         basis=first.basis,
     )

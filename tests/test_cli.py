@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import isingbm
 from isingbm.cli import main
 from isingbm.model import load_model_entry
 from isingbm.samplers import load_sample_set
@@ -103,6 +109,40 @@ def test_train_past_enumeration_cap_exits_2(runner, tmp_path):
     assert result.exit_code == 2
     err = json.loads(result.stderr.strip().splitlines()[-1])
     assert err["error"]["kind"] == "capacity"
+
+
+def _dead_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.mark.parametrize("args, code, kind", [
+    (["sample", "--model", "and_gate", "--beta", "0"], 2, "input"),
+    (["train", "--dataset", "and", "--arch", "3v1h", "--beta", "-1"], 2, "input"),
+    (["fit-beta", "--backend", "gibbs", "--beta", "0"], 2, "input"),
+    (["fit-beta", "--backend", "remote", "--sizes", "4:4"], 2, "input"),
+    (["fit-beta", "--backend", "remote", "--sizes", "4:4", "--endpoint", "localhost:1"], 2, "input"),
+    (["fit-beta", "--backend", "remote", "--sizes", "4:4", "--endpoint", "http://127.0.0.1:{dead}"],
+     3, "transport"),
+], ids=["sample-beta-0", "train-beta-negative", "fit-beta-0", "fit-no-endpoint", "fit-no-scheme",
+        "fit-dead-endpoint"])
+def test_typed_failures_exit_with_code_and_kind(runner, tmp_path, monkeypatch, args, code, kind):
+    monkeypatch.delenv("ISINGBM_ENDPOINT", raising=False)
+    args = [a.format(dead=_dead_port()) for a in args] + ["--out", str(tmp_path / "out")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"]["kind"] == kind
+
+
+def test_cli_import_leaves_out_requests():
+    # the remote client is the stdlib's; no start of the CLI loads requests
+    src = str(Path(isingbm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, isingbm.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sweep_beta_csv(runner, tmp_path):

@@ -1,10 +1,12 @@
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
+from isingbm import samplers
 from isingbm.errors import CapacityError, ProtocolError, TransportError
 from isingbm.metrics import fit_beta, hellinger, model_probability
 from isingbm.model import Basis, BoltzmannMachine, random_machine
@@ -75,22 +77,33 @@ def test_remote_oversize_is_capacity_error(mock_server, rng):
 class _BrokenHandler(BaseHTTPRequestHandler):
     """Replies with sample rows of the wrong length."""
 
+    status = 200
+    body = json.dumps({"samples": [[1, -1, 1]], "counts": [5]}).encode()
+    missing = 0     # bytes the Content-Length header promises but are not sent
+    delay = 0.0     # seconds before replying
+
     def log_message(self, *args):
         pass
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
         self.rfile.read(length)
-        body = json.dumps({"samples": [[1, -1, 1]], "counts": [5]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(body)))
+        time.sleep(self.delay)
+        self.send_response(self.status)
+        self.send_header("Content-Length", str(len(self.body) + self.missing))
         self.end_headers()
-        self.wfile.write(body)
+        self.wfile.write(self.body)
+
+
+def _replying(**attrs) -> type:
+    return type("FaultHandler", (_BrokenHandler,), attrs)
 
 
 @pytest.fixture
-def broken_server():
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _BrokenHandler)
+def broken_server(request):
+    """A server whose handler is ``_BrokenHandler`` or the test's parameter."""
+    handler = getattr(request, "param", _BrokenHandler)
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     host, port = httpd.server_address[:2]
@@ -103,6 +116,27 @@ def test_remote_malformed_sample_length_is_protocol_error(broken_server, rng):
     bm = random_machine(2, 0, 0, rng)
     with pytest.raises(ProtocolError):
         remote_sample(bm, SamplerConfig(num_reads=5), broken_server)
+
+
+@pytest.mark.parametrize("broken_server, error", [
+    (_replying(status=503, body=b"overloaded"), TransportError),
+    (_replying(status=404, body=b"no such route"), ProtocolError),
+    (_replying(body=b"<html>not json</html>"), ProtocolError),
+    (_replying(missing=100), TransportError),  # body cut short of its length
+    (_replying(delay=1.0), TransportError),     # slower than the timeout below
+], indirect=["broken_server"], ids=["503", "404", "non-json", "truncated", "slow"])
+def test_remote_faults_map_to_typed_errors(broken_server, error, rng, monkeypatch):
+    monkeypatch.setattr(samplers, "_TIMEOUT_S", 0.2)
+    bm = random_machine(2, 0, 0, rng)
+    with pytest.raises(error):
+        remote_sample(bm, SamplerConfig(num_reads=5), broken_server)
+
+
+def test_remote_endpoint_must_be_http(rng):
+    bm = random_machine(2, 0, 0, rng)
+    for endpoint in ("localhost:1", "file:///dev/null"):
+        with pytest.raises(ValueError, match="not an http"):
+            remote_sample(bm, SamplerConfig(num_reads=5), endpoint)
 
 
 def test_drift_lowers_effective_beta_with_size():

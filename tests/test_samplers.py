@@ -310,13 +310,27 @@ def test_empirical_of_exhaustive_equals_model_probability(rng):
 
 
 def test_merge_sample_sets_order_insensitive(rng):
-    bm = random_machine(2, 0, 1, rng)
-    parts = [exact_sample(bm, SamplerConfig(beta=1.0, num_reads=100, seed=s)) for s in range(3)]
-    merged_a = merge_sample_sets(parts)
-    merged_b = merge_sample_sets(parts[::-1])
-    assert np.array_equal(merged_a.states, merged_b.states)
-    assert np.array_equal(merged_a.counts, merged_b.counts)
-    assert merged_a.num_reads == 300
+    for basis in Basis:
+        bm = random_machine(2, 0, 1, rng, basis=basis)
+        parts = [exact_sample(bm, SamplerConfig(beta=1.0, num_reads=100, seed=s)) for s in range(3)]
+        merged_a = merge_sample_sets(parts)
+        merged_b = merge_sample_sets(parts[::-1])
+        assert np.array_equal(merged_a.states, merged_b.states)
+        assert np.array_equal(merged_a.counts, merged_b.counts)
+        assert merged_a.num_reads == 300
+        # the tuple-keyed aggregation it replaced: lexicographic, integer counts
+        agg: dict = {}
+        for part in parts:
+            for state, count in zip(part.states, part.counts):
+                key = tuple(int(b) for b in state)
+                agg[key] = agg.get(key, 0) + int(count)
+        keys = sorted(agg)
+        reference = SampleSet(states=np.array(keys, dtype=np.int8), counts=np.array([agg[k] for k in keys]),
+                              beta=1.0, num_reads=300, backend_id="ref", basis=basis)
+        assert merged_a.basis is basis
+        assert merged_a.states.tobytes() == reference.states.tobytes()
+        assert merged_a.counts.tobytes() == reference.counts.tobytes()
+        assert np.all(merged_a.counts == np.round(merged_a.counts))
 
 
 def test_sample_set_round_trip(tmp_path, rng):
