@@ -75,7 +75,8 @@ def test_remote_oversize_is_capacity_error(mock_server, rng):
 
 
 class _BrokenHandler(BaseHTTPRequestHandler):
-    """Replies with sample rows of the wrong length."""
+    """Replies with sample rows of the wrong length; ``_replying`` makes
+    variants with another status, body, promised length or delay."""
 
     status = 200
     body = json.dumps({"samples": [[1, -1, 1]], "counts": [5]}).encode()
