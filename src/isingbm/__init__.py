@@ -44,6 +44,7 @@ from .samplers import (
     Backend,
     SampleSet,
     SamplerConfig,
+    draw_many,
     draw_samples,
     empirical_distribution,
     exact_sample,

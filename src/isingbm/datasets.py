@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -29,6 +29,8 @@ class Dataset:
     rows: np.ndarray                     # (D, m) of 0/1
     weights: np.ndarray                  # (D,), > 0, sums to 1
     io_split: tuple[int, int] | None = None
+    # every row as an int tuple, built once: `rows` is read-only
+    _row_tuples: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.int8)
@@ -41,8 +43,8 @@ class Dataset:
             raise ValueError("weights must be positive")
         if abs(float(weights.sum()) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
-        seen = {tuple(int(b) for b in r) for r in rows}
-        if len(seen) != rows.shape[0]:
+        row_tuples = tuple(map(tuple, rows.tolist()))
+        if len(set(row_tuples)) != rows.shape[0]:
             raise ValueError("rows must be distinct")
         if self.io_split is not None:
             m_i, m_o = self.io_split
@@ -52,6 +54,7 @@ class Dataset:
         weights.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_row_tuples", row_tuples)
 
     @property
     def num_rows(self) -> int:
@@ -62,17 +65,17 @@ class Dataset:
         return self.rows.shape[1]
 
     def row(self, d: int) -> tuple[int, ...]:
-        return tuple(int(b) for b in self.rows[d])
+        return self._row_tuples[d]
 
     def input_part(self, d: int) -> tuple[int, ...]:
         if self.io_split is None:
             raise ValueError("dataset has no input/output split")
-        return tuple(int(b) for b in self.rows[d, : self.io_split[0]])
+        return self._row_tuples[d][: self.io_split[0]]
 
     def output_part(self, d: int) -> tuple[int, ...]:
         if self.io_split is None:
             raise ValueError("dataset has no input/output split")
-        return tuple(int(b) for b in self.rows[d, self.io_split[0]:])
+        return self._row_tuples[d][self.io_split[0]:]
 
 
 def from_rows(

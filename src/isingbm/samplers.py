@@ -5,7 +5,8 @@ Three backends produce the same currency, a ``SampleSet``:
 * ``exact_sample``, the oracle, enumerates the Boltzmann table and draws
   i.i.d. states (or, in exhaustive mode, returns the whole table as weights).
 * ``gibbs_sample`` runs single-site heat-bath sweeps, optionally over several
-  independent chains with derived seeds.
+  independent chains with derived seeds; ``draw_many`` runs the chains of
+  many small machines through one kernel.
 * ``remote_sample`` talks HTTP to an annealer-style sampling service; a mock
   implementation ships in ``isingbm.mock_server``.
 
@@ -14,13 +15,10 @@ All backends are deterministic for a fixed (machine, config, seed).
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
-import urllib.error
 import urllib.parse
-import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -41,7 +39,8 @@ from .model import (
 
 # Gibbs tabulates every site's conditional for every state up to this many
 # nodes: the probabilities (float64) and the next-state rows (two int64 per
-# site) take about 24·n·2^n bytes: 5.5 MB at 14 nodes, 25 MB at 16.
+# site) take about 24·n·2^n bytes: 5.5 MB at 14 nodes, 25 MB at 16. Machines
+# batched by ``draw_many`` share one kernel of at most 2^_TABLE_BITS states.
 # Larger machines compute each site's field from the chains' states.
 _TABLE_BITS = 14
 # Gibbs draws its uniforms about this many at a time (512 KB), in whole sweeps.
@@ -182,66 +181,102 @@ def gibbs_sample(bm: BoltzmannMachine, cfg: SamplerConfig) -> SampleSet:
     fair coins, burned in, then thinned until the read quota is met.
 
     Up to ``_TABLE_BITS`` nodes each chain is carried as its state index and
-    every conditional is read off a table built once per call; past that the
-    fields are computed from the chains' states. Both read the same uniforms
-    in the same order, so they return the same draws.
+    every conditional is read off a table built once per call
+    (``_gibbs_lanes`` with one machine); past that the fields are computed
+    from the chains' states. Both read the same uniforms in the same order,
+    so they return the same draws.
     """
     n = bm.num_nodes
-    chains = cfg.num_chains
-    per_chain = -(-cfg.num_reads // chains)  # ceil
-    total_sweeps = cfg.burn_in + per_chain * cfg.thinning
-    keep = range(cfg.burn_in + cfg.thinning - 1, total_sweeps, cfg.thinning)
-
-    rng = np.random.default_rng(cfg.seed)
-    start_hi = rng.random((chains, n)) >= 0.5
-    sweeps = enumerate(_sweep_uniforms(rng, total_sweeps, n, chains))
-    backend_id = f"gibbs/chains={chains}"
-
-    lo, hi = bm.basis.symbols
-    J = bm.coupling_matrix
-    J_sym = J + J.T
-
-    def p_hi(S: np.ndarray, k: int) -> np.ndarray:
-        """Probability that site k takes its upper symbol given each row of S."""
-        # dE = E(site=hi) - E(site=lo); J_sym has a zero diagonal, so the
-        # site's own value drops out of the neighbor sum.
-        d_e = (hi - lo) * (bm.biases[k] + S @ J_sym[:, k])
-        return 1.0 / (1.0 + np.exp(np.clip(cfg.beta * d_e, -500, 500)))
-
     if n <= _TABLE_BITS:
-        masks = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-        every = np.arange(1 << n, dtype=np.int64)
-        S = cached_state_table(n, bm.basis)
-        tables = [
-            (np.stack([every & ~m, every | m]), p_hi(S, k))
-            for k, m in enumerate(masks)
-        ]
-        idx = start_hi @ masks
-        kept = np.empty((per_chain, chains), dtype=np.int64)
-        for sweep, u in sweeps:
-            for (step_k, p_k), u_k in zip(tables, u):
-                idx = step_k[(u_k < p_k[idx]).view(np.int8), idx]
-            if sweep in keep:
-                kept[keep.index(sweep)] = idx
-        return _index_sample_set(kept.reshape(-1)[: cfg.num_reads], bm, cfg, backend_id)
-
-    state = np.where(start_hi, hi, lo).astype(np.float64)
+        return _gibbs_lanes([bm], [cfg])[0]
+    chains = cfg.num_chains
+    per_chain, total_sweeps, keep = _chain_plan(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    lo, hi = bm.basis.symbols
+    state = np.where(rng.random((chains, n)) >= 0.5, hi, lo).astype(np.float64)
+    p_hi = _heat_bath(bm, cfg.beta)
     kept = np.empty((per_chain, chains, n), dtype=np.int8)
-    for sweep, u in sweeps:
+    for sweep, u in enumerate(_sweep_uniforms([rng], total_sweeps, n, chains)):
         for k, u_k in enumerate(u):
             state[:, k] = np.where(u_k < p_hi(state, k), hi, lo)
         if sweep in keep:
             kept[keep.index(sweep)] = state
     draws = _row_indices(kept.reshape(per_chain * chains, n)[: cfg.num_reads])
-    return _index_sample_set(draws, bm, cfg, backend_id)
+    return _index_sample_set(draws, bm, cfg, f"gibbs/chains={chains}")
 
 
-def _sweep_uniforms(rng: np.random.Generator, sweeps: int, n: int, chains: int):
-    """Yield each sweep's (n, chains) uniforms. They are drawn in blocks of
-    whole sweeps, in the stream order of one ``rng.random(chains)`` per site."""
-    block = max(1, _UNIFORM_BLOCK // max(1, n * chains))
+def _gibbs_lanes(
+    machines: Sequence[BoltzmannMachine], cfgs: Sequence[SamplerConfig]
+) -> list[SampleSet]:
+    """Table-path Gibbs for machines of one size and basis whose configs
+    differ only in ``seed``, run as lanes of one kernel.
+
+    Machine g's chains are the lanes g*C .. g*C + C - 1, each carried as the
+    global index g * 2^n + idx into tables that put every machine's
+    conditionals side by side, so the per-site numpy calls are shared. Each
+    machine keeps its own ``default_rng(seed)`` start and uniform stream, so
+    its draws are byte-identical to drawing it alone. The tables hold
+    ``len(machines) * 2^n`` states; callers keep that within
+    ``2^_TABLE_BITS``.
+    """
+    n, basis = machines[0].num_nodes, machines[0].basis
+    chains = cfgs[0].num_chains
+    per_chain, total_sweeps, keep = _chain_plan(cfgs[0])
+    masks = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    every = np.arange(len(machines) << n, dtype=np.int64)
+    S = cached_state_table(n, basis)
+    heat = [_heat_bath(bm, cfg.beta) for bm, cfg in zip(machines, cfgs)]
+    tables = [
+        (np.stack([every & ~m, every | m]), np.concatenate([p_hi(S, k) for p_hi in heat]))
+        for k, m in enumerate(masks)
+    ]
+    rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+    idx = np.concatenate([((rng.random((chains, n)) >= 0.5) @ masks) + (g << n) for g, rng in enumerate(rngs)])
+    kept = np.empty((per_chain, idx.shape[0]), dtype=np.int64)
+    for sweep, u in enumerate(_sweep_uniforms(rngs, total_sweeps, n, chains)):
+        for (step_k, p_k), u_k in zip(tables, u):
+            idx = step_k[(u_k < p_k[idx]).view(np.int8), idx]
+        if sweep in keep:
+            kept[keep.index(sweep)] = idx
+    backend_id = f"gibbs/chains={chains}"
+    return [
+        _index_sample_set(
+            kept[:, g * chains:(g + 1) * chains].reshape(-1)[: cfg.num_reads] - (g << n), bm, cfg, backend_id
+        )
+        for g, (bm, cfg) in enumerate(zip(machines, cfgs))
+    ]
+
+
+def _chain_plan(cfg: SamplerConfig) -> tuple[int, int, range]:
+    """Reads per chain, sweeps per chain, and the sweeps whose states are kept."""
+    per_chain = -(-cfg.num_reads // cfg.num_chains)  # ceil
+    total_sweeps = cfg.burn_in + per_chain * cfg.thinning
+    return per_chain, total_sweeps, range(cfg.burn_in + cfg.thinning - 1, total_sweeps, cfg.thinning)
+
+
+def _heat_bath(bm: BoltzmannMachine, beta: float):
+    """``p_hi(S, k)``: the probability that site k takes its upper symbol
+    given each row of S."""
+    lo, hi = bm.basis.symbols
+    J_sym = bm.coupling_matrix + bm.coupling_matrix.T
+
+    def p_hi(S: np.ndarray, k: int) -> np.ndarray:
+        # dE = E(site=hi) - E(site=lo); J_sym has a zero diagonal, so the
+        # site's own value drops out of the neighbor sum.
+        d_e = (hi - lo) * (bm.biases[k] + S @ J_sym[:, k])
+        return 1.0 / (1.0 + np.exp(np.clip(beta * d_e, -500, 500)))
+
+    return p_hi
+
+
+def _sweep_uniforms(rngs: Sequence[np.random.Generator], sweeps: int, n: int, chains: int):
+    """Yield each sweep's (n, len(rngs) * chains) uniforms, one generator's
+    chains after another's. Each generator's are drawn in blocks of whole
+    sweeps, in the stream order of one ``rng.random(chains)`` per site."""
+    block = max(1, _UNIFORM_BLOCK // max(1, n * chains * len(rngs)))
     for start in range(0, sweeps, block):
-        yield from rng.random((min(block, sweeps - start), n, chains))
+        size = (min(block, sweeps - start), n, chains)
+        yield from np.concatenate([rng.random(size) for rng in rngs], axis=2)
 
 
 # -- remote backend -----------------------------------------------------------
@@ -262,6 +297,11 @@ def remote_sample(
     caller assumed in ``cfg``. A machine with no nodes (a fully clamped
     subgraph) has one state; it gets every read without a request.
     """
+    # The HTTP stack loads here, not at import: only this backend uses it.
+    import http.client
+    import urllib.error
+    import urllib.request
+
     endpoint = endpoint or cfg.endpoint or os.environ.get(ENDPOINT_ENV_VAR)
     if not endpoint:
         raise ValueError(f"no endpoint given and {ENDPOINT_ENV_VAR} is unset")
@@ -329,6 +369,38 @@ def draw_samples(
     if cfg.backend is Backend.GIBBS:
         return gibbs_sample(bm, cfg)
     return remote_sample(bm, cfg, endpoint)
+
+
+def draw_many(
+    machines: Sequence[BoltzmannMachine], cfgs: Sequence[SamplerConfig]
+) -> list[SampleSet]:
+    """``[draw_samples(bm, cfg) for bm, cfg in zip(machines, cfgs)]``, with
+    the table-path Gibbs draws batched.
+
+    Gibbs draws on at most ``_TABLE_BITS`` nodes are grouped by node count,
+    basis and config apart from ``seed``; each group runs through
+    ``_gibbs_lanes`` in chunks of at most 2^``_TABLE_BITS`` tabulated states,
+    with draws byte-identical to drawing each machine alone. Every other draw
+    (exact, remote, larger Gibbs) goes through ``draw_samples`` in the given
+    order, so a remote service sees the same requests in the same order.
+    """
+    if len(machines) != len(cfgs):
+        raise ValueError("one config per machine required")
+    out: list[SampleSet | None] = [None] * len(machines)
+    groups: dict[tuple, list[int]] = {}
+    for i, (bm, cfg) in enumerate(zip(machines, cfgs)):
+        if cfg.backend is Backend.GIBBS and bm.num_nodes <= _TABLE_BITS:
+            groups.setdefault((bm.num_nodes, bm.basis, replace(cfg, seed=0)), []).append(i)
+        else:
+            out[i] = draw_samples(bm, cfg)
+    for (n, _, _), members in groups.items():
+        size = 1 << (_TABLE_BITS - n)
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            sets = _gibbs_lanes([machines[i] for i in chunk], [cfgs[i] for i in chunk])
+            for i, ss in zip(chunk, sets):
+                out[i] = ss
+    return out
 
 
 # -- derived quantities ---------------------------------------------------------

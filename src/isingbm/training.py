@@ -14,8 +14,9 @@ on states split into leading and trailing nodes give the mean vector from the
 row and column sums of the weights and the cross block of the second moments
 from one matrix product. Exact mode takes the weights from the machine's
 cached energy table (or an input's slice of it, ``prefix_energies``), so no
-machine is clamped or re-enumerated; sampled mode draws clamped subgraphs
-(``clamp_visible``) and puts the drawn free states behind the fixed values.
+machine is clamped or re-enumerated; sampled mode draws a step's clamped
+subgraphs (``clamp_visible``) in one ``draw_many`` call and puts the drawn
+free states behind the fixed values.
 The overall inverse-temperature prefactor of the analytic gradient
 is deliberately dropped: it only rescales the learning rate, while the
 expectations themselves are taken at the sampler's temperature.
@@ -50,7 +51,7 @@ from .model import (
     prefix_energies,
     state_index,
 )
-from .samplers import Backend, SamplerConfig, draw_samples
+from .samplers import Backend, SampleSet, SamplerConfig, draw_many, draw_samples
 
 
 class GradientMode(str, Enum):
@@ -277,6 +278,15 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence([int(p) & 0x7FFFFFFF for p in parts]).generate_state(1)[0])
 
 
+def _clamped_draws(
+    bm: BoltzmannMachine, cfg: SamplerConfig, phases: Sequence[tuple[np.ndarray, int]]
+) -> list[SampleSet]:
+    """One draw per (fixed leading values, seed): the subgraph left free by
+    clamping, drawn with ``cfg`` under that seed, all in one ``draw_many``."""
+    machines = [clamp_visible(bm, dict(enumerate(fixed)))[0] for fixed, _ in phases]
+    return draw_many(machines, [replace(cfg, seed=seed) for _, seed in phases])
+
+
 # -- gradients ---------------------------------------------------------------
 
 
@@ -322,18 +332,18 @@ def grad_dkl(
     full_ss = draw_samples(bm, cfg)
     if call_counter is not None:
         call_counter["full"] = call_counter.get("full", 0) + 1
+    seen = [np.all(full_ss.states[:, :m] == v, axis=1) for v in V]
+    redraw = [d for d in range(len(V)) if clamped_resample == "always" or not seen[d].any()]
+    clamped = dict(zip(redraw, _clamped_draws(bm, cfg, [(V[d], _derived_seed(cfg.seed, d, 1)) for d in redraw])))
+    if call_counter is not None and redraw:
+        call_counter["clamped"] = call_counter.get("clamped", 0) + len(redraw)
     rows = [_drawn_rows((), full_ss.states, full_ss.counts, -1.0)]
     for d, v in enumerate(V):
         q = float(dataset.weights[d])
-        seen = np.all(full_ss.states[:, :m] == v, axis=1)
-        if clamped_resample == "auto" and seen.any():
-            rows.append(_drawn_rows((), full_ss.states[seen], full_ss.counts[seen], q))
+        if d in clamped:
+            rows.append(_drawn_rows(v, clamped[d].states, clamped[d].counts, q))
         else:
-            reduced, _ = clamp_visible(bm, dict(enumerate(v)))
-            ss = draw_samples(reduced, replace(cfg, seed=_derived_seed(cfg.seed, d, 1)))
-            if call_counter is not None:
-                call_counter["clamped"] = call_counter.get("clamped", 0) + 1
-            rows.append(_drawn_rows(v, ss.states, ss.counts, q))
+            rows.append(_drawn_rows((), full_ss.states[seen[d]], full_ss.counts[seen[d]], q))
     return _estimate(bm, *_sample_moments(rows))
 
 
@@ -379,15 +389,13 @@ def grad_ncll(
             mean += row_mean
             second += row_second
     else:
-        rows = []
-        for d, v in enumerate(V):
-            for fixed, sign, tag in ((v, 1.0, 2), (v[:m_i], -1.0, 3)):
-                reduced, _ = clamp_visible(bm, dict(enumerate(fixed)))
-                ss = draw_samples(reduced, replace(cfg, seed=_derived_seed(cfg.seed, d, tag)))
-                rows.append(_drawn_rows(fixed, ss.states, ss.counts, sign))
-            if call_counter is not None:
-                call_counter["clamped"] = call_counter.get("clamped", 0) + 2
-        mean, second = _sample_moments(rows)
+        phases = [(fixed, sign, _derived_seed(cfg.seed, d, tag))
+                  for d, v in enumerate(V) for fixed, sign, tag in ((v, 1.0, 2), (v[:m_i], -1.0, 3))]
+        draws = _clamped_draws(bm, cfg, [(fixed, seed) for fixed, _, seed in phases])
+        if call_counter is not None:
+            call_counter["clamped"] = call_counter.get("clamped", 0) + len(phases)
+        mean, second = _sample_moments([_drawn_rows(fixed, ss.states, ss.counts, sign)
+                                        for (fixed, sign, _), ss in zip(phases, draws)])
     # Both phases fix the inputs, so their terms are the same constants.
     mean[:m_i] = 0.0
     second[:m_i, :m_i] = 0.0

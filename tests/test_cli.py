@@ -145,6 +145,16 @@ def test_cli_import_leaves_out_requests():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_out_the_http_stack():
+    # only remote_sample posts over HTTP; it loads the stack when called
+    src = str(Path(isingbm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, isingbm.cli; "
+             "print([m for m in ('http.client', 'ssl', 'email', 'urllib.request') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_sweep_beta_csv(runner, tmp_path):
     out = tmp_path / "sweep.csv"
     result = runner.invoke(main, [

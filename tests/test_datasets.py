@@ -16,6 +16,17 @@ from isingbm.datasets import (
 from isingbm.errors import DatasetFormatError
 
 
+def test_row_accessors_serve_int_tuples_of_the_rows():
+    ds = adder2()
+    for d in range(ds.num_rows):
+        assert ds.row(d) == tuple(int(b) for b in ds.rows[d])
+        assert ds.input_part(d) == tuple(int(b) for b in ds.rows[d, :4])
+        assert ds.output_part(d) == tuple(int(b) for b in ds.rows[d, 4:])
+        assert all(type(b) is int for b in ds.row(d))
+    with pytest.raises(ValueError):
+        from_rows(ds.rows).input_part(0)
+
+
 def test_xor_rows_match_truth_table():
     ds = logic_gate("XOR")
     assert sorted(ds.row(d) for d in range(4)) == [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]

@@ -178,6 +178,44 @@ def test_sampled_gradient_through_remote_backend(mock_server, rng):
     assert np.max(np.abs(sampled.d_pair - exact.d_pair)) < 0.05
 
 
+def test_sampled_function_training_against_a_fresh_mock_is_unchanged(monkeypatch):
+    # the mock seeds each request from a counter, so the trained machine
+    # depends on the order of the requests: per step, for each row in
+    # dataset order, the data phase and then the input phase
+    from isingbm import training
+    from isingbm.datasets import logic_gate
+    from isingbm.model import clamp_visible
+    from isingbm.samplers import Backend
+
+    models, requests = [], []
+    grad_ncll, sample = training.grad_ncll, samplers.remote_sample
+    monkeypatch.setattr(training, "grad_ncll", lambda bm, *a: models.append(bm) or grad_ncll(bm, *a))
+    monkeypatch.setattr(samplers, "remote_sample", lambda bm, *a: requests.append(bm) or sample(bm, *a))
+    ds = logic_gate("AND")
+    with MockAnnealerServer(beta=3.0, seed=5) as server:
+        sampler = SamplerConfig(beta=3.0, num_reads=200, backend=Backend.REMOTE, endpoint=server.url,
+                                seed=20261018)
+        cfg = training.TrainingConfig(max_steps=4, delta_theta_min=0.0, seed=sampler.seed, sampler=sampler,
+                                      gradient_mode=training.GradientMode.SAMPLED)
+        bm, trace = training.train_function_approximator(ds, training.Architecture(2, 1, 1), cfg)
+
+    expected = [clamp_visible(model, dict(enumerate(fixed)))[0]
+                for model in models for d in range(ds.num_rows) for fixed in (ds.row(d), ds.input_part(d))]
+    assert [(r.num_nodes, r.biases.tolist(), r.couplings) for r in requests] == [
+        (r.num_nodes, r.biases.tolist(), r.couplings) for r in expected]
+    assert len(requests) == 4 * 2 * ds.num_rows
+    np.testing.assert_array_equal(
+        bm.biases, [0.37460227317740236, -0.11388876089364308, 0.3023687635427205, 0.07667609929534196])
+    np.testing.assert_array_equal([v for _, v in sorted(bm.couplings.items())], [
+        0.35900133134928625, 0.20437787028470922, 0.24980321774646658, -0.34558848530423253,
+        -0.5284191390996893, 0.5930324566076115])
+    np.testing.assert_array_equal(
+        [(r.step, r.loss, r.delta_inf, r.sampler_calls_full, r.sampler_calls_clamped) for r in trace.records],
+        [(0, 4.736555031908013, np.nan, 0, 0), (1, 3.4023249767956463, 0.20750465944655103, 0, 8),
+         (2, 2.624186058432942, 0.2500053800678872, 0, 8), (3, 2.4403717527215254, 0.20050331238688823, 0, 8),
+         (4, 2.215925593811914, 0.11030006674516497, 0, 8)])
+
+
 def _post_with_length(server, length: str, body: bytes = b"") -> tuple[int, dict]:
     import http.client
     from urllib.parse import urlsplit

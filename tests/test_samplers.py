@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,8 @@ from isingbm.samplers import (
     Backend,
     SampleSet,
     SamplerConfig,
+    draw_many,
+    draw_samples,
     empirical_distribution,
     exact_sample,
     gibbs_sample,
@@ -240,6 +243,70 @@ def test_gibbs_draws_of_a_training_config_are_unchanged():
     ]
     assert ss.counts.tolist() == [3, 1, 5, 1, 1, 12, 32, 5, 10, 6, 70, 1, 14, 2, 1, 6, 15, 7, 4, 3, 1]
     assert ss.backend_id == "gibbs/chains=10"
+
+
+@st.composite
+def draw_batches(draw):
+    """A ``_TABLE_BITS`` small enough to chunk groups and send some machines
+    to the field path, and a batch of Gibbs and exact draws whose configs
+    come from a pool of two, so some share a kernel and some do not."""
+    pool = []
+    for _ in range(2):
+        chains = draw(st.integers(1, 12))
+        reads = draw(st.integers(1, 4)) * chains - draw(st.integers(0, chains - 1))
+        pool.append(SamplerConfig(beta=draw(st.floats(0.05, 5.0)), num_reads=reads,
+                                  burn_in=draw(st.integers(0, 12)), thinning=draw(st.integers(1, 3)),
+                                  num_chains=chains, backend=Backend.GIBBS))
+    sizes = draw(st.lists(st.integers(0, 8), min_size=1, max_size=3))
+    machines, cfgs = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        machines.append(random_machine(draw(st.sampled_from(sizes)), 0, 0,
+                                       np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                                       basis=draw(st.sampled_from(list(Basis)))))
+        cfgs.append(replace(draw(st.sampled_from(pool)), seed=draw(st.integers(0, 2**32 - 1)),
+                            backend=draw(st.sampled_from([Backend.GIBBS, Backend.GIBBS, Backend.EXACT]))))
+    return draw(st.integers(0, 6)), machines, cfgs
+
+
+def _chunk_of_five():
+    # with 2^3 states per kernel: five 1-node machines under one config (a
+    # chunk of four and a chunk of one), a 4-node machine on the field path,
+    # then 1-node machines under another config and the exact backend
+    cfg = SamplerConfig(beta=1.5, num_reads=9, burn_in=2, thinning=2, num_chains=3, backend=Backend.GIBBS)
+    cfgs = [replace(cfg, seed=i) for i in range(6)]
+    cfgs += [replace(cfg, seed=6, num_chains=2), replace(cfg, seed=7, backend=Backend.EXACT)]
+    machines = [random_machine(4 if i == 5 else 1, 0, 0, np.random.default_rng(i)) for i in range(8)]
+    return 3, machines, cfgs
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw_batches())
+@example(_chunk_of_five())
+def test_draw_many_equals_one_draw_per_machine(batch):
+    table_bits, machines, cfgs = batch
+    kernels = []
+
+    def lanes(ms, cs):
+        kernels.append(len(ms) << ms[0].num_nodes)
+        return gibbs_lanes(ms, cs)
+
+    gibbs_lanes = samplers._gibbs_lanes
+    with mock.patch.object(samplers, "_TABLE_BITS", table_bits), mock.patch.object(samplers, "_gibbs_lanes", lanes):
+        many = draw_many(machines, cfgs)
+        assert all(states <= 1 << table_bits for states in kernels)
+        each = [draw_samples(bm, cfg) for bm, cfg in zip(machines, cfgs)]
+    assert len(many) == len(each)
+    for got, want in zip(many, each):
+        assert got.states.dtype == want.states.dtype and got.states.shape == want.states.shape
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.counts.tobytes() == want.counts.tobytes()
+        assert (got.beta, got.num_reads, got.backend_id, got.basis) == (want.beta, want.num_reads,
+                                                                         want.backend_id, want.basis)
+
+
+def test_draw_many_wants_one_config_per_machine():
+    with pytest.raises(ValueError):
+        draw_many([single_node()], [])
 
 
 def test_gibbs_matches_exact_distribution(rng):

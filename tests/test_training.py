@@ -482,6 +482,53 @@ def test_sampled_mode_training_runs(rng):
     assert all(r.sampler_calls_full == 1 for r in trace.records[1:])
 
 
+GOLDEN_GIBBS = SamplerConfig(beta=3.0, num_reads=200, burn_in=20, thinning=2, num_chains=10,
+                             backend=Backend.GIBBS, seed=20261018)
+GOLDEN_RUNS = {
+    # AND rows on a 3v2h bipartite machine, every row redrawn clamped
+    "always": (
+        [0.15938196335663243, 0.03155670972069692, -0.25756889994913934, 0.23850409772042694,
+         0.38947754075413377],
+        [0.23738126071351418, 0.13069711309475657, -0.4119352380350874, -0.4248984582781193,
+         0.5165917247424967, 0.41465818826272294],
+        [(0, 1.3802704094691625, float("nan"), 0, 0), (1, 1.2729161562384057, 0.03650374627507686, 1, 4),
+         (2, 1.130120382663093, 0.05440562900266023, 1, 4), (3, 0.9878339265816819, 0.06128802636968822, 1, 4),
+         (4, 0.8711217523633998, 0.06318995446893039, 1, 4)],
+    ),
+    # the AND gate as a 2i1o1h function approximator
+    "ncll": (
+        [0.37460227317740236, -0.11388876089364308, 0.32040455474245044, 0.019464646894331993],
+        [0.35900133134928625, 0.20488983668416919, 0.21903128434820657, -0.3375486243043825,
+         -0.5412832648978092, 0.6065879228112416],
+        [(0, 4.736555031908013, float("nan"), 0, 0), (1, 3.417784529794276, 0.20350465944655105, 0, 8),
+         (2, 2.6114312129773873, 0.2641054200678872, 0, 8), (3, 2.4930838755825446, 0.2029632353864882, 0, 8),
+         (4, 2.3031113435866697, 0.11577589494529493, 0, 8)],
+    ),
+}
+
+
+def sampled_run(train, ds, arch, sampler, policy="auto"):
+    """Final biases, couplings in pair order, and the trace without its
+    ``seconds`` column, after four sampled steps."""
+    cfg = TrainingConfig(max_steps=4, delta_theta_min=0.0, gradient_mode=GradientMode.SAMPLED,
+                         sampler=sampler, seed=sampler.seed, clamped_resample=policy)
+    bm, trace = train(ds, arch, cfg)
+    rows = [(r.step, r.loss, r.delta_inf, r.sampler_calls_full, r.sampler_calls_clamped) for r in trace.records]
+    return bm.biases, [v for _, v in sorted(bm.couplings.items())], rows
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_RUNS))
+def test_sampled_training_is_unchanged(kind):
+    # parameters and trace as drawn one clamped subgraph per sampler call
+    if kind == "always":
+        arch = Architecture(3, 0, 2, pairs=tuple((v, 3 + h) for v in range(3) for h in range(2)))
+        got = sampled_run(train_distribution, from_rows(logic_gate("AND").rows), arch, GOLDEN_GIBBS, "always")
+    else:
+        got = sampled_run(train_function_approximator, logic_gate("AND"), Architecture(2, 1, 1), GOLDEN_GIBBS)
+    for got_part, want_part in zip(got, GOLDEN_RUNS[kind]):
+        np.testing.assert_array_equal(np.array(got_part, dtype=np.float64), np.array(want_part))
+
+
 def test_training_config_json_round_trip():
     cfg = TrainingConfig(eta=0.05, weight_decay=1e-4, momentum=0.3, max_steps=77,
                          gradient_mode=GradientMode.SAMPLED,
