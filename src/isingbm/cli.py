@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import re
 import sys
 import time
@@ -45,6 +44,7 @@ from .metrics import (
 )
 from .model import (
     BoltzmannMachine,
+    _replacing,
     ground_set,
     load_model_entry,
     random_machine,
@@ -106,9 +106,8 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=1, default=str) + "\n")
-    os.replace(tmp, path)
+    with _replacing(path) as fh:
+        fh.write(json.dumps(doc, indent=1, default=str) + "\n")
 
 
 def _write_manifest(
@@ -190,21 +189,6 @@ def _resolve_model(spec: str) -> tuple[BoltzmannMachine, dict, Path | None]:
     return bm, meta, path
 
 
-def _sampler_config(backend: str, beta: float, reads: int, seed: int, burn_in: int,
-                    thinning: int, chains: int, exhaustive: bool, endpoint: str | None) -> SamplerConfig:
-    return SamplerConfig(
-        beta=beta,
-        num_reads=reads,
-        burn_in=burn_in,
-        thinning=thinning,
-        seed=seed,
-        backend=Backend(backend),
-        exhaustive=exhaustive,
-        num_chains=chains,
-        endpoint=endpoint,
-    )
-
-
 def _state_label(state) -> str:
     return "".join("1" if int(v) > 0 else "0" for v in state)
 
@@ -274,7 +258,8 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
                 max_steps=max_steps, delta_theta_min=delta_min,
                 h_max=h_max, j_max=j_max,
                 gradient_mode=GradientMode(gradient),
-                sampler=_sampler_config(backend, beta, reads, run_seed, 1000, 10, chains, False, endpoint),
+                sampler=SamplerConfig(beta=beta, num_reads=reads, seed=run_seed, backend=Backend(backend),
+                                      num_chains=chains, endpoint=endpoint),
                 init_range=init_range, seed=run_seed, loss_every=loss_every,
             )
         if mode == "distribution":
@@ -371,13 +356,11 @@ def cmd_sweep_beta(model_spec, dataset_spec, grid_spec, out_path):
         rows.append(record)
 
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out_path.with_suffix(out_path.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with _replacing(out_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for record in rows:
             writer.writerow([repr(float(x)) for x in record])
-    os.replace(tmp, out_path)
 
     dkls = [r[1] for r in rows]
     argmin = int(np.argmin(dkls))
@@ -440,8 +423,8 @@ def cmd_fit_beta(model_spec, sample_file, backend, beta, sizes, reads, chains,
         for size in range(lo, hi + 1):
             rng = np.random.default_rng(seed + size)
             bm = random_machine(size, 0, 0, rng)
-            cfg = _sampler_config(backend, beta, reads, seed + size, 500, 10,
-                                  chains, exhaustive, endpoint)
+            cfg = SamplerConfig(beta=beta, num_reads=reads, burn_in=500, seed=seed + size, backend=Backend(backend),
+                                exhaustive=exhaustive, num_chains=chains, endpoint=endpoint)
             ss = draw_samples(bm, cfg)
             beta_star, _ = fit_beta(ss, bm, grid)
             report["entries"].append({"size": size, "beta_star": beta_star})
@@ -572,8 +555,8 @@ def cmd_sample(model_spec, backend, beta, reads, chains, burn_in, thinning,
     """Draw a sample set from a model file and store it as JSON."""
     started = _utc_now()
     bm, _, model_path = _resolve_model(model_spec)
-    cfg = _sampler_config(backend, beta, reads, seed, burn_in, thinning, chains,
-                          exhaustive, endpoint)
+    cfg = SamplerConfig(beta=beta, num_reads=reads, burn_in=burn_in, thinning=thinning, seed=seed,
+                        backend=Backend(backend), exhaustive=exhaustive, num_chains=chains, endpoint=endpoint)
     ss = draw_samples(bm, cfg)
 
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -637,63 +620,50 @@ def cmd_reproduce(out_dir, quick):
     summary: dict = {}
     outputs: list[Path] = []
     t0 = time.time()
-    ctx = click.get_current_context()
-
-    def run(cmd, **kwargs):
-        ctx.invoke(cmd, **kwargs)
+    # ctx.invoke fills every option left out with its default.
+    invoke = click.get_current_context().invoke
 
     # 1. step-pattern machine: divergence across beta (expects a minimum
     #    inside roughly [1.5, 3])
-    run(cmd_sweep_beta, model_spec="two_phase_trained", dataset_spec="two_phase",
-        grid_spec="0.5:6:56", out_path=out_dir / "two_phase_sweep.csv")
+    invoke(cmd_sweep_beta, model_spec="two_phase_trained", dataset_spec="two_phase",
+           grid_spec="0.5:6:56", out_path=out_dir / "two_phase_sweep.csv")
     outputs.append(out_dir / "two_phase_sweep.csv")
 
     # 2. XOR machines: ground-state vs trained
     for name in ("xor_ground_state", "xor_trained"):
-        run(cmd_sweep_beta, model_spec=name, dataset_spec="xor",
-            grid_spec="0.5:10:25log", out_path=out_dir / f"{name}_sweep.csv")
+        invoke(cmd_sweep_beta, model_spec=name, dataset_spec="xor",
+               grid_spec="0.5:10:25log", out_path=out_dir / f"{name}_sweep.csv")
         outputs.append(out_dir / f"{name}_sweep.csv")
 
     # 3. AND-gate conditional probabilities across beta
-    run(cmd_sweep_beta, model_spec="and_gate", dataset_spec="and",
-        grid_spec="0.5:10:25log", out_path=out_dir / "and_gate_sweep.csv")
+    invoke(cmd_sweep_beta, model_spec="and_gate", dataset_spec="and",
+           grid_spec="0.5:10:25log", out_path=out_dir / "and_gate_sweep.csv")
     outputs.append(out_dir / "and_gate_sweep.csv")
 
     # 4. AND training with 5 restarts (init dependence)
-    run(cmd_train, dataset_spec="and", arch_spec="3v2h", connectivity="bipartite",
-        mode="distribution", gradient="exact", backend="exact", beta=15.0,
-        reads=1000, chains=1, endpoint=None, eta=0.1, weight_decay=1e-5,
-        momentum=0.6, max_steps=200 if quick else 1000, delta_min=1e-6,
-        h_max=1.0, j_max=1.0, init_range=0.5, loss_every=50, seeds=5, seed=0,
-        out_dir=out_dir / "and_training")
+    invoke(cmd_train, dataset_spec="and", arch_spec="3v2h", connectivity="bipartite",
+           beta=15.0, max_steps=200 if quick else 1000, loss_every=50, seeds=5,
+           out_dir=out_dir / "and_training")
     outputs.append(out_dir / "and_training" / "model_best.json")
 
     # 5. OR-gate hidden-node comparison (2, 5, 10 hidden)
     or_dir = out_dir / "or_hidden"
-    or_dir.mkdir(exist_ok=True)
     for n_h in (2, 5, 10):
-        run(cmd_train, dataset_spec="or", arch_spec=f"3v{n_h}h", connectivity="complete",
-            mode="distribution", gradient="exact", backend="exact", beta=3.0,
-            reads=1000, chains=1, endpoint=None, eta=0.1, weight_decay=1e-5,
-            momentum=0.6, max_steps=200 if quick else 1000, delta_min=1e-6,
-            h_max=1.0, j_max=1.0, init_range=0.5, loss_every=50, seeds=1, seed=0,
-            out_dir=or_dir / f"h{n_h}")
-        run(cmd_sweep_beta, model_spec=str(or_dir / f"h{n_h}" / "model_best.json"),
-            dataset_spec="or", grid_spec="0.5:10:25log",
-            out_path=or_dir / f"or_sweep_h{n_h}.csv")
+        invoke(cmd_train, dataset_spec="or", arch_spec=f"3v{n_h}h", beta=3.0,
+               max_steps=200 if quick else 1000, loss_every=50, out_dir=or_dir / f"h{n_h}")
+        invoke(cmd_sweep_beta, model_spec=str(or_dir / f"h{n_h}" / "model_best.json"),
+               dataset_spec="or", grid_spec="0.5:10:25log",
+               out_path=or_dir / f"or_sweep_h{n_h}.csv")
         outputs.append(or_dir / f"or_sweep_h{n_h}.csv")
 
     # 6. temperature fits: local Gibbs sampler stays flat; the drifting mock
     #    service cools as problems grow (synthetic shape)
     reads = 20000 if quick else 50000
-    run(cmd_fit_beta, model_spec=None, sample_file=None, backend="gibbs", beta=3.0,
-        sizes="4:8", reads=reads, chains=50, exhaustive=False, endpoint=None,
-        grid_spec=None, seed=0, out_path=out_dir / "fit_beta_gibbs.json")
+    invoke(cmd_fit_beta, sizes="4:8", reads=reads, out_path=out_dir / "fit_beta_gibbs.json")
     outputs.append(out_dir / "fit_beta_gibbs.json")
     with MockAnnealerServer(beta=3.0, beta_drift=0.05, seed=0) as server:
-        run(cmd_fit_beta, model_spec=None, sample_file=None, backend="remote", beta=3.0,
-            sizes="4:8", reads=reads, chains=1, exhaustive=False, endpoint=server.url,
-            grid_spec=None, seed=0, out_path=out_dir / "fit_beta_mock_drift.json")
+        invoke(cmd_fit_beta, backend="remote", sizes="4:8", reads=reads, chains=1,
+               endpoint=server.url, out_path=out_dir / "fit_beta_mock_drift.json")
     outputs.append(out_dir / "fit_beta_mock_drift.json")
 
     # 7. adder conditional table at beta = 5 for both shipped labels

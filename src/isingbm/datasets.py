@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DatasetFormatError
-from .model import BoltzmannMachine, model_from_dict
+from .model import BoltzmannMachine, _replacing, model_from_dict
 
 
 @dataclass(frozen=True)
@@ -136,15 +136,13 @@ def two_phase(n: int = 10) -> Dataset:
 
 
 def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
+    with _replacing(path) as fh:
         if ds.io_split is not None:
             fh.write(f"# io_split={ds.io_split[0]},{ds.io_split[1]}\n")
         writer = csv.writer(fh)
         writer.writerow([f"bit_{i}" for i in range(ds.num_bits)] + ["weight"])
         for d in range(ds.num_rows):
             writer.writerow([*ds.row(d), repr(float(ds.weights[d]))])
-    os.replace(tmp, path)
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:

@@ -2,7 +2,8 @@
 
 Everything here is computed by full enumeration of the state space, so these
 functions double as the oracle that sampling backends are checked against.
-They are pure functions of immutable inputs.
+They are pure functions of immutable inputs. The Boltzmann weights come from
+``model._weighting`` or, where a whole table is normalised, ``model._boltzmann``.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from .model import (
     BoltzmannMachine,
     SpinState,
     _basis_of,
+    _boltzmann,
     _row_indices,
     _state_rows,
     _weighting,
     all_energies,
-    check_capacity,
     ground_set,
     prefix_energies,
     state_index,
@@ -110,10 +111,8 @@ class Distribution:
 
 
 def boltzmann_probabilities(bm: BoltzmannMachine, beta: float, cap: int = ENUMERATION_CAP) -> np.ndarray:
-    """exp(-beta*E)/Z over the lexicographic state order, shifted for stability."""
-    E = all_energies(bm, cap)
-    w = np.exp(-beta * (E - E.min()))
-    return w / w.sum()
+    """exp(-beta*E)/Z over the lexicographic state order (``model._boltzmann``)."""
+    return _boltzmann(all_energies(bm, cap), beta)
 
 
 def _project_probs(
@@ -214,8 +213,8 @@ def conditional_probability(
         r, m = wt.r[first:first + (1 << m_o)], wt.m[first:first + (1 << m_o)]
         w = r * np.exp(-beta * (m - m.min()))
     else:
-        E = prefix_energies(bm, v_input, cap)
-        w = np.exp(-beta * (E - E.min())).reshape(1 << m_o, -1).sum(axis=1)
+        p = _boltzmann(prefix_energies(bm, v_input, cap), beta)
+        return Distribution._indexed(p.reshape(1 << m_o, -1).sum(axis=1), m_o, bm.basis)
     return Distribution._indexed(w / w.sum(), m_o, bm.basis)
 
 
@@ -259,18 +258,11 @@ def dkl_beta_derivatives(
     dev *= dev
     var_E = float(s @ np.einsum("vh,vh->v", wt.w, dev))
 
-    first = -mean_E
-    second = 0.0
-    for d in range(ds.num_rows):
-        q_v = float(ds.weights[d])
-        v = state_index(ds.row(d), bm.basis)
-        row = E[v]
-        p_cond = wt.w[v] / wt.r[v]
-        cond_mean = float(p_cond @ row)
-        cond_var = float(p_cond @ (row - cond_mean) ** 2)
-        first += q_v * cond_mean
-        second += q_v * (var_E - cond_var)
-    return first, second
+    v = _row_indices(ds.rows)  # every data row at once: p(h | v) is w[v] / r[v]
+    rows, p_cond = E[v], wt.w[v] / wt.r[v, None]
+    cond_mean = np.einsum("dh,dh->d", p_cond, rows)
+    cond_var = np.einsum("dh,dh->d", p_cond, (rows - cond_mean[:, None]) ** 2)
+    return float(ds.weights @ cond_mean) - mean_E, float(ds.weights @ (var_E - cond_var))
 
 
 def ground_state_probability_curve(
@@ -338,10 +330,7 @@ def fit_beta(
     betas = DEFAULT_BETA_GRID if beta_grid is None else np.asarray(beta_grid, dtype=np.float64)
     if len(betas) == 0:
         raise ValueError("beta grid is empty")
-    check_capacity(bm.num_nodes, cap)
-
     E = all_energies(bm, cap)
-    E = E - E.min()
     if sample_set.num_nodes != bm.num_nodes or sample_set.basis is not bm.basis:
         raise ValueError("sample set does not match the machine's nodes and basis")
     # Empirical weights aligned to the lexicographic state order.
@@ -351,9 +340,7 @@ def fit_beta(
     sqrt_emp = np.sqrt(emp)
 
     def distance(beta: float) -> float:
-        w = np.exp(-beta * E)
-        p = w / w.sum()
-        return 0.5 * float(np.sqrt(np.sum((sqrt_emp - np.sqrt(p)) ** 2)))
+        return 0.5 * float(np.sqrt(np.sum((sqrt_emp - np.sqrt(_boltzmann(E, beta))) ** 2)))
 
     curve = [(float(b), distance(float(b))) for b in betas]
     values = np.array([v for _, v in curve])

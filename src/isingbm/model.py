@@ -17,7 +17,9 @@ parameters between the two so that the Boltzmann distribution is unchanged.
 from __future__ import annotations
 
 import json
+import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -353,6 +355,8 @@ def _weighting(bm: BoltzmannMachine, beta: float, cap: int = ENUMERATION_CAP) ->
     """
     check_capacity(bm.num_nodes, cap)
     beta = float(beta)
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     slot = bm.__dict__.get("_weighting")
     if slot is not None and slot.beta == beta:
         return slot
@@ -369,6 +373,15 @@ def _weighting(bm: BoltzmannMachine, beta: float, cap: int = ENUMERATION_CAP) ->
     slot = _Weighting(beta, w, r, m, u, float(u.sum()))
     object.__setattr__(bm, "_weighting", slot)
     return slot
+
+
+def _boltzmann(E: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-beta * E) / Z along the last axis, shifted by its minimum for
+    stability: the one normalisation of energies outside ``_weighting``."""
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    w = np.exp(-beta * (E - E.min(axis=-1, keepdims=True)))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def prefix_energies(
@@ -606,12 +619,20 @@ def model_from_dict(doc: dict) -> tuple[BoltzmannMachine, dict]:
     return bm, doc.get("metadata", {})
 
 
-def save_model(bm: BoltzmannMachine, path: str | os.PathLike, metadata: dict | None = None) -> None:
+@contextmanager
+def _replacing(path: str | os.PathLike):
+    """Text file on ``<path>.tmp`` (newlines untranslated), renamed over
+    ``path`` once the block completes: no reader sees a half-written file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with open(tmp, "w", newline="") as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
+def save_model(bm: BoltzmannMachine, path: str | os.PathLike, metadata: dict | None = None) -> None:
+    with _replacing(path) as fh:
         json.dump(model_to_dict(bm, metadata), fh, indent=1)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def load_model(path: str | os.PathLike) -> BoltzmannMachine:

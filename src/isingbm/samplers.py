@@ -16,6 +16,7 @@ All backends are deterministic for a fixed (machine, config, seed).
 from __future__ import annotations
 
 import json
+import math
 import os
 import urllib.parse
 from dataclasses import dataclass, replace
@@ -30,6 +31,7 @@ from .model import (
     ENUMERATION_CAP,
     Basis,
     BoltzmannMachine,
+    _replacing,
     _row_indices,
     _state_rows,
     cached_state_table,
@@ -68,8 +70,8 @@ class SamplerConfig:
     endpoint: str | None = None  # remote backend; falls back to $ISINGBM_ENDPOINT
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         if self.num_reads < 1:
             raise ValueError("num_reads must be >= 1")
         if self.burn_in < 0 or self.thinning < 1 or self.num_chains < 1:
@@ -457,11 +459,9 @@ def save_sample_set(ss: SampleSet, path: str | os.PathLike) -> None:
         "basis": ss.basis.value,
         "exhaustive": ss.exhaustive,
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(doc, fh)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def load_sample_set(path: str | os.PathLike) -> SampleSet:

@@ -13,10 +13,10 @@ is freer. Every moment comes from one reduction, ``_moments``: signed weights
 on states split into leading and trailing nodes give the mean vector from the
 row and column sums of the weights and the cross block of the second moments
 from one matrix product. Exact mode takes the weights from the machine's
-cached energy table (or an input's slice of it, ``prefix_energies``), so no
-machine is clamped or re-enumerated; sampled mode draws a step's clamped
-subgraphs (``clamp_visible``) in one ``draw_many`` call and puts the drawn
-free states behind the fixed values.
+cached energy table or an input's slice (``prefix_energies``) through
+``model._boltzmann``, so no machine is clamped or re-enumerated; sampled
+mode draws a step's clamped subgraphs (``clamp_visible``) in one
+``draw_many`` call and puts the drawn free states behind the fixed values.
 The overall inverse-temperature prefactor of the analytic gradient
 is deliberately dropped: it only rescales the learning rate, while the
 expectations themselves are taken at the sampler's temperature.
@@ -24,6 +24,7 @@ expectations themselves are taken at the sampler's temperature.
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
@@ -44,6 +45,9 @@ from .model import (
     Basis,
     BoltzmannMachine,
     SpinState,
+    _boltzmann,
+    _replacing,
+    _row_indices,
     all_energies,
     cached_state_table,
     clamp_visible,
@@ -210,17 +214,12 @@ class TrainingTrace:
         return self.records[-1].step
 
     def to_csv(self, path) -> None:
-        import csv
-        import os
-
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", newline="") as fh:
+        with _replacing(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "loss", "delta_inf", "seconds", "sampler_calls_full", "sampler_calls_clamped"])
             for r in self.records:
                 writer.writerow([r.step, repr(float(r.loss)), repr(float(r.delta_inf)), f"{r.seconds:.6f}",
                                  r.sampler_calls_full, r.sampler_calls_clamped])
-        os.replace(tmp, path)
 
 
 # -- moments -----------------------------------------------------------------
@@ -239,12 +238,6 @@ def _moments(W: np.ndarray, S_a: np.ndarray, S_b: np.ndarray) -> tuple[np.ndarra
     second = np.vstack([np.hstack([S_a.T @ (r[:, None] * S_a), cross]),
                         np.hstack([cross.T, S_b.T @ (c[:, None] * S_b)])])
     return mean, second
-
-
-def _boltzmann(E: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-beta * E) normalized along the last axis, shifted for stability."""
-    w = np.exp(-beta * (E - E.min(axis=-1, keepdims=True)))
-    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _drawn_rows(
@@ -324,7 +317,7 @@ def grad_dkl(
             cached_state_table(h, basis),
             cached_state_table(n - h, basis),
         )
-        E_rows = E.reshape(1 << m, -1)[[state_index(v, basis) for v in V]]
+        E_rows = E.reshape(1 << m, -1)[_row_indices(V)]
         W = dataset.weights[:, None] * _boltzmann(E_rows, cfg.beta)
         data = _moments(W, V, cached_state_table(n - m, basis))
         return _estimate(bm, data[0] - model[0], data[1] - model[1])

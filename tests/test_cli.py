@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -74,6 +75,32 @@ def test_train_is_rerunnable_bit_identically(runner, tmp_path):
         assert [r[:3] + r[4:] for r in rows_a] == [r[:3] + r[4:] for r in rows_b]
 
 
+def _stable_content(path: Path):
+    """A ``reproduce`` artifact without its wall-clock fields: the manifests'
+    timestamps, summary.json's elapsed_seconds and the traces' seconds."""
+    data = path.read_bytes()
+    if path.name.startswith("trace_seed"):
+        rows = list(csv.reader(data.decode().splitlines()))
+        col = rows[0].index("seconds")
+        return [r[:col] + r[col + 1:] for r in rows]
+    return re.sub(rb'("(?:started_at|finished_at|elapsed_seconds)": )[^,\n]*', rb"\1", data)
+
+
+def test_reproduce_quick_reruns_bit_identically(runner, tmp_path):
+    # the paper's pipeline, twice into the same path (the manifests record it)
+    out, first = tmp_path / "out", tmp_path / "first"
+    r1 = runner.invoke(main, ["reproduce", "--quick", "--out", str(out)])
+    assert r1.exit_code == 0, r1.output
+    out.rename(first)
+    r2 = runner.invoke(main, ["reproduce", "--quick", "--out", str(out)])
+    assert r2.exit_code == 0, r2.output
+    files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert len(files) == 37 and not any(p.suffix == ".tmp" for p in files)
+    for rel in files:
+        assert _stable_content(out / rel) == _stable_content(first / rel), rel
+
+
 def test_train_sampled_gibbs_without_hidden_nodes(runner, tmp_path):
     # the fully clamped data phase leaves no free node to draw
     out = tmp_path / "g"
@@ -119,13 +146,15 @@ def _dead_port() -> int:
 
 @pytest.mark.parametrize("args, code, kind", [
     (["sample", "--model", "and_gate", "--beta", "0"], 2, "input"),
+    (["sample", "--model", "and_gate", "--backend", "gibbs", "--beta", "nan", "--reads", "20",
+      "--burn-in", "5"], 2, "input"),
     (["train", "--dataset", "and", "--arch", "3v1h", "--beta", "-1"], 2, "input"),
     (["fit-beta", "--backend", "gibbs", "--beta", "0"], 2, "input"),
     (["fit-beta", "--backend", "remote", "--sizes", "4:4"], 2, "input"),
     (["fit-beta", "--backend", "remote", "--sizes", "4:4", "--endpoint", "localhost:1"], 2, "input"),
     (["fit-beta", "--backend", "remote", "--sizes", "4:4", "--endpoint", "http://127.0.0.1:{dead}"],
      3, "transport"),
-], ids=["sample-beta-0", "train-beta-negative", "fit-beta-0", "fit-no-endpoint", "fit-no-scheme",
+], ids=["sample-beta-0", "sample-gibbs-beta-nan", "train-beta-negative", "fit-beta-0", "fit-no-endpoint", "fit-no-scheme",
         "fit-dead-endpoint"])
 def test_typed_failures_exit_with_code_and_kind(runner, tmp_path, monkeypatch, args, code, kind):
     monkeypatch.delenv("ISINGBM_ENDPOINT", raising=False)

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from isingbm.datasets import adder2, from_rows, load_fixture
 from isingbm.errors import CapacityError
 from isingbm.metrics import (
+    boltzmann_probabilities,
     conditional_probability,
     dataset_distribution,
     dkl_beta_derivatives,
     excited_mass_curve,
+    fit_beta,
     kl_divergence,
     model_probability,
     visible_marginal,
@@ -29,10 +31,14 @@ from isingbm.model import (
     model_from_dict,
     model_to_dict,
     prefix_energies,
+    _row_indices,
+    cached_state_table,
     random_machine,
     state_index,
     state_matrix,
 )
+from isingbm.samplers import SamplerConfig, exact_sample
+from isingbm.training import GradientMode, _estimate, _moments, grad_dkl, grad_ncll
 
 
 def naive_table(bm):
@@ -213,7 +219,10 @@ def test_conditional_rejects_zero_one_values_on_pm1_machine(rng):
 # ---------------------------------------------------------------- one weighting per beta
 #
 # The references are the formulas each quantity used before the weighting:
-# an exp of the whole table per quantity, and one per conditional.
+# an exp of the whole table per quantity, and one per conditional. The
+# routes that now call ``model._boltzmann`` (the Boltzmann probabilities,
+# exact draws, fit_beta's distance and the exact gradients) are pinned bit
+# for bit to the inline expressions they replace.
 
 
 def ref_visible_marginal(bm, beta):
@@ -248,6 +257,60 @@ def ref_conditional(bm, beta, v_input):
     return w / w.sum()
 
 
+def ref_boltzmann(E, beta):
+    w = np.exp(-beta * (E - E.min(axis=-1, keepdims=True)))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def ref_boltzmann_probabilities(bm, beta):
+    E = all_energies(bm)
+    w = np.exp(-beta * (E - E.min()))
+    return w / w.sum()
+
+
+def ref_fit_curve(ss, bm, betas):
+    E = all_energies(bm)
+    E = E - E.min()
+    emp = np.bincount(_row_indices(ss.states), weights=ss.counts / float(ss.counts.sum()),
+                      minlength=E.shape[0])
+    curve = []
+    for beta in betas:
+        w = np.exp(-beta * E)
+        p = w / w.sum()
+        curve.append(0.5 * float(np.sqrt(np.sum((np.sqrt(emp) - np.sqrt(p)) ** 2))))
+    return curve
+
+
+def ref_grad_dkl(bm, ds, beta):
+    V = ds.rows.astype(np.float64)
+    n, m, basis = bm.num_nodes, bm.num_visible, bm.basis
+    E = all_energies(bm)
+    h = n // 2
+    model = _moments(ref_boltzmann(E, beta).reshape(1 << h, -1),
+                     cached_state_table(h, basis), cached_state_table(n - h, basis))
+    E_rows = E.reshape(1 << m, -1)[[state_index(v, basis) for v in V]]
+    data = _moments(ds.weights[:, None] * ref_boltzmann(E_rows, beta), V, cached_state_table(n - m, basis))
+    return _estimate(bm, data[0] - model[0], data[1] - model[1])
+
+
+def ref_grad_ncll(bm, ds, beta):
+    V = ds.rows.astype(np.float64)
+    m_i, m_o, basis = bm.num_visible_input, bm.num_visible_output, bm.basis
+    S_out, S_hidden = cached_state_table(m_o, basis), cached_state_table(bm.num_hidden, basis)
+    mean, second = np.zeros(bm.num_nodes), np.zeros((bm.num_nodes, bm.num_nodes))
+    for v in V:
+        E = prefix_energies(bm, v[:m_i]).reshape(1 << m_o, -1)
+        W = np.vstack([ref_boltzmann(E[state_index(v[m_i:], basis)], beta),
+                       -ref_boltzmann(E.reshape(-1), beta).reshape(E.shape)])
+        S_a = np.vstack([v, np.hstack([np.broadcast_to(v[:m_i], (1 << m_o, m_i)), S_out])])
+        row_mean, row_second = _moments(W, S_a, S_hidden)
+        mean += row_mean
+        second += row_second
+    mean[:m_i] = 0.0
+    second[:m_i, :m_i] = 0.0
+    return _estimate(bm, mean, second)
+
+
 def ref_kl(q_rows, q_probs, p_probs, basis):
     total = 0.0
     for row, q_v in zip(q_rows, q_probs):
@@ -275,7 +338,8 @@ def test_weighted_quantities_match_the_formulas_they_replace(basis, beta):
         m = bm.num_visible
         V = state_matrix(m, basis)
         picked = rng.choice(1 << m, size=min(1 << m, 5), replace=False)
-        ds = from_rows(V[picked].tolist(), rng.uniform(0.1, 1.0, size=len(picked)))
+        ds = from_rows(V[picked].tolist(), rng.uniform(0.1, 1.0, size=len(picked)),
+                       io_split=(bm.num_visible_input, bm.num_visible_output))
 
         marginal = visible_marginal(bm, beta)
         ref = ref_visible_marginal(bm, beta)
@@ -296,6 +360,24 @@ def test_weighted_quantities_match_the_formulas_they_replace(basis, beta):
             assert np.all(np.isfinite(cond.probs))
             np.testing.assert_allclose(cond.probs, ref_conditional(bm, beta, v_input), rtol=0, atol=1e-12)
 
+        probs = boltzmann_probabilities(bm, beta)
+        np.testing.assert_array_equal(probs, ref_boltzmann_probabilities(bm, beta))
+        cfg = SamplerConfig(beta=beta, num_reads=500, seed=trial)
+        ss = exact_sample(bm, cfg)
+        draws = np.random.default_rng(trial).choice(probs.shape[0], size=500, p=probs)
+        idx, counts = np.unique(draws, return_counts=True)
+        np.testing.assert_array_equal(ss.states, state_matrix(bm.num_nodes, basis)[idx])
+        np.testing.assert_array_equal(ss.counts, counts)
+        grid = [0.5 * beta, beta, 2.0 * beta]
+        _, curve = fit_beta(ss, bm, grid)
+        np.testing.assert_array_equal([d for _, d in curve], ref_fit_curve(ss, bm, grid))
+
+        exact = GradientMode.EXACT
+        np.testing.assert_array_equal(grad_dkl(bm, ds, exact, cfg).to_vector(),
+                                      ref_grad_dkl(bm, ds, beta).to_vector())
+        np.testing.assert_array_equal(grad_ncll(bm, ds, exact, cfg).to_vector(),
+                                      ref_grad_ncll(bm, ds, beta).to_vector())
+
 
 def fresh_copy(bm):
     return model_from_dict(model_to_dict(bm))[0]
@@ -314,6 +396,25 @@ def test_weighting_slot_hit_is_bytes_of_a_fresh_machine():
             got = conditional_probability(bm, beta, ds.input_part(d))
             ref = conditional_probability(fresh_copy(bm), beta, ds.input_part(d))
             assert got.probs.tobytes() == ref.probs.tobytes()
+
+
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+def test_exact_quantities_refuse_a_non_finite_beta(rng, beta):
+    bm = random_machine(2, 1, 2, rng)
+    ds = from_rows([(0, 0, 1), (1, 1, 0)])
+    ss = exact_sample(bm, SamplerConfig(num_reads=50))
+    with pytest.raises(ValueError, match="finite"):
+        visible_marginal(bm, beta)
+    with pytest.raises(ValueError, match="finite"):
+        dkl_beta_derivatives(bm, beta, ds)
+    with pytest.raises(ValueError, match="finite"):
+        conditional_probability(bm, beta, (1, 0))
+    with pytest.raises(ValueError, match="finite"):  # past the cap: the input's slice
+        conditional_probability(bm, beta, (1, 0), cap=4)
+    with pytest.raises(ValueError, match="finite"):
+        boltzmann_probabilities(bm, beta)
+    with pytest.raises(ValueError, match="finite"):
+        fit_beta(ss, bm, [0.5, beta, 2.0])
 
 
 def test_weighting_slot_holds_one_beta_and_the_cap_still_applies(rng):

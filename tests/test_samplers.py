@@ -31,8 +31,9 @@ def single_node(bias=1.0):
 
 
 def test_sampler_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(beta=0.0)
+    for beta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SamplerConfig(beta=beta)
     with pytest.raises(ValueError):
         SamplerConfig(num_reads=0)
     with pytest.raises(ValueError):
