@@ -36,7 +36,7 @@ from .metrics import (
     DEFAULT_BETA_GRID,
     dataset_distribution,
     dkl_beta_derivatives,
-    excited_mass_curve,
+    _excited_mass,
     fit_beta,
     kl_divergence,
     conditional_probability,
@@ -222,7 +222,8 @@ def main():
 @click.option("--j-max", default=1.0, show_default=True)
 @click.option("--init-range", default=0.5, show_default=True)
 @click.option("--loss-every", default=1, show_default=True)
-@click.option("--seeds", default=1, show_default=True, help="number of seeded restarts")
+@click.option("--seeds", default=1, show_default=True, type=click.IntRange(min=1),
+              help="number of seeded restarts")
 @click.option("--seed", default=0, show_default=True, help="base seed")
 @click.option("--config", "config_path", type=click.Path(path_type=Path), default=None,
               help="training-config JSON; overrides the individual hyperparameter flags")
@@ -327,9 +328,6 @@ def cmd_sweep_beta(model_spec, dataset_spec, grid_spec, out_path):
     bm, _, model_path = _resolve_model(model_spec)
     dataset, _, dataset_path = _resolve_dataset(dataset_spec)
     grid = _parse_beta_grid(grid_spec)
-    if dataset.num_bits != bm.num_visible:
-        raise _fail(EXIT_INPUT, "input",
-                    f"dataset width {dataset.num_bits} != machine visible count {bm.num_visible}")
 
     q = dataset_distribution(dataset)
     row_labels = [_state_label(dataset.row(d)) for d in range(dataset.num_rows)]
@@ -417,7 +415,7 @@ def cmd_fit_beta(model_spec, sample_file, backend, beta, sizes, reads, chains,
         inputs = [p for p in [model_path, sample_file] if p]
     else:
         m = re.fullmatch(r"(\d+):(\d+)", sizes.strip())
-        if not m:
+        if not m or int(m.group(1)) > int(m.group(2)):
             raise _fail(EXIT_INPUT, "usage", f"bad --sizes {sizes!r}; expected lo:hi")
         lo, hi = int(m.group(1)), int(m.group(2))
         for size in range(lo, hi + 1):
@@ -471,8 +469,9 @@ def cmd_verify_propositions(machines, max_nodes, seed, out_path):
         total = int(rng.integers(2, max_nodes + 1))
         n_h = int(rng.integers(0, total))
         bm = random_machine(total - n_h, 0, n_h, rng)
-        ok1, strict = _check_ground_monotone(bm, betas)
-        ok2, beta_c = _check_excited_decrease(bm, betas)
+        ground = ground_set(bm)  # both checks read the one ground set
+        ok1, strict = _check_ground_monotone(bm, betas, ground)
+        ok2, beta_c = _check_excited_decrease(bm, betas, ground)
         report["ground_state_monotone"]["pass" if ok1 else "fail"] += 1
         if ok1 and not strict:
             report["ground_state_monotone"]["non_strict"] += 1
@@ -499,20 +498,25 @@ def cmd_verify_propositions(machines, max_nodes, seed, out_path):
     }))
 
 
-def _check_ground_monotone(bm: BoltzmannMachine, betas: np.ndarray) -> tuple[bool, bool]:
+def _check_ground_monotone(bm: BoltzmannMachine, betas: np.ndarray, ground=None) -> tuple[bool, bool]:
     """(passes, strictly_increasing). Constant probability 1 counts as a pass
-    for all-ground-state machines."""
-    excited = excited_mass_curve(bm, betas)
+    for all-ground-state machines. ``ground`` is ``ground_set(bm)``, computed
+    when not given."""
+    minimizers, _, gaps = ground or ground_set(bm)
+    excited = _excited_mass(len(minimizers), gaps, betas)
     if np.all(excited == 0.0):
         return True, False
     return bool(np.all(np.diff(excited) < 0)), True
 
 
-def _check_excited_decrease(bm: BoltzmannMachine, betas: np.ndarray) -> tuple[bool, float | None]:
+def _check_excited_decrease(
+    bm: BoltzmannMachine, betas: np.ndarray, ground=None
+) -> tuple[bool, float | None]:
     """Scan for a beta past which every excited-state probability is
     nonincreasing, extending the grid upward when the critical point lies
-    beyond it. Returns (found, beta_c)."""
-    ground, _, gaps = ground_set(bm)
+    beyond it. Returns (found, beta_c). ``ground`` is ``ground_set(bm)``,
+    computed when not given."""
+    ground, _, gaps = ground or ground_set(bm)
     if gaps.size == 0:
         return True, None
     grid = np.asarray(betas, dtype=np.float64)

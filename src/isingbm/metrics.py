@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .datasets import Dataset
+from .errors import CapacityError
 from .model import (
-    ENUMERATION_CAP,
     Basis,
     BoltzmannMachine,
     SpinState,
@@ -110,9 +110,9 @@ class Distribution:
         return float(self.probs[order[k]]) if k < keys.shape[0] and keys[k] == i else 0.0
 
 
-def boltzmann_probabilities(bm: BoltzmannMachine, beta: float, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def boltzmann_probabilities(bm: BoltzmannMachine, beta: float) -> np.ndarray:
     """exp(-beta*E)/Z over the lexicographic state order (``model._boltzmann``)."""
-    return _boltzmann(all_energies(bm, cap), beta)
+    return _boltzmann(all_energies(bm), beta)
 
 
 def _project_probs(
@@ -133,13 +133,10 @@ def _project_probs(
 
 
 def model_probability(
-    bm: BoltzmannMachine,
-    beta: float,
-    projection: Sequence[int] | None = None,
-    cap: int = ENUMERATION_CAP,
+    bm: BoltzmannMachine, beta: float, projection: Sequence[int] | None = None
 ) -> Distribution:
     """Exact Boltzmann marginal over a node subset (all nodes when omitted)."""
-    probs = boltzmann_probabilities(bm, beta, cap)
+    probs = boltzmann_probabilities(bm, beta)
     if projection is None:
         projection = range(bm.num_nodes)
     proj = [int(k) for k in projection]
@@ -148,9 +145,9 @@ def model_probability(
     return Distribution._indexed(_project_probs(probs, bm.num_nodes, proj), len(proj), bm.basis)
 
 
-def visible_marginal(bm: BoltzmannMachine, beta: float, cap: int = ENUMERATION_CAP) -> Distribution:
+def visible_marginal(bm: BoltzmannMachine, beta: float) -> Distribution:
     """Exact Boltzmann marginal over the visible nodes, u / Z of the weighting."""
-    wt = _weighting(bm, beta, cap)
+    wt = _weighting(bm, beta)
     return Distribution._indexed(wt.u / wt.Z, bm.num_visible, bm.basis)
 
 
@@ -190,43 +187,38 @@ def hellinger(p_s: Distribution, p_a: Distribution) -> float:
 
 
 def conditional_probability(
-    bm: BoltzmannMachine,
-    beta: float,
-    v_input: Sequence[int],
-    cap: int = ENUMERATION_CAP,
+    bm: BoltzmannMachine, beta: float, v_input: Sequence[int]
 ) -> Distribution:
     """p(output | input), hidden nodes summed out.
 
-    Within the cap on all n nodes it is read off the machine's weighting: the
-    input's 2^m_O rows of r, reshifted to the slice's own minimum. Past it,
-    the input's slice comes from ``prefix_energies``, so the cap applies to
-    the n - m_I free nodes.
+    When the whole machine can be enumerated it is read off the machine's
+    weighting: the input's 2^m_O rows of r, reshifted to the slice's own
+    minimum. Past the cap, the input's slice comes from ``prefix_energies``,
+    so the cap applies to the n - m_I free nodes.
     """
     m_o = bm.num_visible_output
     if m_o < 1:
         raise ValueError("machine has no output nodes")
     if len(v_input) != bm.num_visible_input:
         raise ValueError(f"expected {bm.num_visible_input} input values, got {len(v_input)}")
-    if bm.num_nodes <= cap:
-        wt = _weighting(bm, beta, cap)
-        first = state_index(SpinState(v_input, bm.basis).values, bm.basis) << m_o
-        r, m = wt.r[first:first + (1 << m_o)], wt.m[first:first + (1 << m_o)]
-        w = r * np.exp(-beta * (m - m.min()))
-    else:
-        p = _boltzmann(prefix_energies(bm, v_input, cap), beta)
+    try:
+        wt = _weighting(bm, beta)
+    except CapacityError:
+        p = _boltzmann(prefix_energies(bm, v_input), beta)
         return Distribution._indexed(p.reshape(1 << m_o, -1).sum(axis=1), m_o, bm.basis)
+    first = state_index(SpinState(v_input, bm.basis).values, bm.basis) << m_o
+    r, m = wt.r[first:first + (1 << m_o)], wt.m[first:first + (1 << m_o)]
+    w = r * np.exp(-beta * (m - m.min()))
     return Distribution._indexed(w / w.sum(), m_o, bm.basis)
 
 
-def negative_conditional_log_likelihood(
-    bm: BoltzmannMachine, beta: float, ds: Dataset, cap: int = ENUMERATION_CAP
-) -> float:
+def negative_conditional_log_likelihood(bm: BoltzmannMachine, beta: float, ds: Dataset) -> float:
     """Sum over rows of -ln p(row output | row input)."""
     if ds.io_split is None:
         raise ValueError("dataset has no input/output split")
     total = 0.0
     for d in range(ds.num_rows):
-        cond = conditional_probability(bm, beta, ds.input_part(d), cap)
+        cond = conditional_probability(bm, beta, ds.input_part(d))
         p = cond.prob(ds.output_part(d))
         if p <= 0.0:
             return float("inf")
@@ -237,9 +229,7 @@ def negative_conditional_log_likelihood(
 # -- temperature analysis ------------------------------------------------------
 
 
-def dkl_beta_derivatives(
-    bm: BoltzmannMachine, beta: float, ds: Dataset, cap: int = ENUMERATION_CAP
-) -> tuple[float, float]:
+def dkl_beta_derivatives(bm: BoltzmannMachine, beta: float, ds: Dataset) -> tuple[float, float]:
     """Exact first and second derivatives of D(q || p_beta) with respect to beta.
 
     first  = -E[E] + sum_v q(v) E[E | v]
@@ -249,8 +239,9 @@ def dkl_beta_derivatives(
     and the conditional ones under p(hidden | v) at the same beta. Both are
     read off the machine's weighting.
     """
-    wt = _weighting(bm, beta, cap)
-    E = all_energies(bm, cap).reshape(wt.w.shape)
+    _check_width(bm, ds)
+    wt = _weighting(bm, beta)
+    E = all_energies(bm).reshape(wt.w.shape)
     # p[v, h] = w[v, h] s[v]: each moment is a weighted row sum, then a dot with s.
     s = wt.u / (wt.r * wt.Z)
     mean_E = float(s @ np.einsum("vh,vh->v", wt.w, E))
@@ -265,28 +256,35 @@ def dkl_beta_derivatives(
     return float(ds.weights @ cond_mean) - mean_E, float(ds.weights @ (var_E - cond_var))
 
 
+def _check_width(bm: BoltzmannMachine, ds: Dataset) -> None:
+    """Refuse a dataset whose rows are not states of the visible nodes."""
+    if ds.num_bits != bm.num_visible:
+        raise ValueError(f"dataset rows have {ds.num_bits} bits, machine has {bm.num_visible} visible nodes")
+
+
 def ground_state_probability_curve(
-    bm: BoltzmannMachine,
-    beta_grid: Sequence[float] | None = None,
-    cap: int = ENUMERATION_CAP,
+    bm: BoltzmannMachine, beta_grid: Sequence[float] | None = None
 ) -> list[tuple[float, float]]:
     """Total probability mass on the energy minimizers at each grid beta."""
     betas = DEFAULT_BETA_GRID if beta_grid is None else np.asarray(beta_grid, dtype=np.float64)
-    excited = excited_mass_curve(bm, betas, cap)
+    excited = excited_mass_curve(bm, betas)
     return [(float(b), 1.0 - m) for b, m in zip(betas, excited)]
 
 
-def excited_mass_curve(
-    bm: BoltzmannMachine, betas: np.ndarray, cap: int = ENUMERATION_CAP
-) -> np.ndarray:
+def excited_mass_curve(bm: BoltzmannMachine, betas: np.ndarray) -> np.ndarray:
     """1 - P(ground) per beta, computed without cancellation.
 
     With gaps d_s = E_s - E_min > 0 and g ground states,
     excited mass = S / (g + S) where S = sum_s exp(-beta d_s); this stays
     strictly decreasing in floating point whenever any gap is positive.
     """
-    ground, _, gaps = ground_set(bm, cap)
-    g = float(len(ground))
+    ground, _, gaps = ground_set(bm)
+    return _excited_mass(len(ground), gaps, betas)
+
+
+def _excited_mass(num_ground: int, gaps: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """``excited_mass_curve`` from the size and gaps of a ``ground_set``."""
+    g = float(num_ground)
     out = np.empty(len(betas))
     for i, b in enumerate(np.asarray(betas, dtype=np.float64)):
         S = float(np.exp(-b * gaps).sum())
@@ -319,7 +317,6 @@ def fit_beta(
     sample_set: "SampleSet",
     bm: BoltzmannMachine,
     beta_grid: Sequence[float] | None = None,
-    cap: int = ENUMERATION_CAP,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Inverse temperature whose exact Boltzmann table best matches the samples.
 
@@ -330,7 +327,7 @@ def fit_beta(
     betas = DEFAULT_BETA_GRID if beta_grid is None else np.asarray(beta_grid, dtype=np.float64)
     if len(betas) == 0:
         raise ValueError("beta grid is empty")
-    E = all_energies(bm, cap)
+    E = all_energies(bm)
     if sample_set.num_nodes != bm.num_nodes or sample_set.basis is not bm.basis:
         raise ValueError("sample set does not match the machine's nodes and basis")
     # Empirical weights aligned to the lexicographic state order.

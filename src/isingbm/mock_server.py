@@ -70,10 +70,11 @@ class MockAnnealerServer:
         return self
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
+        """End the loop ``start`` began, if any, and close the socket."""
+        if self._thread is not None:  # shutdown() waits for a running loop
+            self._httpd.shutdown()
             self._thread.join(timeout=5)
+        self._httpd.server_close()
 
     def serve_forever(self) -> None:
         self._httpd.serve_forever()

@@ -30,8 +30,9 @@ import numpy as np
 
 from .errors import CapacityError
 
-# Full enumeration is used as the exact oracle; 2^24 states is the default
-# ceiling beyond which operations refuse to enumerate.
+# Full enumeration is used as the exact oracle; 2^24 states is the ceiling
+# beyond which operations refuse to enumerate. Only this module reads it, at
+# call time, through ``check_capacity`` and ``prefix_energies``.
 ENUMERATION_CAP = 24
 
 # States are generated in blocks so a 2^24 sweep never materializes the full
@@ -244,9 +245,9 @@ def _table_energies(S: np.ndarray, biases: np.ndarray, J: np.ndarray) -> np.ndar
     return S @ biases + np.einsum("sk,sk->s", S @ J, S)
 
 
-def check_capacity(num_nodes: int, cap: int = ENUMERATION_CAP) -> None:
-    if num_nodes > cap:
-        raise CapacityError(f"{num_nodes} nodes exceeds the enumeration cap of {cap}")
+def check_capacity(num_nodes: int) -> None:
+    if num_nodes > ENUMERATION_CAP:
+        raise CapacityError(f"{num_nodes} nodes exceeds the enumeration cap of {ENUMERATION_CAP}")
 
 
 @lru_cache(maxsize=8)
@@ -307,24 +308,22 @@ def _basis_of(rows: np.ndarray) -> Basis:
     raise ValueError("support entries must be states of one width in one basis")
 
 
-def enumerate_states(
-    num_nodes: int, basis: Basis = Basis.ZERO_ONE, cap: int = ENUMERATION_CAP
-) -> Iterator[SpinState]:
+def enumerate_states(num_nodes: int, basis: Basis = Basis.ZERO_ONE) -> Iterator[SpinState]:
     """Yield all 2^N states in lexicographic order (node 0 most significant)."""
-    check_capacity(num_nodes, cap)
+    check_capacity(num_nodes)
     for start in range(0, 1 << num_nodes, 1 << min(_BLOCK_BITS, num_nodes)):
         block = state_matrix(num_nodes, basis, start, min(start + (1 << _BLOCK_BITS), 1 << num_nodes))
         for row in block:
             yield SpinState(tuple(int(v) for v in row), basis)
 
 
-def all_energies(bm: BoltzmannMachine, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def all_energies(bm: BoltzmannMachine) -> np.ndarray:
     """Read-only energy of every state, indexed lexicographically.
 
     Built once per machine by ``_split_energies`` and kept on it; the cap is
     checked on every call.
     """
-    check_capacity(bm.num_nodes, cap)
+    check_capacity(bm.num_nodes)
     return bm._energy_table
 
 
@@ -346,14 +345,14 @@ class _Weighting(NamedTuple):
     Z: float
 
 
-def _weighting(bm: BoltzmannMachine, beta: float, cap: int = ENUMERATION_CAP) -> _Weighting:
+def _weighting(bm: BoltzmannMachine, beta: float) -> _Weighting:
     """The machine's weighting at ``beta``, by one exp of its energy table.
 
     Like the table, it is kept read-only on the immutable machine, in a
     one-entry slot keyed by beta: the quantities of one beta point share it,
     and a new beta replaces it. The cap is checked on every call.
     """
-    check_capacity(bm.num_nodes, cap)
+    check_capacity(bm.num_nodes)
     beta = float(beta)
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
@@ -361,7 +360,7 @@ def _weighting(bm: BoltzmannMachine, beta: float, cap: int = ENUMERATION_CAP) ->
     if slot is not None and slot.beta == beta:
         return slot
     bm.__dict__.pop("_weighting", None)  # free the old weights before making new ones
-    E = all_energies(bm, cap).reshape(1 << bm.num_visible, -1)
+    E = all_energies(bm).reshape(1 << bm.num_visible, -1)
     m = E.min(axis=1)
     w = E - m[:, None]
     w *= -beta
@@ -384,9 +383,7 @@ def _boltzmann(E: np.ndarray, beta: float) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def prefix_energies(
-    bm: BoltzmannMachine, prefix: Sequence[int], cap: int = ENUMERATION_CAP
-) -> np.ndarray:
+def prefix_energies(bm: BoltzmannMachine, prefix: Sequence[int]) -> np.ndarray:
     """Energy of every state whose leading nodes take the values ``prefix``,
     indexed lexicographically by the remaining nodes.
 
@@ -400,9 +397,9 @@ def prefix_energies(
     k = len(state)
     if k > bm.num_nodes:
         raise ValueError(f"prefix has {k} values, machine has {bm.num_nodes} nodes")
-    check_capacity(bm.num_nodes - k, cap)
-    if bm.num_nodes <= cap:
-        return all_energies(bm, cap).reshape(1 << k, -1)[state_index(state.values, bm.basis)]
+    check_capacity(bm.num_nodes - k)
+    if bm.num_nodes <= ENUMERATION_CAP:
+        return all_energies(bm).reshape(1 << k, -1)[state_index(state.values, bm.basis)]
     p = state.as_array()
     J, b = bm.coupling_matrix, bm.biases
     offset = p @ b[:k] + p @ J[:k, :k] @ p
@@ -442,9 +439,7 @@ def state_index(values: Sequence[int], basis: Basis = Basis.ZERO_ONE) -> int:
 _RECHECK_ROWS = 1 << 16
 
 
-def ground_set(
-    bm: BoltzmannMachine, cap: int = ENUMERATION_CAP
-) -> tuple[np.ndarray, float, np.ndarray]:
+def ground_set(bm: BoltzmannMachine) -> tuple[np.ndarray, float, np.ndarray]:
     """Energy minimizers with exact ties, their energy, and every other gap.
 
     Returns ``(ground, e_min, gaps)``: the lexicographic indices of the
@@ -458,7 +453,7 @@ def ground_set(
     minimum is re-evaluated with ``energies``, and those values decide the
     ties and the gaps of the near-minimal states.
     """
-    E = all_energies(bm, cap)
+    E = all_energies(bm)
     # Both paths sum at most n + 1 terms bounded in total by ``scale``, so each
     # is within about 25 * eps * scale of the true energy; 1e-12 * scale covers
     # both paths' errors at the minimum with a wide margin.
@@ -475,12 +470,10 @@ def ground_set(
     return candidates[is_ground], e_min, np.delete(gaps, candidates[is_ground])
 
 
-def ground_states(
-    bm: BoltzmannMachine, cap: int = ENUMERATION_CAP
-) -> tuple[list[SpinState], float]:
+def ground_states(bm: BoltzmannMachine) -> tuple[list[SpinState], float]:
     """Exact energy minimizers by full enumeration; ties all included (see
     ``ground_set``)."""
-    ground, e_min, _ = ground_set(bm, cap)
+    ground, e_min, _ = ground_set(bm)
     rows = _state_rows(ground, bm.num_nodes, bm.basis)
     return [SpinState(tuple(int(v) for v in row), bm.basis) for row in rows], e_min
 

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import CapacityError, ProtocolError, TransportError
 from .metrics import Distribution, boltzmann_probabilities
 from .model import (
-    ENUMERATION_CAP,
     Basis,
     BoltzmannMachine,
     _replacing,
@@ -127,15 +126,13 @@ class SampleSet:
         return self.states.shape[1]
 
 
-def exact_sample(
-    bm: BoltzmannMachine, cfg: SamplerConfig, cap: int = ENUMERATION_CAP
-) -> SampleSet:
+def exact_sample(bm: BoltzmannMachine, cfg: SamplerConfig) -> SampleSet:
     """Draw from the exact Boltzmann table computed by enumeration.
 
     With ``cfg.exhaustive`` the table itself is returned: every state appears
     once, weighted by its exact probability.
     """
-    probs = boltzmann_probabilities(bm, cfg.beta, cap)
+    probs = boltzmann_probabilities(bm, cfg.beta)
     n = bm.num_nodes
     if cfg.exhaustive:
         states = state_matrix(n, bm.basis)

@@ -35,13 +35,13 @@ import numpy as np
 from .datasets import Dataset
 from .errors import CapacityError
 from .metrics import (
+    _check_width,
     kl_divergence,
     dataset_distribution,
     negative_conditional_log_likelihood,
     visible_marginal,
 )
 from .model import (
-    ENUMERATION_CAP,
     Basis,
     BoltzmannMachine,
     SpinState,
@@ -290,7 +290,6 @@ def grad_dkl(
     sampler_cfg: SamplerConfig | None = None,
     clamped_resample: str = "auto",
     call_counter: dict | None = None,
-    cap: int = ENUMERATION_CAP,
 ) -> GradientEstimate:
     """Relative-entropy gradient: data-phase moments minus model-phase moments.
 
@@ -301,16 +300,13 @@ def grad_dkl(
     (policy "auto") the row never showed up in the full draw, or (policy
     "always") for every row.
     """
-    if dataset.num_bits != bm.num_visible:
-        raise ValueError(
-            f"dataset rows have {dataset.num_bits} bits, machine has {bm.num_visible} visible nodes"
-        )
+    _check_width(bm, dataset)
     cfg = sampler_cfg or SamplerConfig()
     V = _data_rows(bm, dataset)
     n, m, basis = bm.num_nodes, bm.num_visible, bm.basis
 
     if mode is GradientMode.EXACT:
-        E = all_energies(bm, cap)
+        E = all_energies(bm)
         h = n // 2  # the halves of the split sum: no state table wider than n - h
         model = _moments(
             _boltzmann(E, cfg.beta).reshape(1 << h, -1),
@@ -346,7 +342,6 @@ def grad_ncll(
     mode: GradientMode = GradientMode.EXACT,
     sampler_cfg: SamplerConfig | None = None,
     call_counter: dict | None = None,
-    cap: int = ENUMERATION_CAP,
 ) -> GradientEstimate:
     """Gradient of the negative conditional log-likelihood, summed over rows.
 
@@ -374,7 +369,7 @@ def grad_ncll(
         mean, second = np.zeros(bm.num_nodes), np.zeros((bm.num_nodes, bm.num_nodes))
         for v in V:
             # rows: the data row (x, y), then (x, o) for every output o
-            E = prefix_energies(bm, v[:m_i], cap).reshape(1 << m_o, -1)
+            E = prefix_energies(bm, v[:m_i]).reshape(1 << m_o, -1)
             W = np.vstack([_boltzmann(E[state_index(v[m_i:], basis)], cfg.beta),
                            -_boltzmann(E.reshape(-1), cfg.beta).reshape(E.shape)])
             S_a = np.vstack([v, np.hstack([np.broadcast_to(v[:m_i], (1 << m_o, m_i)), S_out])])
@@ -516,7 +511,7 @@ def _run_training(
 
 
 def train_distribution(
-    dataset: Dataset, arch: Architecture, cfg: TrainingConfig, cap: int = ENUMERATION_CAP
+    dataset: Dataset, arch: Architecture, cfg: TrainingConfig
 ) -> tuple[BoltzmannMachine, TrainingTrace]:
     """Generative training loop; the trace records the relative entropy of the
     visible marginal against the dataset at the sampler's temperature."""
@@ -524,18 +519,18 @@ def train_distribution(
 
     def loss(bm: BoltzmannMachine) -> float:
         try:
-            return kl_divergence(q, visible_marginal(bm, cfg.sampler.beta, cap))
+            return kl_divergence(q, visible_marginal(bm, cfg.sampler.beta))
         except CapacityError:  # past the cap the loss is not evaluated
             return float("nan")
 
     def grad(bm, ds, mode, sampler_cfg, counter):
-        return grad_dkl(bm, ds, mode, sampler_cfg, cfg.clamped_resample, counter, cap)
+        return grad_dkl(bm, ds, mode, sampler_cfg, cfg.clamped_resample, counter)
 
     return _run_training(dataset, arch, cfg, grad, loss)
 
 
 def train_function_approximator(
-    dataset: Dataset, arch: Architecture, cfg: TrainingConfig, cap: int = ENUMERATION_CAP
+    dataset: Dataset, arch: Architecture, cfg: TrainingConfig
 ) -> tuple[BoltzmannMachine, TrainingTrace]:
     """Discriminative training loop; the trace records the negative conditional
     log-likelihood at the sampler's temperature."""
@@ -546,11 +541,8 @@ def train_function_approximator(
 
     def loss(bm: BoltzmannMachine) -> float:
         try:
-            return negative_conditional_log_likelihood(bm, cfg.sampler.beta, dataset, cap)
+            return negative_conditional_log_likelihood(bm, cfg.sampler.beta, dataset)
         except CapacityError:  # past the cap the loss is not evaluated
             return float("nan")
 
-    def grad(bm, ds, mode, sampler_cfg, counter):
-        return grad_ncll(bm, ds, mode, sampler_cfg, counter, cap)
-
-    return _run_training(dataset, arch, cfg, grad, loss)
+    return _run_training(dataset, arch, cfg, grad_ncll, loss)

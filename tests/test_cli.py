@@ -69,8 +69,8 @@ def test_train_is_rerunnable_bit_identically(runner, tmp_path):
         (tmp_path / "b" / "model_best.json").read_text()
     # traces match except the wall-clock column
     for name in ("trace_seed0.csv",):
-        rows_a = list(csv.reader((tmp_path / "a" / name).open()))
-        rows_b = list(csv.reader((tmp_path / "b" / name).open()))
+        rows_a = list(csv.reader((tmp_path / "a" / name).read_text().splitlines()))
+        rows_b = list(csv.reader((tmp_path / "b" / name).read_text().splitlines()))
         assert rows_a[0][4:] == ["sampler_calls_full", "sampler_calls_clamped"]
         assert [r[:3] + r[4:] for r in rows_a] == [r[:3] + r[4:] for r in rows_b]
 
@@ -109,7 +109,7 @@ def test_train_sampled_gibbs_without_hidden_nodes(runner, tmp_path):
         "--gradient", "sampled", "--backend", "gibbs", "--reads", "50", "--max-steps", "2",
         "--out", str(out)])
     assert result.exit_code == 0, result.output
-    rows = list(csv.reader((out / "trace_seed0.csv").open()))
+    rows = list(csv.reader((out / "trace_seed0.csv").read_text().splitlines()))
     assert [r[4:] for r in rows[1:]] == [["0", "0"], ["0", "8"], ["0", "8"]]  # step 0 draws nothing
 
 
@@ -127,6 +127,14 @@ def test_bad_arch_exits_2(runner, tmp_path):
         "train", "--dataset", "and", "--arch", "banana",
         "--out", str(tmp_path / "x")])
     assert result.exit_code == 2
+
+
+def test_train_zero_seeds_exits_2(runner, tmp_path):
+    result = runner.invoke(main, [
+        "train", "--dataset", "and", "--arch", "3v1h", "--seeds", "0",
+        "--out", str(tmp_path / "x")])
+    assert result.exit_code == 2
+    assert "--seeds" in result.output
 
 
 def test_train_past_enumeration_cap_exits_2(runner, tmp_path):
@@ -154,8 +162,10 @@ def _dead_port() -> int:
     (["fit-beta", "--backend", "remote", "--sizes", "4:4", "--endpoint", "localhost:1"], 2, "input"),
     (["fit-beta", "--backend", "remote", "--sizes", "4:4", "--endpoint", "http://127.0.0.1:{dead}"],
      3, "transport"),
+    (["sweep-beta", "--model", "and_gate", "--dataset", "two_phase"], 2, "input"),
+    (["fit-beta", "--sizes", "9:4"], 2, "usage"),
 ], ids=["sample-beta-0", "sample-gibbs-beta-nan", "train-beta-negative", "fit-beta-0", "fit-no-endpoint", "fit-no-scheme",
-        "fit-dead-endpoint"])
+        "fit-dead-endpoint", "sweep-dataset-width", "fit-sizes-reversed"])
 def test_typed_failures_exit_with_code_and_kind(runner, tmp_path, monkeypatch, args, code, kind):
     monkeypatch.delenv("ISINGBM_ENDPOINT", raising=False)
     args = [a.format(dead=_dead_port()) for a in args] + ["--out", str(tmp_path / "out")]
@@ -190,7 +200,7 @@ def test_sweep_beta_csv(runner, tmp_path):
         "sweep-beta", "--model", "and_gate", "--dataset", "and",
         "--beta-grid", "0.5:8:7log", "--out", str(out)])
     assert result.exit_code == 0, result.output
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     header = rows[0]
     assert header[:4] == ["beta", "dkl", "dkl_dbeta", "d2kl_dbeta2"]
     assert "p_state_111" in header
@@ -212,7 +222,7 @@ def test_sweep_beta_flat_machine_constant_dkl(runner, tmp_path):
         "sweep-beta", "--model", str(model_path), "--dataset", "and",
         "--beta-grid", "0.5:5:5", "--out", str(out)])
     assert result.exit_code == 0, result.output
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     dkls = [float(r[1]) for r in rows[1:]]
     assert np.allclose(dkls, np.log(2))
 

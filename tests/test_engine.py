@@ -37,7 +37,7 @@ from isingbm.model import (
     state_index,
     state_matrix,
 )
-from isingbm.samplers import SamplerConfig, exact_sample
+from isingbm.samplers import SampleSet, SamplerConfig, exact_sample
 from isingbm.training import GradientMode, _estimate, _moments, grad_dkl, grad_ncll
 
 
@@ -82,19 +82,20 @@ def test_split_table_21_nodes_on_random_rows(rng):
 # ---------------------------------------------------------------- cache
 
 
-def test_table_is_cached_read_only_and_capped(rng):
+def test_table_is_cached_read_only_and_capped(rng, enumeration_cap):
     bm = random_machine(4, 0, 3, rng)
     E = all_energies(bm)
     assert all_energies(bm) is E
     assert not E.flags.writeable
     with pytest.raises(ValueError):
         E[0] = 1.0
-    with pytest.raises(CapacityError):
-        all_energies(bm, cap=6)
     fresh = bm.with_parameters(bm.biases + 0.5, bm.couplings)
     E2 = all_energies(fresh)
     assert E2 is not E
     np.testing.assert_allclose(E2, naive_table(fresh), rtol=0, atol=1e-12)
+    enumeration_cap(6)
+    with pytest.raises(CapacityError):
+        all_energies(bm)
 
 
 # ---------------------------------------------------------------- ground ties
@@ -180,26 +181,48 @@ def test_conditionals_match_clamp_and_enumerate_on_random_pm1(rng):
 
 
 @pytest.mark.parametrize("beta", [0.3, 5.0])
-def test_conditionals_past_the_cap_enumerate_only_the_input_slice(beta):
+def test_conditionals_past_the_cap_enumerate_only_the_input_slice(beta, enumeration_cap):
     # 17 nodes, 4 of them inputs: with cap 13 the whole table is past the
     # cap, but each input's 2^13 slice is not.
     bm = load_fixture("adder_function")
     ds = adder2()
+    enumeration_cap(13)
     for d in range(ds.num_rows):
-        got = conditional_probability(bm, beta, ds.input_part(d), cap=13)
+        got = conditional_probability(bm, beta, ds.input_part(d))
         ref = clamped_reference(bm, beta, ds.input_part(d))
         assert got.support == ref.support
         np.testing.assert_allclose(got.probs, ref.probs, rtol=0, atol=1e-12)
+    enumeration_cap(12)
     with pytest.raises(CapacityError):
-        conditional_probability(bm, beta, ds.input_part(0), cap=12)
+        conditional_probability(bm, beta, ds.input_part(0))
+
+
+# 25 nodes, no inputs: one past the default cap. Its table is never built.
+_PAST_CAP = random_machine(0, 2, 23, np.random.default_rng(25))
+
+
+@pytest.mark.parametrize("call", [
+    lambda bm, ds: visible_marginal(bm, 1.0),
+    lambda bm, ds: dkl_beta_derivatives(bm, 1.0, ds),
+    lambda bm, ds: conditional_probability(bm, 1.0, ()),
+    lambda bm, ds: fit_beta(SampleSet(np.zeros((1, 25)), np.ones(1), 1.0, 1, "none"), bm),
+    lambda bm, ds: exact_sample(bm, SamplerConfig(num_reads=5)),
+    lambda bm, ds: grad_dkl(bm, ds, GradientMode.EXACT, SamplerConfig()),
+    lambda bm, ds: ground_set(bm),
+], ids=["visible_marginal", "dkl_beta_derivatives", "conditional_probability", "fit_beta",
+        "exact_sample", "grad_dkl", "ground_set"])
+def test_exact_entry_points_refuse_a_machine_past_the_default_cap(call):
+    with pytest.raises(CapacityError, match="25 nodes exceeds the enumeration cap of 24"):
+        call(_PAST_CAP, from_rows([(0, 1), (1, 1)]))
 
 
 @pytest.mark.parametrize("basis", list(Basis))
-def test_prefix_energies_match_the_table_slice(rng, basis):
+def test_prefix_energies_match_the_table_slice(rng, basis, enumeration_cap):
     bm = random_machine(3, 2, 4, rng, scale=1.5, basis=basis)
     table = naive_table(bm).reshape(1 << 3, -1)
+    enumeration_cap(6)
     for v_input in state_matrix(3, basis):
-        got = prefix_energies(bm, v_input, cap=6)
+        got = prefix_energies(bm, v_input)
         np.testing.assert_allclose(got, table[state_index(v_input, basis)], rtol=0, atol=1e-12)
 
 
@@ -399,7 +422,7 @@ def test_weighting_slot_hit_is_bytes_of_a_fresh_machine():
 
 
 @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
-def test_exact_quantities_refuse_a_non_finite_beta(rng, beta):
+def test_exact_quantities_refuse_a_non_finite_beta(rng, beta, enumeration_cap):
     bm = random_machine(2, 1, 2, rng)
     ds = from_rows([(0, 0, 1), (1, 1, 0)])
     ss = exact_sample(bm, SamplerConfig(num_reads=50))
@@ -409,15 +432,16 @@ def test_exact_quantities_refuse_a_non_finite_beta(rng, beta):
         dkl_beta_derivatives(bm, beta, ds)
     with pytest.raises(ValueError, match="finite"):
         conditional_probability(bm, beta, (1, 0))
-    with pytest.raises(ValueError, match="finite"):  # past the cap: the input's slice
-        conditional_probability(bm, beta, (1, 0), cap=4)
     with pytest.raises(ValueError, match="finite"):
         boltzmann_probabilities(bm, beta)
     with pytest.raises(ValueError, match="finite"):
         fit_beta(ss, bm, [0.5, beta, 2.0])
+    enumeration_cap(4)
+    with pytest.raises(ValueError, match="finite"):  # past the cap: the input's slice
+        conditional_probability(bm, beta, (1, 0))
 
 
-def test_weighting_slot_holds_one_beta_and_the_cap_still_applies(rng):
+def test_weighting_slot_holds_one_beta_and_the_cap_still_applies(rng, enumeration_cap):
     from isingbm.model import _weighting
 
     bm = random_machine(2, 1, 3, rng)
@@ -431,12 +455,16 @@ def test_weighting_slot_holds_one_beta_and_the_cap_still_applies(rng):
 
     # a smaller cap still refuses the machine after the slot is filled
     ds = from_rows([(0, 0, 1)])
+    within = conditional_probability(bm, 3.0, (1, 0)).probs
+    enumeration_cap(5)
     with pytest.raises(CapacityError):
-        visible_marginal(bm, 3.0, cap=5)
+        visible_marginal(bm, 3.0)
     with pytest.raises(CapacityError):
-        dkl_beta_derivatives(bm, 3.0, ds, cap=5)
+        dkl_beta_derivatives(bm, 3.0, ds)
+    enumeration_cap(3)
     with pytest.raises(CapacityError):
-        conditional_probability(bm, 3.0, (1, 0), cap=3)
+        conditional_probability(bm, 3.0, (1, 0))
     # between n - m_I and n the conditional takes the input's slice instead
-    np.testing.assert_allclose(conditional_probability(bm, 3.0, (1, 0), cap=4).probs,
-                               conditional_probability(bm, 3.0, (1, 0)).probs, rtol=0, atol=1e-12)
+    enumeration_cap(4)
+    np.testing.assert_allclose(conditional_probability(bm, 3.0, (1, 0)).probs,
+                               within, rtol=0, atol=1e-12)

@@ -261,6 +261,14 @@ def test_beta_derivatives_zero_for_flat_machine():
     assert first == 0.0 and second == 0.0
 
 
+@pytest.mark.parametrize("width", [2, 5])
+def test_beta_derivatives_refuse_a_dataset_of_another_width(rng, width):
+    bm = random_machine(2, 1, 2, rng)
+    ds = from_rows([(0,) * width, (1,) * width])
+    with pytest.raises(ValueError, match=f"dataset rows have {width} bits, machine has 3 visible nodes"):
+        dkl_beta_derivatives(bm, 1.0, ds)
+
+
 @pytest.mark.parametrize("beta", [0.7, 1.0, 2.5])
 def test_beta_derivatives_match_finite_differences(rng, beta):
     bm = random_machine(3, 0, 2, rng)

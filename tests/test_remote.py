@@ -143,9 +143,21 @@ def test_remote_endpoint_must_be_http(rng):
 def test_drift_lowers_effective_beta_with_size():
     server = MockAnnealerServer(beta=3.0, beta_drift=0.05)
     betas = [server.effective_beta(n) for n in range(4, 11)]
+    server.stop()
     assert all(b1 > b2 for b1, b2 in zip(betas, betas[1:]))
     flat = MockAnnealerServer(beta=3.0, beta_drift=0.0)
+    flat.stop()
     assert flat.effective_beta(4) == flat.effective_beta(10) == 3.0
+
+
+def test_stop_returns_on_a_server_never_started():
+    # in a daemon thread, so a stop() that waits for a loop fails the test
+    # instead of hanging the suite
+    server = MockAnnealerServer()
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)
+    assert not stopper.is_alive()
 
 
 def test_fitted_beta_decreases_against_drifting_mock(rng):

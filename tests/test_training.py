@@ -231,15 +231,17 @@ def test_exact_gradients_match_clamp_and_enumerate(rng, basis):
 
 
 @pytest.mark.parametrize("basis", list(Basis))
-def test_exact_ncll_gradient_past_the_cap(rng, basis):
+def test_exact_ncll_gradient_past_the_cap(rng, basis, enumeration_cap):
     # cap < n <= cap + m_I: only the n - m_I free nodes are enumerated
     bm = random_machine(3, 1, 3, rng, scale=1.5, basis=basis)
     ds = from_rows(random_rows(rng, 4, basis, count=6), io_split=(3, 1))
     for cap in (4, 5, 6):
-        got = grad_ncll(bm, ds, GradientMode.EXACT, SamplerConfig(beta=1.3), cap=cap)
+        enumeration_cap(cap)
+        got = grad_ncll(bm, ds, GradientMode.EXACT, SamplerConfig(beta=1.3))
         assert_same_gradient(got, reference_grad_ncll(bm, ds, 1.3))
+    enumeration_cap(3)
     with pytest.raises(CapacityError):
-        grad_ncll(bm, ds, GradientMode.EXACT, SamplerConfig(beta=1.3), cap=3)
+        grad_ncll(bm, ds, GradientMode.EXACT, SamplerConfig(beta=1.3))
 
 
 @pytest.mark.parametrize("basis", list(Basis))
@@ -409,14 +411,15 @@ def test_loss_errors_other_than_capacity_propagate(monkeypatch):
         train_distribution(ds, Architecture(3, 0, 1), cfg)
 
 
-def test_function_loss_is_evaluated_when_only_the_inputs_fit_the_cap():
+def test_function_loss_is_evaluated_when_only_the_inputs_fit_the_cap(enumeration_cap):
     # 9 nodes, 4 inputs: a cap of 6 excludes the whole machine but not the
     # clamped 5-node remainder that the exact gradient and the loss need.
     ds = adder2()
     cfg = TrainingConfig(max_steps=6, sampler=SamplerConfig(beta=2.0), seed=0, loss_every=2)
     arch = Architecture(4, 3, 2)
-    _, capped = train_function_approximator(ds, arch, cfg, cap=6)
     _, full = train_function_approximator(ds, arch, cfg)
+    enumeration_cap(6)
+    _, capped = train_function_approximator(ds, arch, cfg)
     capped_losses = np.array([r.loss for r in capped.records])
     full_losses = np.array([r.loss for r in full.records])
     # Steps between loss evaluations carry NaN in both traces.
