@@ -342,8 +342,9 @@ def cmd_sweep_beta(model_spec, dataset_spec, grid_spec, out_path):
 
     rows = []
     for beta in grid:
-        marginal = visible_marginal(bm, float(beta))
+        # first: it refuses a dataset of another width before the table is built
         d1, d2 = dkl_beta_derivatives(bm, float(beta), dataset)
+        marginal = visible_marginal(bm, float(beta))
         record = [float(beta), kl_divergence(q, marginal), d1, d2]
         record += [marginal.prob(dataset.row(d)) for d in range(dataset.num_rows)]
         if conds:
