@@ -9,6 +9,10 @@ with its ``src`` first on ``PYTHONPATH``:
 * ``reproduce``: ``isingbm reproduce --quick`` into a temporary directory;
 * ``sweep_beta``: ``isingbm sweep-beta --model two_phase_trained --dataset
   two_phase --beta-grid 0.5:6:56`` (18 nodes) into a temporary file;
+* ``gibbs_18``: ``isingbm sample --model two_phase_trained --backend gibbs
+  --reads 20000 --chains 10 --burn-in 1000 --thinning 10`` (18 nodes, 3.8 M
+  site updates, so the draw and not process start-up dominates) into a
+  temporary file;
 * ``tier1``: ``python -m pytest -q --continue-on-collection-errors``, the
   tier-1 suite, unless ``--skip-tier1`` is given (the suite's own smoke test
   of this script skips it, so the suite does not run itself).
@@ -42,6 +46,8 @@ def commands(out: Path, skip_tier1: bool) -> dict[str, list[str]]:
         "reproduce": CLI + ["reproduce", "--quick", "--out", str(out / "reproduce")],
         "sweep_beta": CLI + ["sweep-beta", "--model", "two_phase_trained", "--dataset", "two_phase",
                              "--beta-grid", "0.5:6:56", "--out", str(out / "two_phase.csv")],
+        "gibbs_18": CLI + ["sample", "--model", "two_phase_trained", "--backend", "gibbs", "--reads", "20000",
+                           "--chains", "10", "--burn-in", "1000", "--thinning", "10", "--out", str(out / "gibbs_18.json")],
     }
     if not skip_tier1:
         cmds["tier1"] = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]

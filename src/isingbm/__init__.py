@@ -4,7 +4,6 @@ from .model import (
     Basis,
     BoltzmannMachine,
     SpinState,
-    ENUMERATION_CAP,
     clamp_visible,
     complete_pairs,
     convert_basis,

@@ -36,7 +36,8 @@ from .metrics import (
     DEFAULT_BETA_GRID,
     dataset_distribution,
     dkl_beta_derivatives,
-    _excited_mass,
+    _check_excited_decrease,
+    _check_ground_monotone,
     fit_beta,
     kl_divergence,
     conditional_probability,
@@ -497,47 +498,6 @@ def cmd_verify_propositions(machines, max_nodes, seed, out_path):
             k: v for k, v in report["excited_eventual_decrease"].items()
         },
     }))
-
-
-def _check_ground_monotone(bm: BoltzmannMachine, betas: np.ndarray, ground=None) -> tuple[bool, bool]:
-    """(passes, strictly_increasing). Constant probability 1 counts as a pass
-    for all-ground-state machines. ``ground`` is ``ground_set(bm)``, computed
-    when not given."""
-    minimizers, _, gaps = ground or ground_set(bm)
-    excited = _excited_mass(len(minimizers), gaps, betas)
-    if np.all(excited == 0.0):
-        return True, False
-    return bool(np.all(np.diff(excited) < 0)), True
-
-
-def _check_excited_decrease(
-    bm: BoltzmannMachine, betas: np.ndarray, ground=None
-) -> tuple[bool, float | None]:
-    """Scan for a beta past which every excited-state probability is
-    nonincreasing, extending the grid upward when the critical point lies
-    beyond it. Returns (found, beta_c). ``ground`` is ``ground_set(bm)``,
-    computed when not given."""
-    ground, _, gaps = ground or ground_set(bm)
-    if gaps.size == 0:
-        return True, None
-    grid = np.asarray(betas, dtype=np.float64)
-    g = float(len(ground))
-    for _ in range(8):
-        probs = np.empty((len(grid), gaps.shape[0]))
-        for i, b in enumerate(grid):
-            w = np.exp(-b * gaps)
-            probs[i] = w / (g + w.sum())
-        diffs = np.diff(probs, axis=0)
-        tol = 1e-13 * np.maximum(probs[:-1], probs[1:])
-        increases = np.any(diffs > tol, axis=1)
-        if not increases[-1]:
-            last = int(np.max(np.nonzero(increases)[0])) + 1 if increases.any() else 0
-            return True, float(grid[last])
-        # Critical beta beyond the grid: extend by a decade and rescan the tail.
-        grid = np.geomspace(grid[-1], grid[-1] * 10, 20)
-        if grid[-1] > 1e7:
-            break
-    return False, None
 
 
 # ---------------------------------------------------------------- sample

@@ -292,6 +292,47 @@ def _excited_mass(num_ground: int, gaps: np.ndarray, betas: np.ndarray) -> np.nd
     return out
 
 
+def _check_ground_monotone(bm: BoltzmannMachine, betas: np.ndarray, ground=None) -> tuple[bool, bool]:
+    """(passes, strictly_increasing). Constant probability 1 counts as a pass
+    for all-ground-state machines. ``ground`` is ``ground_set(bm)``, computed
+    when not given."""
+    minimizers, _, gaps = ground or ground_set(bm)
+    excited = _excited_mass(len(minimizers), gaps, betas)
+    if np.all(excited == 0.0):
+        return True, False
+    return bool(np.all(np.diff(excited) < 0)), True
+
+
+def _check_excited_decrease(
+    bm: BoltzmannMachine, betas: np.ndarray, ground=None
+) -> tuple[bool, float | None]:
+    """Scan for a beta past which every excited-state probability is
+    nonincreasing, extending the grid upward when the critical point lies
+    beyond it. Returns (found, beta_c). ``ground`` is ``ground_set(bm)``,
+    computed when not given."""
+    ground, _, gaps = ground or ground_set(bm)
+    if gaps.size == 0:
+        return True, None
+    grid = np.asarray(betas, dtype=np.float64)
+    g = float(len(ground))
+    for _ in range(8):
+        probs = np.empty((len(grid), gaps.shape[0]))
+        for i, b in enumerate(grid):
+            w = np.exp(-b * gaps)
+            probs[i] = w / (g + w.sum())
+        diffs = np.diff(probs, axis=0)
+        tol = 1e-13 * np.maximum(probs[:-1], probs[1:])
+        increases = np.any(diffs > tol, axis=1)
+        if not increases[-1]:
+            last = int(np.max(np.nonzero(increases)[0])) + 1 if increases.any() else 0
+            return True, float(grid[last])
+        # Critical beta beyond the grid: extend by a decade and rescan the tail.
+        grid = np.geomspace(grid[-1], grid[-1] * 10, 20)
+        if grid[-1] > 1e7:
+            break
+    return False, None
+
+
 def _golden_section(f, lo: float, hi: float, tol: float = 1e-6, max_iter: int = 200) -> float:
     """Minimize a unimodal scalar function on [lo, hi]."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -327,9 +368,9 @@ def fit_beta(
     betas = DEFAULT_BETA_GRID if beta_grid is None else np.asarray(beta_grid, dtype=np.float64)
     if len(betas) == 0:
         raise ValueError("beta grid is empty")
-    E = all_energies(bm)
     if sample_set.num_nodes != bm.num_nodes or sample_set.basis is not bm.basis:
         raise ValueError("sample set does not match the machine's nodes and basis")
+    E = all_energies(bm)
     # Empirical weights aligned to the lexicographic state order.
     total = float(sample_set.counts.sum())
     emp = np.bincount(_row_indices(sample_set.states), weights=sample_set.counts / total,

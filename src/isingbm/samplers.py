@@ -6,7 +6,7 @@ Three backends produce the same currency, a ``SampleSet``:
   i.i.d. states (or, in exhaustive mode, returns the whole table as weights).
 * ``gibbs_sample`` runs single-site heat-bath sweeps, optionally over several
   independent chains with derived seeds; ``draw_many`` runs the chains of
-  many small machines through one kernel.
+  many machines through one kernel.
 * ``remote_sample`` talks HTTP to an annealer-style sampling service; a mock
   implementation ships in ``isingbm.mock_server``.
 
@@ -21,6 +21,7 @@ import os
 import urllib.parse
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -38,11 +39,9 @@ from .model import (
     state_matrix,
 )
 
-# Gibbs tabulates every site's conditional for every state up to this many
-# nodes: the probabilities (float64) and the next-state rows (two int64 per
-# site) take about 24·n·2^n bytes: 5.5 MB at 14 nodes, 25 MB at 16. Machines
-# batched by ``draw_many`` share one kernel of at most 2^_TABLE_BITS states.
-# Larger machines compute each site's field from the chains' states.
+# Gibbs tabulates each site's conditional over chunks of at most this many
+# nodes; machines batched by ``draw_many`` share a kernel whose chunks hold at
+# most 2^_TABLE_BITS states each (``_gibbs_lanes`` gives the memory).
 _TABLE_BITS = 14
 # Gibbs draws its uniforms about this many at a time (512 KB), in whole sweeps.
 _UNIFORM_BLOCK = 1 << 16
@@ -177,105 +176,110 @@ def gibbs_sample(bm: BoltzmannMachine, cfg: SamplerConfig) -> SampleSet:
     conditional: the site takes its upper symbol with probability
     sigmoid(-beta * dE_k), where dE_k is the energy change from the lower to
     the upper symbol given the current neighbors. Chains are initialized from
-    fair coins, burned in, then thinned until the read quota is met.
-
-    Up to ``_TABLE_BITS`` nodes each chain is carried as its state index and
-    every conditional is read off a table built once per call
-    (``_gibbs_lanes`` with one machine); past that the fields are computed
-    from the chains' states. Both read the same uniforms in the same order,
-    so they return the same draws.
+    fair coins, burned in, then thinned until the read quota is met. Every
+    size runs the one kernel, ``_gibbs_lanes`` with one machine.
     """
-    n = bm.num_nodes
-    if n <= _TABLE_BITS:
-        return _gibbs_lanes([bm], [cfg])[0]
-    chains = cfg.num_chains
-    per_chain, total_sweeps, keep = _chain_plan(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    lo, hi = bm.basis.symbols
-    state = np.where(rng.random((chains, n)) >= 0.5, hi, lo).astype(np.float64)
-    p_hi = _heat_bath(bm, cfg.beta)
-    kept = np.empty((per_chain, chains, n), dtype=np.int8)
-    for sweep, u in enumerate(_sweep_uniforms([rng], total_sweeps, n, chains)):
-        for k, u_k in enumerate(u):
-            state[:, k] = np.where(u_k < p_hi(state, k), hi, lo)
-        if sweep in keep:
-            kept[keep.index(sweep)] = state
-    draws = _row_indices(kept.reshape(per_chain * chains, n)[: cfg.num_reads])
-    return _index_sample_set(draws, bm, cfg, f"gibbs/chains={chains}")
+    return _gibbs_lanes([bm], [cfg])[0]
+
+
+def _chunk_widths(n: int) -> list[int]:
+    """Widths of ceil(n / _TABLE_BITS) chunks of n nodes, balanced, widest first."""
+    c = max(1, -(-n // _TABLE_BITS))
+    return [n // c + (i < n % c) for i in range(c)]
 
 
 def _gibbs_lanes(
     machines: Sequence[BoltzmannMachine], cfgs: Sequence[SamplerConfig]
 ) -> list[SampleSet]:
-    """Table-path Gibbs for machines of one size and basis whose configs
-    differ only in ``seed``, run as lanes of one kernel.
+    """Gibbs for machines of one size and basis whose configs differ only in
+    ``seed``, run as lanes of one kernel; each machine keeps its own
+    ``default_rng(seed)`` start and stream, so it draws as it would alone.
 
-    Machine g's chains are the lanes g*C .. g*C + C - 1, each carried as the
-    global index g * 2^n + idx into tables that put every machine's
-    conditionals side by side, so the per-site numpy calls are shared. Each
-    machine keeps its own ``default_rng(seed)`` start and uniform stream, so
-    its draws are byte-identical to drawing it alone. The tables hold
-    ``len(machines) * 2^n`` states; callers keep that within
-    ``2^_TABLE_BITS``.
+    A chain is one index per chunk of ``_chunk_widths(n)``: in a chunk of w
+    nodes, machine g's lanes hold g * 2^w plus the index of the chunk's
+    nodes. Chunk by chunk, site k compares v_k with its table at the chunk's
+    index and steps that index to k's bit set or cleared. With one chunk the
+    table is the probability of the upper symbol and v_k the uniform u_k.
+    With several, the field -beta*dE_k is the sum over chunks d of
+    G_d[k][x_d] (one GEMM per chunk); the other chunks hold still in a
+    chunk's pass, so v_k is log u_k - log1p(-u_k) less their fields and the
+    table is G_c[k], deciding alike unless u_k is within rounding of the
+    probability. For L machines and c chunks of widest w the tables take at
+    most 8·n·(c + 2)·L·2^w bytes (24·n·2^n for one chunk: 5.5 MB at 14
+    nodes), the kept states 8·c bytes a read; callers keep L·2^w within
+    2^_TABLE_BITS.
     """
-    n, basis = machines[0].num_nodes, machines[0].basis
-    chains = cfgs[0].num_chains
-    per_chain, total_sweeps, keep = _chain_plan(cfgs[0])
-    masks = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    every = np.arange(len(machines) << n, dtype=np.int64)
-    S = cached_state_table(n, basis)
-    heat = [_heat_bath(bm, cfg.beta) for bm, cfg in zip(machines, cfgs)]
-    tables = [
-        (np.stack([every & ~m, every | m]), np.concatenate([p_hi(S, k) for p_hi in heat]))
-        for k, m in enumerate(masks)
-    ]
+    n, basis, cfg0 = machines[0].num_nodes, machines[0].basis, cfgs[0]
+    lo, hi = basis.symbols
+    chains, per_chain = cfg0.num_chains, -(-cfg0.num_reads // cfg0.num_chains)
+    keep = range(cfg0.burn_in + cfg0.thinning - 1, cfg0.burn_in + per_chain * cfg0.thinning, cfg0.thinning)
+    widths = _chunk_widths(n)
+    ends = list(accumulate(widths))
+    J_syms = [bm.coupling_matrix + bm.coupling_matrix.T for bm in machines]
+    if len(widths) == 1:
+        S, P = cached_state_table(n, basis), np.empty((n, len(machines) << n))
+        for g, (bm, cfg, J_sym) in enumerate(zip(machines, cfgs, J_syms)):
+            # 1 / (1 + exp(clip(beta * dE))) in place, dE = (hi - lo) * (b_k + S @ J_sym[:, k]);
+            # J_sym's zero diagonal drops site k, and hi - lo = 1 or 2 scales exactly
+            p = P[:, g << n:(g + 1) << n]
+            for k in range(n):
+                np.matmul(S, J_sym[:, k], out=p[k])
+            p += bm.biases[:, None]
+            p *= cfg.beta * (hi - lo)
+            np.exp(np.clip(p, -500, 500, out=p), out=p)
+            np.divide(1.0, np.add(p, 1.0, out=p), out=p)
+        tables = [[P]]
+    else:
+        fields = [np.concatenate([
+            (-cfg.beta * (hi - lo)) * (cached_state_table(w, basis) @ J_sym[end - w:end] + bm.biases * (d == 0)).T
+            for bm, cfg, J_sym in zip(machines, cfgs, J_syms)
+        ], axis=1) for d, (w, end) in enumerate(zip(widths, ends))]
+        tables = [[G[end - w:end] for G in fields] for w, end in zip(widths, ends)]
     rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
-    idx = np.concatenate([((rng.random((chains, n)) >= 0.5) @ masks) + (g << n) for g, rng in enumerate(rngs)])
-    kept = np.empty((per_chain, idx.shape[0]), dtype=np.int64)
-    for sweep, u in enumerate(_sweep_uniforms(rngs, total_sweeps, n, chains)):
-        for (step_k, p_k), u_k in zip(tables, u):
-            idx = step_k[(u_k < p_k[idx]).view(np.int8), idx]
+    coins = [rng.random((chains, n)) >= 0.5 for rng in rngs]
+    x, chunks = [], []  # each chunk's lane indices; its sites and the other chunks' fields
+    for c, (w, end) in enumerate(zip(widths, ends)):
+        masks = 1 << np.arange(w - 1, -1, -1, dtype=np.int64)
+        every = np.arange(len(machines) << w, dtype=np.int64)
+        x.append(np.concatenate([(coin[:, end - w:end] @ masks) + (g << w) for g, coin in enumerate(coins)]))
+        sites = [(np.stack([every & ~m, every | m]), t_k) for m, t_k in zip(masks, tables[c][c])]
+        chunks.append((c, sites, [(G, d) for d, G in enumerate(tables[c]) if d != c]))
+    kept = np.empty((per_chain, len(x), x[0].shape[0]), dtype=np.int64 if n <= 62 else object)
+    for sweep, us in enumerate(_sweep_uniforms(rngs, keep.stop, widths, chains)):
+        for (c, sites, others), v in zip(chunks, us):
+            idx = x[c]
+            for G, d in others:
+                v = v - G[:, x[d]]
+            for (step_k, t_k), v_k in zip(sites, v):
+                idx = step_k[(v_k < t_k[idx]).view(np.int8), idx]
+            x[c] = idx
         if sweep in keep:
-            kept[keep.index(sweep)] = idx
-    backend_id = f"gibbs/chains={chains}"
+            kept[keep.index(sweep)] = x
+    # chunk c is the index's bits from n - ends[c] up; lane offsets add alike
+    draws = kept[:, 0]
+    for c, w in enumerate(widths[1:], 1):
+        draws = (draws << w) + kept[:, c]
+    offset = sum(1 << (n - end + w) for w, end in zip(widths, ends))
     return [
-        _index_sample_set(
-            kept[:, g * chains:(g + 1) * chains].reshape(-1)[: cfg.num_reads] - (g << n), bm, cfg, backend_id
-        )
+        _index_sample_set(draws[:, g * chains:(g + 1) * chains].reshape(-1)[: cfg.num_reads] - g * offset,
+                          bm, cfg, f"gibbs/chains={chains}")
         for g, (bm, cfg) in enumerate(zip(machines, cfgs))
     ]
 
 
-def _chain_plan(cfg: SamplerConfig) -> tuple[int, int, range]:
-    """Reads per chain, sweeps per chain, and the sweeps whose states are kept."""
-    per_chain = -(-cfg.num_reads // cfg.num_chains)  # ceil
-    total_sweeps = cfg.burn_in + per_chain * cfg.thinning
-    return per_chain, total_sweeps, range(cfg.burn_in + cfg.thinning - 1, total_sweeps, cfg.thinning)
-
-
-def _heat_bath(bm: BoltzmannMachine, beta: float):
-    """``p_hi(S, k)``: the probability that site k takes its upper symbol
-    given each row of S."""
-    lo, hi = bm.basis.symbols
-    J_sym = bm.coupling_matrix + bm.coupling_matrix.T
-
-    def p_hi(S: np.ndarray, k: int) -> np.ndarray:
-        # dE = E(site=hi) - E(site=lo); J_sym has a zero diagonal, so the
-        # site's own value drops out of the neighbor sum.
-        d_e = (hi - lo) * (bm.biases[k] + S @ J_sym[:, k])
-        return 1.0 / (1.0 + np.exp(np.clip(beta * d_e, -500, 500)))
-
-    return p_hi
-
-
-def _sweep_uniforms(rngs: Sequence[np.random.Generator], sweeps: int, n: int, chains: int):
-    """Yield each sweep's (n, len(rngs) * chains) uniforms, one generator's
-    chains after another's. Each generator's are drawn in blocks of whole
-    sweeps, in the stream order of one ``rng.random(chains)`` per site."""
+def _sweep_uniforms(rngs: Sequence[np.random.Generator], sweeps: int, widths: Sequence[int], chains: int):
+    """Yield each sweep's (n, len(rngs) * chains) uniforms, one generator's chains
+    after another's, in rows split by ``widths`` (log-odds if several); drawn in
+    blocks of whole sweeps, in the stream order of one ``rng.random(chains)`` per site."""
+    n, ends = sum(widths), list(accumulate(widths))
     block = max(1, _UNIFORM_BLOCK // max(1, n * chains * len(rngs)))
     for start in range(0, sweeps, block):
         size = (min(block, sweeps - start), n, chains)
-        yield from np.concatenate([rng.random(size) for rng in rngs], axis=2)
+        u = np.concatenate([rng.random(size) for rng in rngs], axis=2)
+        if len(widths) > 1:
+            with np.errstate(divide="ignore"):  # u = 0 has log-odds -inf
+                u = np.log(u) - np.log1p(-u)
+        yield from zip(*(u[:, end - w:end] for w, end in zip(widths, ends)))
 
 
 # -- remote backend -----------------------------------------------------------
@@ -373,31 +377,27 @@ def draw_samples(
 def draw_many(
     machines: Sequence[BoltzmannMachine], cfgs: Sequence[SamplerConfig]
 ) -> list[SampleSet]:
-    """``[draw_samples(bm, cfg) for bm, cfg in zip(machines, cfgs)]``, with
-    the table-path Gibbs draws batched.
-
-    Gibbs draws on at most ``_TABLE_BITS`` nodes are grouped by node count,
-    basis and config apart from ``seed``; each group runs through
-    ``_gibbs_lanes`` in chunks of at most 2^``_TABLE_BITS`` tabulated states,
-    with draws byte-identical to drawing each machine alone. Every other draw
-    (exact, remote, larger Gibbs) goes through ``draw_samples`` in the given
-    order, so a remote service sees the same requests in the same order.
+    """``[draw_samples(bm, cfg) for bm, cfg in zip(machines, cfgs)]``, byte
+    for byte, with the Gibbs draws batched: grouped by node count, basis and
+    config apart from ``seed``, each group runs through ``_gibbs_lanes`` in
+    runs of 2^(_TABLE_BITS - w) machines, w the widest of ``_chunk_widths(n)``.
+    Exact and remote draws go through ``draw_samples`` in the given order, so
+    a remote service sees the same requests in the same order.
     """
     if len(machines) != len(cfgs):
         raise ValueError("one config per machine required")
     out: list[SampleSet | None] = [None] * len(machines)
     groups: dict[tuple, list[int]] = {}
     for i, (bm, cfg) in enumerate(zip(machines, cfgs)):
-        if cfg.backend is Backend.GIBBS and bm.num_nodes <= _TABLE_BITS:
+        if cfg.backend is Backend.GIBBS:
             groups.setdefault((bm.num_nodes, bm.basis, replace(cfg, seed=0)), []).append(i)
         else:
             out[i] = draw_samples(bm, cfg)
     for (n, _, _), members in groups.items():
-        size = 1 << (_TABLE_BITS - n)
+        size = 1 << (_TABLE_BITS - _chunk_widths(n)[0])
         for start in range(0, len(members), size):
-            chunk = members[start:start + size]
-            sets = _gibbs_lanes([machines[i] for i in chunk], [cfgs[i] for i in chunk])
-            for i, ss in zip(chunk, sets):
+            run = members[start:start + size]
+            for i, ss in zip(run, _gibbs_lanes([machines[i] for i in run], [cfgs[i] for i in run])):
                 out[i] = ss
     return out
 

@@ -8,10 +8,11 @@ import time
 
 import numpy as np
 
-from isingbm.cli import _check_excited_decrease, _check_ground_monotone
 from isingbm.datasets import adder2, from_rows, load_fixture, logic_gate, two_phase
 from isingbm.metrics import (
     DEFAULT_BETA_GRID,
+    _check_excited_decrease,
+    _check_ground_monotone,
     conditional_probability,
     dataset_distribution,
     dkl_beta_derivatives,

@@ -19,7 +19,7 @@ from isingbm.metrics import (
     visible_marginal,
 )
 from isingbm.metrics import _golden_section
-from isingbm.model import Basis, BoltzmannMachine, all_energies, random_machine, state_index
+from isingbm.model import Basis, BoltzmannMachine, all_energies, convert_basis, random_machine, state_index
 from isingbm.samplers import Backend, SamplerConfig, exact_sample, gibbs_sample
 
 
@@ -353,6 +353,15 @@ def test_fit_beta_single_node_self_consistency():
     ss = exact_sample(bm, SamplerConfig(beta=2.0, num_reads=1_000_000, seed=3))
     beta_star, _ = fit_beta(ss, bm)
     assert beta_star == pytest.approx(2.0, abs=0.1)
+
+
+def test_fit_beta_refuses_a_mismatched_set_before_building_the_table(rng):
+    bm = random_machine(3, 0, 2, rng)
+    for ss in (exact_sample(random_machine(2, 0, 1, rng), SamplerConfig(num_reads=10)),
+               exact_sample(convert_basis(bm), SamplerConfig(num_reads=10))):
+        with pytest.raises(ValueError, match="does not match"):
+            fit_beta(ss, bm)
+    assert "_energy_table" not in bm.__dict__
 
 
 def ref_fit_beta_loop_alignment(sample_set, bm):

@@ -205,26 +205,48 @@ def gibbs_runs(draw):
     # or just past the run's sweep count, or a few blocks inside it
     sweeps = cfg.burn_in + per_chain * cfg.thinning
     block_sweeps = max(1, (sweeps + draw(st.integers(-2, 2))) // draw(st.integers(1, 3)))
-    return bm, cfg, block_sweeps * max(1, n * chains)
+    # a chunk width that splits every machine past it into several chunks
+    return bm, cfg, block_sweeps * max(1, n * chains), draw(st.integers(1, 3))
+
+
+def assert_draws_equal_reference(ss, bm, cfg):
+    states, counts = per_site_gibbs(bm, cfg)
+    assert ss.states.dtype == np.int8 and ss.states.shape == states.shape
+    assert ss.states.tobytes() == states.tobytes()
+    assert ss.counts.tobytes() == counts.astype(np.float64).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
 @given(gibbs_runs())
 @example((random_machine(3, 0, 0, np.random.default_rng(0)),
-          SamplerConfig(num_reads=8, burn_in=3, thinning=2, seed=1, num_chains=2), 7 * 3 * 2))
+          SamplerConfig(num_reads=8, burn_in=3, thinning=2, seed=1, num_chains=2), 7 * 3 * 2, 2))
 @example((random_machine(3, 0, 0, np.random.default_rng(0), basis=Basis.PLUS_MINUS),
-          SamplerConfig(num_reads=8, burn_in=3, thinning=2, seed=1, num_chains=2), 11 * 3 * 2))
-def test_table_path_equals_field_path_and_per_site_reference(run):
-    bm, cfg, block = run
+          SamplerConfig(num_reads=8, burn_in=3, thinning=2, seed=1, num_chains=2), 11 * 3 * 2, 1))
+def test_one_chunk_and_several_chunk_kernels_equal_per_site_reference(run):
+    bm, cfg, block, chunk_bits = run
     with mock.patch.object(samplers, "_UNIFORM_BLOCK", block):
-        table = gibbs_sample(bm, cfg)
-        with mock.patch.object(samplers, "_TABLE_BITS", -1):
-            field = gibbs_sample(bm, cfg)
-    states, counts = per_site_gibbs(bm, cfg)
-    for ss in (table, field):
-        assert ss.states.dtype == np.int8 and ss.states.shape == states.shape
-        assert ss.states.tobytes() == states.tobytes()
-        assert ss.counts.tobytes() == counts.astype(np.float64).tobytes()
+        one = gibbs_sample(bm, cfg)
+        with mock.patch.object(samplers, "_TABLE_BITS", chunk_bits):
+            several = gibbs_sample(bm, cfg)
+    for ss in (one, several):
+        assert_draws_equal_reference(ss, bm, cfg)
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_eighteen_node_draws_equal_per_site_reference(basis):
+    # two chunks of nine nodes at the default chunk width
+    bm = random_machine(9, 0, 9, np.random.default_rng(18), scale=2.0, basis=basis)
+    cfg = SamplerConfig(beta=1.5, num_reads=300, burn_in=20, thinning=2, seed=3, num_chains=10)
+    assert samplers._chunk_widths(18) == [9, 9]
+    assert_draws_equal_reference(gibbs_sample(bm, cfg), bm, cfg)
+
+
+def test_draws_past_62_nodes_equal_per_site_reference():
+    # state indices past 62 nodes are Python ints; narrow chunks keep the tables small
+    bm = random_machine(30, 0, 40, np.random.default_rng(70), scale=1.0)
+    cfg = SamplerConfig(beta=1.0, num_reads=40, burn_in=5, thinning=1, seed=2, num_chains=4)
+    with mock.patch.object(samplers, "_TABLE_BITS", 4):
+        assert_draws_equal_reference(gibbs_sample(bm, cfg), bm, cfg)
 
 
 def test_gibbs_draws_of_a_training_config_are_unchanged():
@@ -248,8 +270,8 @@ def test_gibbs_draws_of_a_training_config_are_unchanged():
 
 @st.composite
 def draw_batches(draw):
-    """A ``_TABLE_BITS`` small enough to chunk groups and send some machines
-    to the field path, and a batch of Gibbs and exact draws whose configs
+    """A ``_TABLE_BITS`` small enough to chunk groups and split some machines
+    into several chunks, and a batch of Gibbs and exact draws whose configs
     come from a pool of two, so some share a kernel and some do not."""
     pool = []
     for _ in range(2):
@@ -266,12 +288,12 @@ def draw_batches(draw):
                                        basis=draw(st.sampled_from(list(Basis)))))
         cfgs.append(replace(draw(st.sampled_from(pool)), seed=draw(st.integers(0, 2**32 - 1)),
                             backend=draw(st.sampled_from([Backend.GIBBS, Backend.GIBBS, Backend.EXACT]))))
-    return draw(st.integers(0, 6)), machines, cfgs
+    return draw(st.integers(1, 6)), machines, cfgs
 
 
 def _chunk_of_five():
     # with 2^3 states per kernel: five 1-node machines under one config (a
-    # chunk of four and a chunk of one), a 4-node machine on the field path,
+    # run of four and a run of one), a 4-node machine in two chunks,
     # then 1-node machines under another config and the exact backend
     cfg = SamplerConfig(beta=1.5, num_reads=9, burn_in=2, thinning=2, num_chains=3, backend=Backend.GIBBS)
     cfgs = [replace(cfg, seed=i) for i in range(6)]
@@ -288,7 +310,7 @@ def test_draw_many_equals_one_draw_per_machine(batch):
     kernels = []
 
     def lanes(ms, cs):
-        kernels.append(len(ms) << ms[0].num_nodes)
+        kernels.append(len(ms) << samplers._chunk_widths(ms[0].num_nodes)[0])
         return gibbs_lanes(ms, cs)
 
     gibbs_lanes = samplers._gibbs_lanes
@@ -303,6 +325,26 @@ def test_draw_many_equals_one_draw_per_machine(batch):
         assert got.counts.tobytes() == want.counts.tobytes()
         assert (got.beta, got.num_reads, got.backend_id, got.basis) == (want.beta, want.num_reads,
                                                                          want.backend_id, want.basis)
+
+
+def test_draw_many_of_17_and_18_node_machines_equals_one_draw_per_machine():
+    cfg = SamplerConfig(beta=2.0, num_reads=200, burn_in=10, thinning=2, num_chains=5, backend=Backend.GIBBS)
+    machines = [random_machine(n, 0, 0, np.random.default_rng(i), basis=basis)
+                for i, (n, basis) in enumerate([(17, Basis.ZERO_ONE), (18, Basis.ZERO_ONE), (17, Basis.ZERO_ONE),
+                                                (18, Basis.ZERO_ONE), (18, Basis.PLUS_MINUS)])]
+    cfgs = [replace(cfg, seed=i) for i in range(len(machines))]
+    gibbs_lanes, kernels = samplers._gibbs_lanes, []
+
+    def lanes(ms, cs):
+        kernels.append(len(ms))
+        return gibbs_lanes(ms, cs)
+
+    with mock.patch.object(samplers, "_gibbs_lanes", lanes):
+        many = draw_many(machines, cfgs)
+    assert kernels == [2, 2, 1]
+    for got, bm, c in zip(many, machines, cfgs):
+        want = gibbs_sample(bm, c)
+        assert got.states.tobytes() == want.states.tobytes() and got.counts.tobytes() == want.counts.tobytes()
 
 
 def test_draw_many_wants_one_config_per_machine():

@@ -14,7 +14,7 @@ def test_one_round_without_tier1_prints_every_key():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert set(doc) == {"repeat", "commands", "environment"} and doc["repeat"] == 1
-    assert set(doc["commands"]) == {"reproduce", "sweep_beta"}
+    assert set(doc["commands"]) == {"reproduce", "sweep_beta", "gibbs_18"}
     assert doc["commands"]["sweep_beta"]["argv"][-4:] == ["--beta-grid", "0.5:6:56", "--out", "<tmp>/two_phase.csv"]
     for timing in doc["commands"].values():
         assert set(timing) == {"argv", "seconds", "median", "q1", "q3"}
