@@ -106,6 +106,8 @@ class Distribution:
             return 0.0
         i = state_index(values, self._basis)
         keys, order = self._sorted
+        if keys.shape[0] == 1 << self._width:  # every state: the sorted keys are 0..2^w - 1
+            return float(self.probs[order[i]])
         k = int(np.searchsorted(keys, i))
         return float(self.probs[order[k]]) if k < keys.shape[0] and keys[k] == i else 0.0
 
@@ -191,10 +193,9 @@ def conditional_probability(
 ) -> Distribution:
     """p(output | input), hidden nodes summed out.
 
-    When the whole machine can be enumerated it is read off the machine's
-    weighting: the input's 2^m_O rows of r, reshifted to the slice's own
-    minimum. Past the cap, the input's slice comes from ``prefix_energies``,
-    so the cap applies to the n - m_I free nodes.
+    When the whole machine can be enumerated it is the input's row of the
+    weighting's conditional table. Past the cap, the input's slice comes
+    from ``prefix_energies``, so the cap applies to the n - m_I free nodes.
     """
     m_o = bm.num_visible_output
     if m_o < 1:
@@ -206,10 +207,8 @@ def conditional_probability(
     except CapacityError:
         p = _boltzmann(prefix_energies(bm, v_input), beta)
         return Distribution._indexed(p.reshape(1 << m_o, -1).sum(axis=1), m_o, bm.basis)
-    first = state_index(SpinState(v_input, bm.basis).values, bm.basis) << m_o
-    r, m = wt.r[first:first + (1 << m_o)], wt.m[first:first + (1 << m_o)]
-    w = r * np.exp(-beta * (m - m.min()))
-    return Distribution._indexed(w / w.sum(), m_o, bm.basis)
+    i = state_index(SpinState(v_input, bm.basis).values, bm.basis)
+    return Distribution._indexed(wt.c[i], m_o, bm.basis)
 
 
 def negative_conditional_log_likelihood(bm: BoltzmannMachine, beta: float, ds: Dataset) -> float:
@@ -236,24 +235,20 @@ def dkl_beta_derivatives(bm: BoltzmannMachine, beta: float, ds: Dataset) -> tupl
     second = sum_v q(v) (Var(E) - Var(E | v))
 
     where the unconditional moments are under the full Boltzmann distribution
-    and the conditional ones under p(hidden | v) at the same beta. Both are
-    read off the machine's weighting.
+    and the conditional ones under p(hidden | v) at the same beta. The
+    weighting holds each visible row's conditional mean and variance, so
+    the full ones follow by the law of total variance (Chan, Golub and
+    LeVeque, Amer. Statist. 37, 1983): with p(v) the visible marginal,
+    E[E] = sum_v p(v) mean[v] and Var(E) = sum_v p(v) (var[v] + (mean[v] -
+    E[E])^2).
     """
     _check_width(bm, ds)
     wt = _weighting(bm, beta)
-    E = all_energies(bm).reshape(wt.w.shape)
-    # p[v, h] = w[v, h] s[v]: each moment is a weighted row sum, then a dot with s.
-    s = wt.u / (wt.r * wt.Z)
-    mean_E = float(s @ np.einsum("vh,vh->v", wt.w, E))
-    dev = E - mean_E
-    dev *= dev
-    var_E = float(s @ np.einsum("vh,vh->v", wt.w, dev))
-
-    v = _row_indices(ds.rows)  # every data row at once: p(h | v) is w[v] / r[v]
-    rows, p_cond = E[v], wt.w[v] / wt.r[v, None]
-    cond_mean = np.einsum("dh,dh->d", p_cond, rows)
-    cond_var = np.einsum("dh,dh->d", p_cond, (rows - cond_mean[:, None]) ** 2)
-    return float(ds.weights @ cond_mean) - mean_E, float(ds.weights @ (var_E - cond_var))
+    p = wt.u / wt.Z
+    mean_E = float(p @ wt.mean)
+    var_E = float(p @ (wt.var + (wt.mean - mean_E) ** 2))
+    v = _row_indices(ds.rows)
+    return float(ds.weights @ wt.mean[v]) - mean_E, float(ds.weights @ (var_E - wt.var[v]))
 
 
 def _check_width(bm: BoltzmannMachine, ds: Dataset) -> None:
@@ -282,14 +277,20 @@ def excited_mass_curve(bm: BoltzmannMachine, betas: np.ndarray) -> np.ndarray:
     return _excited_mass(len(ground), gaps, betas)
 
 
+def _excited_weights(num_ground: int, gaps: np.ndarray, betas: np.ndarray):
+    """Per beta, the excited states' weights w_s = exp(-beta d_s), their sum
+    S and the normaliser g + S, from the size and gaps of a ``ground_set``:
+    state s has probability w_s / (g + S), and all of them S / (g + S)."""
+    g = float(num_ground)
+    for b in np.asarray(betas, dtype=np.float64):
+        w = np.exp(-b * gaps)
+        S = float(w.sum())
+        yield w, S, g + S
+
+
 def _excited_mass(num_ground: int, gaps: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """``excited_mass_curve`` from the size and gaps of a ``ground_set``."""
-    g = float(num_ground)
-    out = np.empty(len(betas))
-    for i, b in enumerate(np.asarray(betas, dtype=np.float64)):
-        S = float(np.exp(-b * gaps).sum())
-        out[i] = S / (g + S)
-    return out
+    return np.array([S / z for _, S, z in _excited_weights(num_ground, gaps, betas)], dtype=np.float64)
 
 
 def _check_ground_monotone(bm: BoltzmannMachine, betas: np.ndarray, ground=None) -> tuple[bool, bool]:
@@ -314,12 +315,8 @@ def _check_excited_decrease(
     if gaps.size == 0:
         return True, None
     grid = np.asarray(betas, dtype=np.float64)
-    g = float(len(ground))
     for _ in range(8):
-        probs = np.empty((len(grid), gaps.shape[0]))
-        for i, b in enumerate(grid):
-            w = np.exp(-b * gaps)
-            probs[i] = w / (g + w.sum())
+        probs = np.array([w / z for w, _, z in _excited_weights(len(ground), gaps, grid)])
         diffs = np.diff(probs, axis=0)
         tol = 1e-13 * np.maximum(probs[:-1], probs[1:])
         increases = np.any(diffs > tol, axis=1)

@@ -166,6 +166,21 @@ class BoltzmannMachine:
         E.flags.writeable = False
         return E
 
+    @cached_property
+    def _row_gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (m, D) of the energy table as E[v, h], visible rows v:
+        m[v] = min_h E[v, h] and D = E - m[:, None], the gaps every beta
+        point of ``_weighting`` exponentiates. They do not depend on beta,
+        so they are built at most once per machine, beside the table (8·2^n
+        bytes more). Read them after ``check_capacity``, as ``_weighting``
+        does."""
+        E = self._energy_table.reshape(1 << self.num_visible, -1)
+        m = E.min(axis=1)
+        D = E - m[:, None]
+        m.flags.writeable = False
+        D.flags.writeable = False
+        return m, D
+
     def node_class(self, k: int) -> str:
         if k < self.num_visible_input:
             return "input"
@@ -328,29 +343,42 @@ def all_energies(bm: BoltzmannMachine) -> np.ndarray:
 
 
 class _Weighting(NamedTuple):
-    """Boltzmann weights of one machine at one beta, shifted per visible row.
+    """Per-visible-row statistics of one machine's Boltzmann weights at one beta.
 
-    With the table as E[v, h] and m[v] = min_h E[v, h]: w[v, h] =
-    exp(-beta (E[v, h] - m[v])), r[v] = sum_h w[v, h], u[v] = r[v] exp(-beta
-    (m[v] - min m)) and Z = sum u. The visible marginal is u / Z, the full
-    Boltzmann probabilities are w[v, h] u[v] / (r[v] Z), and p(h | v) is
-    w[v] / r[v].
+    With the table as E[v, h], m[v] = min_h E[v, h] and the gaps D = E -
+    m[:, None] (``_row_gaps``), the weights w[v, h] = exp(-beta D[v, h])
+    give r[v] = sum_h w[v, h], the row masses u[v] = r[v] exp(-beta (m[v] -
+    min m)) and Z = sum u; the visible marginal is u / Z. Under p(h | v) =
+    w[v] / r[v], E has mean ``mean[v]`` and variance ``var[v]``. ``c[i]``
+    is p(output | input i): input i's 2^m_O row masses, reshifted to their
+    own minimum and normalised. The weights themselves are not kept.
     """
 
     beta: float
-    w: np.ndarray
     r: np.ndarray
     m: np.ndarray
     u: np.ndarray
     Z: float
+    mean: np.ndarray
+    var: np.ndarray
+    c: np.ndarray
+
+
+# ``_weighting`` passes over the gaps in blocks of whole rows of about this
+# many entries (256 KB), so its two block buffers stay in cache; a longer
+# row is a block alone.
+_WEIGHT_BLOCK = 1 << 15
 
 
 def _weighting(bm: BoltzmannMachine, beta: float) -> _Weighting:
-    """The machine's weighting at ``beta``, by one exp of its energy table.
+    """The machine's weighting at ``beta``, by one blocked pass over its row gaps.
 
-    Like the table, it is kept read-only on the immutable machine, in a
-    one-entry slot keyed by beta: the quantities of one beta point share it,
-    and a new beta replaces it. The cap is checked on every call.
+    Each block's weights w = exp(-beta D) give its rows' r, then mean gap
+    a = sum_h w D / r, then variance sum_h w (D - a)^2 / r; a row's sums see
+    only its own entries, so the blocking does not change a bit. The slot is
+    kept read-only on the immutable machine, keyed by beta: the quantities
+    of one beta point share it, and a new beta replaces it. The cap is
+    checked on every call.
     """
     check_capacity(bm.num_nodes)
     beta = float(beta)
@@ -359,17 +387,29 @@ def _weighting(bm: BoltzmannMachine, beta: float) -> _Weighting:
     slot = bm.__dict__.get("_weighting")
     if slot is not None and slot.beta == beta:
         return slot
-    bm.__dict__.pop("_weighting", None)  # free the old weights before making new ones
-    E = all_energies(bm).reshape(1 << bm.num_visible, -1)
-    m = E.min(axis=1)
-    w = E - m[:, None]
-    w *= -beta
-    np.exp(w, out=w)
-    r = w.sum(axis=1)
+    m, D = bm._row_gaps
+    rows, cols = D.shape
+    step = max(1, _WEIGHT_BLOCK // cols)
+    w_buf, t_buf = np.empty((min(step, rows), cols)), np.empty((min(step, rows), cols))
+    r, a, var = np.empty(rows), np.empty(rows), np.empty(rows)
+    for start in range(0, rows, step):
+        rows_b = slice(start, start + step)
+        D_b = D[rows_b]
+        w, t = w_buf[:D_b.shape[0]], t_buf[:D_b.shape[0]]
+        np.exp(np.multiply(D_b, -beta, out=w), out=w)
+        w.sum(axis=1, out=r[rows_b])
+        np.divide(np.einsum("vh,vh->v", w, D_b), r[rows_b], out=a[rows_b])
+        np.subtract(D_b, a[rows_b, None], out=t)
+        t *= t
+        np.divide(np.einsum("vh,vh->v", w, t), r[rows_b], out=var[rows_b])
     u = r * np.exp(-beta * (m - m.min()))
-    for a in (w, r, m, u):
-        a.flags.writeable = False
-    slot = _Weighting(beta, w, r, m, u, float(u.sum()))
+    m_in = m.reshape(1 << bm.num_visible_input, -1)
+    c = r.reshape(m_in.shape) * np.exp(-beta * (m_in - m_in.min(axis=1, keepdims=True)))
+    c /= c.sum(axis=1, keepdims=True)
+    mean = m + a
+    for x in (r, u, mean, var, c):
+        x.flags.writeable = False
+    slot = _Weighting(beta, r, m, u, float(u.sum()), mean, var, c)
     object.__setattr__(bm, "_weighting", slot)
     return slot
 

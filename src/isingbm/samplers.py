@@ -115,6 +115,22 @@ class SampleSet:
         index = np.sort(_row_indices(states))
         if np.any(index[1:] == index[:-1]):
             raise ValueError("states must be distinct")
+        self._freeze(states, counts)
+
+    @classmethod
+    def _indexed(
+        cls, index: np.ndarray, counts: np.ndarray, num_nodes: int, basis: Basis, beta: float, backend_id: str
+    ) -> "SampleSet":
+        """Unchecked constructor, for draws made here: distinct lexicographic
+        state indices of ``num_nodes`` nodes with positive integer counts."""
+        ss = cls.__new__(cls)
+        for name, value in (("beta", beta), ("num_reads", int(counts.sum())), ("backend_id", backend_id),
+                            ("basis", basis), ("exhaustive", False)):
+            object.__setattr__(ss, name, value)
+        ss._freeze(_state_rows(index, num_nodes, basis), counts.astype(np.float64))
+        return ss
+
+    def _freeze(self, states: np.ndarray, counts: np.ndarray) -> None:
         states.flags.writeable = False
         counts.flags.writeable = False
         object.__setattr__(self, "states", states)
@@ -149,23 +165,27 @@ def exact_sample(bm: BoltzmannMachine, cfg: SamplerConfig) -> SampleSet:
     return _index_sample_set(draws, bm, cfg, "exact")
 
 
-def _index_sample_set(
-    draws: np.ndarray, bm: BoltzmannMachine, cfg: SamplerConfig, backend_id: str,
-    weights: np.ndarray | None = None,
+def _index_sample_set(draws: np.ndarray, bm: BoltzmannMachine, cfg: SamplerConfig, backend_id: str) -> SampleSet:
+    """Sample set of lexicographic state indices drawn here, each read once;
+    ``np.unique`` makes them distinct, so the set skips re-validation."""
+    idx, counts = np.unique(draws, return_counts=True)
+    return SampleSet._indexed(idx, counts, bm.num_nodes, bm.basis, cfg.beta, backend_id)
+
+
+def _tally(
+    index: np.ndarray, weights: np.ndarray, num_nodes: int, basis: Basis, beta: float, backend_id: str
 ) -> SampleSet:
-    """Sample set of lexicographic state indices, each read once or ``weights`` times."""
-    if weights is None:
-        idx, counts = np.unique(draws, return_counts=True)
-    else:
-        idx, inverse = np.unique(draws, return_inverse=True)
-        counts = np.bincount(inverse, weights=weights)
+    """Checked sample set of state indices read ``weights`` times each, equal
+    indices merged."""
+    idx, inverse = np.unique(index, return_inverse=True)
+    counts = np.bincount(inverse, weights=weights)
     return SampleSet(
-        states=_state_rows(idx, bm.num_nodes, bm.basis),
+        states=_state_rows(idx, num_nodes, basis),
         counts=counts,
-        beta=cfg.beta,
+        beta=beta,
         num_reads=int(counts.sum()),
         backend_id=backend_id,
-        basis=bm.basis,
+        basis=basis,
     )
 
 
@@ -360,7 +380,7 @@ def remote_sample(
 
     # Duplicate rows are merged, keeping the reported multiplicities.
     backend_id = str(doc.get("backend_id", f"remote({endpoint})"))
-    return _index_sample_set(_row_indices(samples), bm, cfg, backend_id, counts)
+    return _tally(_row_indices(samples), counts, bm.num_nodes, bm.basis, cfg.beta, backend_id)
 
 
 def draw_samples(
@@ -429,18 +449,8 @@ def merge_sample_sets(sets: Sequence[SampleSet]) -> SampleSet:
         raise ValueError("exhaustive sample sets cannot be merged")
     if any(s.basis is not first.basis or s.num_nodes != first.num_nodes for s in sets):
         raise ValueError("sample sets disagree on basis or node count")
-    index, inverse = np.unique(
-        np.concatenate([_row_indices(s.states) for s in sets]), return_inverse=True
-    )
-    counts = np.bincount(inverse, weights=np.concatenate([s.counts for s in sets]))
-    return SampleSet(
-        states=_state_rows(index, first.num_nodes, first.basis),
-        counts=counts,
-        beta=first.beta,
-        num_reads=int(counts.sum()),
-        backend_id=first.backend_id,
-        basis=first.basis,
-    )
+    return _tally(np.concatenate([_row_indices(s.states) for s in sets]), np.concatenate([s.counts for s in sets]),
+                  first.num_nodes, first.basis, first.beta, first.backend_id)
 
 
 # -- files ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isingbm.datasets import adder2, from_rows, load_fixture
+from isingbm.datasets import adder2, from_rows, load_fixture, two_phase
 from isingbm.errors import CapacityError
 from isingbm.metrics import (
     boltzmann_probabilities,
@@ -25,6 +25,7 @@ from isingbm.model import (
     all_energies,
     clamp_visible,
     complete_pairs,
+    convert_basis,
     energies,
     ground_set,
     ground_states,
@@ -447,7 +448,8 @@ def test_weighting_slot_holds_one_beta_and_the_cap_still_applies(rng, enumeratio
     bm = random_machine(2, 1, 3, rng)
     slot = _weighting(bm, 2.0)
     assert _weighting(bm, 2.0) is slot
-    assert not slot.w.flags.writeable and not slot.u.flags.writeable
+    assert not any(x.flags.writeable for x in (slot.r, slot.m, slot.u, slot.mean, slot.var, slot.c))
+    assert not any(x.flags.writeable for x in bm._row_gaps)
     other = _weighting(bm, 3.0)
     assert other is not slot and other.beta == 3.0
     assert bm._weighting is other  # the new beta replaced the entry
@@ -468,3 +470,93 @@ def test_weighting_slot_holds_one_beta_and_the_cap_still_applies(rng, enumeratio
     enumeration_cap(4)
     np.testing.assert_allclose(conditional_probability(bm, 3.0, (1, 0)).probs,
                                within, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------- the blocked pass
+#
+# The weighting keeps per-visible-row statistics, built by one pass over the
+# row gaps in blocks of whole rows. The references are the parent's formulas:
+# one exp of the whole table shifted per row, and one conditional per input
+# slice.
+
+
+def per_slice_marginal_and_conditionals(bm, beta):
+    E = all_energies(bm).reshape(1 << bm.num_visible, -1)
+    m = E.min(axis=1)
+    w = E - m[:, None]
+    w *= -beta
+    np.exp(w, out=w)
+    r = w.sum(axis=1)
+    u = r * np.exp(-beta * (m - m.min()))
+    conds = []
+    m_o = bm.num_visible_output
+    for first in range(0, 1 << bm.num_visible, 1 << m_o):
+        r_i, m_i = r[first:first + (1 << m_o)], m[first:first + (1 << m_o)]
+        w_i = r_i * np.exp(-beta * (m_i - m_i.min()))
+        conds.append(w_i / w_i.sum())
+    return u / u.sum(), conds
+
+
+def fixtures_and_random_machines(basis):
+    rng = np.random.default_rng(7 + (basis is Basis.PLUS_MINUS))
+    machines = [load_fixture("adder_function"), load_fixture("two_phase_trained")]
+    if basis is Basis.PLUS_MINUS:
+        machines = [convert_basis(bm) for bm in machines]
+    machines += [random_machine(*(int(k) for k in rng.integers(0, 4, size=3)), rng, scale=2.0, basis=basis)
+                 for _ in range(8)]
+    return machines + [random_machine(2, 2, 0, rng, basis=basis)]
+
+
+def weighting_bytes(bm, beta):
+    from isingbm.model import _weighting
+
+    bm.__dict__.pop("_weighting", None)
+    slot = _weighting(bm, beta)
+    return [slot.beta, slot.Z] + [x.tobytes() for x in (slot.r, slot.m, slot.u, slot.mean, slot.var, slot.c)]
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_weighting_blocks_do_not_change_a_bit(basis, monkeypatch):
+    import isingbm.model
+
+    for bm in fixtures_and_random_machines(basis):
+        cols = 1 << bm.num_hidden
+        monkeypatch.setattr(isingbm.model, "_WEIGHT_BLOCK", 1 << 30)  # one block
+        whole = weighting_bytes(bm, 1.3)
+        monkeypatch.setattr(isingbm.model, "_WEIGHT_BLOCK", cols)  # one row a block
+        assert weighting_bytes(bm, 1.3) == whole
+        monkeypatch.setattr(isingbm.model, "_WEIGHT_BLOCK", 3 * cols)  # 3 rows: no divisor of 2^m
+        assert weighting_bytes(bm, 1.3) == whole
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_weighting_slot_holds_only_per_row_arrays(basis):
+    from isingbm.model import _weighting
+
+    for bm in fixtures_and_random_machines(basis):
+        slot = _weighting(bm, 2.0)
+        rows = (1 << bm.num_visible,)
+        assert slot.r.shape == slot.m.shape == slot.u.shape == slot.mean.shape == slot.var.shape == rows
+        assert slot.c.shape == (1 << bm.num_visible_input, 1 << bm.num_visible_output)
+        assert bm._row_gaps[1].shape == (1 << bm.num_visible, 1 << bm.num_hidden)
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+@pytest.mark.parametrize("beta", [0.01, 0.7, 5.0, 50.0])
+def test_marginal_and_conditionals_are_the_per_slice_formulas_byte_for_byte(basis, beta):
+    for bm in fixtures_and_random_machines(basis):
+        marginal, conds = per_slice_marginal_and_conditionals(bm, beta)
+        assert visible_marginal(bm, beta).probs.tobytes() == marginal.tobytes()
+        if bm.num_visible_output:
+            for v_input, ref in zip(state_matrix(bm.num_visible_input, basis), conds):
+                assert conditional_probability(bm, beta, tuple(v_input)).probs.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.01, 50.0])
+@pytest.mark.parametrize("name", ["two_phase_trained", "adder_function"])
+def test_beta_derivatives_on_the_fixtures_match_the_naive_moments(name, beta):
+    bm, ds = load_fixture(name), two_phase(10) if name == "two_phase_trained" else adder2()
+    got = dkl_beta_derivatives(bm, beta, ds)
+    ref = ref_dkl_beta_derivatives(bm, beta, ds)
+    for x, y in zip(got, ref):
+        assert abs(x - y) <= 1e-12 * max(1.0, abs(y))

@@ -72,6 +72,30 @@ def test_sample_set_refuses_values_outside_its_basis():
         SampleSet(np.array([[0, 1]]), np.array([1]), 1.0, 1, "t", basis=Basis.PLUS_MINUS)
 
 
+@pytest.mark.parametrize("basis", list(Basis))
+def test_drawn_sets_skip_the_checks_and_the_public_constructor_keeps_them(rng, basis):
+    bm = random_machine(2, 1, 3, rng, basis=basis)
+    for backend in (Backend.EXACT, Backend.GIBBS):
+        cfg = SamplerConfig(beta=1.5, num_reads=300, seed=4, backend=backend, burn_in=10, thinning=1, num_chains=3)
+        with mock.patch.object(SampleSet, "__post_init__", side_effect=AssertionError("re-validated")):
+            ss = draw_samples(bm, cfg)
+        checked = SampleSet(ss.states.copy(), ss.counts.copy(), ss.beta, ss.num_reads, ss.backend_id, basis=basis)
+        for got, ref in ((ss.states, checked.states), (ss.counts, checked.counts)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes() and not got.flags.writeable
+        assert (ss.beta, ss.num_reads, ss.backend_id, ss.basis, ss.exhaustive) == \
+            (checked.beta, checked.num_reads, checked.backend_id, checked.basis, checked.exhaustive)
+
+        with pytest.raises(ValueError, match="^states must be distinct$"):
+            SampleSet(np.vstack([ss.states, ss.states[:1]]), np.append(ss.counts, 1), 1.5, ss.num_reads + 1,
+                      "t", basis=basis)
+        with pytest.raises(ValueError, match="sum to num_reads"):
+            SampleSet(ss.states, ss.counts, 1.5, ss.num_reads + 1, "t", basis=basis)
+        with pytest.raises(ValueError, match="positive integers"):
+            SampleSet(ss.states, ss.counts - 0.5, 1.5, ss.num_reads, "t", basis=basis)
+        with pytest.raises(ValueError, match="not in basis"):
+            SampleSet(2 * ss.states, ss.counts, 1.5, ss.num_reads, "t", basis=basis)
+
+
 # ---------------------------------------------------------------- exact backend
 
 
