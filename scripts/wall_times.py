@@ -9,6 +9,8 @@ with its ``src`` first on ``PYTHONPATH``:
 * ``reproduce``: ``isingbm reproduce --quick`` into a temporary directory;
 * ``sweep_beta``: ``isingbm sweep-beta --model two_phase_trained --dataset
   two_phase --beta-grid 0.5:6:56`` (18 nodes) into a temporary file;
+* ``sweep_beta_500``: the same sweep over ``0.5:6:500``, so that the beta
+  points and not process start-up and the table build dominate;
 * ``gibbs_18``: ``isingbm sample --model two_phase_trained --backend gibbs
   --reads 20000 --chains 10 --burn-in 1000 --thinning 10`` (18 nodes, 3.8 M
   site updates, so the draw and not process start-up dominates) into a
@@ -46,6 +48,8 @@ def commands(out: Path, skip_tier1: bool) -> dict[str, list[str]]:
         "reproduce": CLI + ["reproduce", "--quick", "--out", str(out / "reproduce")],
         "sweep_beta": CLI + ["sweep-beta", "--model", "two_phase_trained", "--dataset", "two_phase",
                              "--beta-grid", "0.5:6:56", "--out", str(out / "two_phase.csv")],
+        "sweep_beta_500": CLI + ["sweep-beta", "--model", "two_phase_trained", "--dataset", "two_phase",
+                                 "--beta-grid", "0.5:6:500", "--out", str(out / "two_phase_500.csv")],
         "gibbs_18": CLI + ["sample", "--model", "two_phase_trained", "--backend", "gibbs", "--reads", "20000",
                            "--chains", "10", "--burn-in", "1000", "--thinning", "10", "--out", str(out / "gibbs_18.json")],
     }

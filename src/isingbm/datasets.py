@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DatasetFormatError
-from .model import BoltzmannMachine, _replacing, model_from_dict
+from .model import BoltzmannMachine, _replacing, _row_indices, model_from_dict
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,16 @@ class Dataset:
     rows: np.ndarray                     # (D, m) of 0/1
     weights: np.ndarray                  # (D,), > 0, sums to 1
     io_split: tuple[int, int] | None = None
-    # every row as an int tuple, built once: `rows` is read-only
+    # every row as an int tuple and its lexicographic index (``model._row_indices``),
+    # built once: `rows` is a read-only copy
     _row_tuples: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int8)
+        rows = np.array(self.rows, dtype=np.int8)  # a copy: freezing it leaves the caller's array alone
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-D array")
-        weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
+        weights = np.array(self.weights, dtype=np.float64).reshape(-1)
         if weights.shape[0] != rows.shape[0]:
             raise ValueError("one weight per row required")
         if np.any(weights <= 0):
@@ -50,11 +52,13 @@ class Dataset:
             m_i, m_o = self.io_split
             if m_i < 0 or m_o < 0 or m_i + m_o != rows.shape[1]:
                 raise ValueError("io_split must partition the row width")
-        rows.flags.writeable = False
-        weights.flags.writeable = False
+        indices = _row_indices(rows)
+        for x in (rows, weights, indices):
+            x.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_row_tuples", row_tuples)
+        object.__setattr__(self, "_indices", indices)
 
     @property
     def num_rows(self) -> int:

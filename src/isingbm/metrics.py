@@ -8,7 +8,7 @@ They are pure functions of immutable inputs. The Boltzmann weights come from
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -18,7 +18,6 @@ from .errors import CapacityError
 from .model import (
     Basis,
     BoltzmannMachine,
-    SpinState,
     _basis_of,
     _boltzmann,
     _row_indices,
@@ -35,6 +34,18 @@ if TYPE_CHECKING:  # avoid a runtime cycle with samplers
 
 DEFAULT_BETA_GRID = np.geomspace(0.1, 10.0, 40)
 
+# Each basis's symbols as a set, for the per-call membership checks.
+_SYMBOLS = {basis: frozenset(basis.symbols) for basis in Basis}
+
+
+@lru_cache(maxsize=8)
+def _every_index(width: int) -> np.ndarray:
+    """Read-only 0..2^width - 1: the index of every support that holds all
+    states of ``width`` nodes in order, shared by all of them."""
+    index = np.arange(1 << width, dtype=np.int64)
+    index.flags.writeable = False
+    return index
+
 
 class Distribution:
     """Probabilities over an explicit support of configurations.
@@ -43,8 +54,12 @@ class Distribution:
     the given order) with their width and basis, so equal indices mean equal
     states; ``support`` as tuples is built on first use. The {0,1} and
     {-1,+1} alphabets share one state, all ones, and lookups across them
-    match it alone, as equal tuples would.
+    match it alone, as equal tuples would. ``_every`` marks a support of
+    every state in order (``_indexed`` without an index), where a state's
+    index is its position.
     """
+
+    _every = False
 
     def __init__(self, support: Sequence[Sequence[int]], probs: Sequence[float]):
         support = list(support)
@@ -69,8 +84,9 @@ class Distribution:
         indices (every state of ``width`` nodes, in order, when omitted)."""
         dist = cls.__new__(cls)
         if index is None:
-            index = np.arange(1 << width, dtype=np.int64)
+            index = _every_index(width)
             dist._sorted = (index, index)  # already in order
+            dist._every = True
         dist._set(index, np.asarray(probs, dtype=np.float64), width, basis)
         return dist
 
@@ -101,13 +117,13 @@ class Distribution:
         return {s: float(p) for s, p in zip(self.support, self.probs)}
 
     def prob(self, state: Sequence[int]) -> float:
-        values = tuple(int(v) for v in state)
-        if len(values) != self._width or not set(values) <= set(self._basis.symbols):
+        values = tuple(map(int, state))
+        if len(values) != self._width or not _SYMBOLS[self._basis].issuperset(values):
             return 0.0
         i = state_index(values, self._basis)
+        if self._every:
+            return float(self.probs[i])
         keys, order = self._sorted
-        if keys.shape[0] == 1 << self._width:  # every state: the sorted keys are 0..2^w - 1
-            return float(self.probs[order[i]])
         k = int(np.searchsorted(keys, i))
         return float(self.probs[order[k]]) if k < keys.shape[0] and keys[k] == i else 0.0
 
@@ -154,7 +170,7 @@ def visible_marginal(bm: BoltzmannMachine, beta: float) -> Distribution:
 
 
 def dataset_distribution(ds: Dataset) -> Distribution:
-    return Distribution._indexed(ds.weights, ds.num_bits, _basis_of(ds.rows), _row_indices(ds.rows))
+    return Distribution._indexed(ds.weights, ds.num_bits, _basis_of(ds.rows), ds._indices)
 
 
 def _probs_of(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +187,11 @@ def _probs_of(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndarray]
 def kl_divergence(q: Distribution, p: Distribution) -> float:
     """D(q || p) = sum q ln(q/p); +inf when p misses mass where q has some."""
     has = q.probs > 0.0
-    q_v, p_v = q.probs[has], _probs_of(p, q)[0][has]
+    if p._every and p._width == q._width and p._basis is q._basis:
+        p_on_q = p.probs[q._index]  # a state's index is its position in p
+    else:
+        p_on_q = _probs_of(p, q)[0]
+    q_v, p_v = q.probs[has], p_on_q[has]
     if np.any(p_v <= 0.0):
         return float("inf")
     # Clip the tiny negative float residue that appears when q == p.
@@ -207,8 +227,11 @@ def conditional_probability(
     except CapacityError:
         p = _boltzmann(prefix_energies(bm, v_input), beta)
         return Distribution._indexed(p.reshape(1 << m_o, -1).sum(axis=1), m_o, bm.basis)
-    i = state_index(SpinState(v_input, bm.basis).values, bm.basis)
-    return Distribution._indexed(wt.c[i], m_o, bm.basis)
+    values = tuple(map(int, v_input))
+    if not _SYMBOLS[bm.basis].issuperset(values):
+        bad = [v for v in values if v not in _SYMBOLS[bm.basis]]
+        raise ValueError(f"state values {bad} not in basis {bm.basis.value}")
+    return Distribution._indexed(wt.c[state_index(values, bm.basis)], m_o, bm.basis)
 
 
 def negative_conditional_log_likelihood(bm: BoltzmannMachine, beta: float, ds: Dataset) -> float:
@@ -247,7 +270,7 @@ def dkl_beta_derivatives(bm: BoltzmannMachine, beta: float, ds: Dataset) -> tupl
     p = wt.u / wt.Z
     mean_E = float(p @ wt.mean)
     var_E = float(p @ (wt.var + (wt.mean - mean_E) ** 2))
-    v = _row_indices(ds.rows)
+    v = ds._indices
     return float(ds.weights @ wt.mean[v]) - mean_E, float(ds.weights @ (var_E - wt.var[v]))
 
 

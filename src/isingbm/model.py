@@ -373,12 +373,17 @@ _WEIGHT_BLOCK = 1 << 15
 def _weighting(bm: BoltzmannMachine, beta: float) -> _Weighting:
     """The machine's weighting at ``beta``, by one blocked pass over its row gaps.
 
-    Each block's weights w = exp(-beta D) give its rows' r, then mean gap
-    a = sum_h w D / r, then variance sum_h w (D - a)^2 / r; a row's sums see
-    only its own entries, so the blocking does not change a bit. The slot is
-    kept read-only on the immutable machine, keyed by beta: the quantities
-    of one beta point share it, and a new beta replaces it. The cap is
-    checked on every call.
+    Each block's weights w = exp(-beta D) give its rows' r = sum_h w, and
+    two batched row dot products the raw moments s1 = sum_h w D and s2 =
+    sum_h (w D) D: the mean gap is a = s1 / r and the variance max(s2 / r -
+    a^2, 0). A row's sums see only its own entries, so the blocking does
+    not change a bit. The one-pass variance cancels only mildly (Chan,
+    Golub and LeVeque, Amer. Statist. 37, 1983): a row's smallest gap is 0,
+    with weight 1, so var >= a^2 / r, and its relative error is at most
+    about 1 + 2 r times that of the dot products, (1 + 2 r)(2^n_h + 2) eps
+    in the worst case. The slot is kept read-only on the immutable machine,
+    keyed by beta: the quantities of one beta point share it, and a new
+    beta replaces it. The cap is checked on every call.
     """
     check_capacity(bm.num_nodes)
     beta = float(beta)
@@ -391,17 +396,19 @@ def _weighting(bm: BoltzmannMachine, beta: float) -> _Weighting:
     rows, cols = D.shape
     step = max(1, _WEIGHT_BLOCK // cols)
     w_buf, t_buf = np.empty((min(step, rows), cols)), np.empty((min(step, rows), cols))
-    r, a, var = np.empty(rows), np.empty(rows), np.empty(rows)
+    r, s1, s2 = np.empty(rows), np.empty((rows, 1, 1)), np.empty((rows, 1, 1))
     for start in range(0, rows, step):
         rows_b = slice(start, start + step)
         D_b = D[rows_b]
         w, t = w_buf[:D_b.shape[0]], t_buf[:D_b.shape[0]]
         np.exp(np.multiply(D_b, -beta, out=w), out=w)
         w.sum(axis=1, out=r[rows_b])
-        np.divide(np.einsum("vh,vh->v", w, D_b), r[rows_b], out=a[rows_b])
-        np.subtract(D_b, a[rows_b, None], out=t)
-        t *= t
-        np.divide(np.einsum("vh,vh->v", w, t), r[rows_b], out=var[rows_b])
+        np.matmul(w[:, None, :], D_b[:, :, None], out=s1[rows_b])
+        np.matmul(np.multiply(w, D_b, out=t)[:, None, :], D_b[:, :, None], out=s2[rows_b])
+    a = s1.reshape(rows) / r
+    var = s2.reshape(rows) / r
+    var -= a * a
+    np.maximum(var, 0.0, out=var)
     u = r * np.exp(-beta * (m - m.min()))
     m_in = m.reshape(1 << bm.num_visible_input, -1)
     c = r.reshape(m_in.shape) * np.exp(-beta * (m_in - m_in.min(axis=1, keepdims=True)))
@@ -469,9 +476,12 @@ def _split_energies(biases: np.ndarray, J: np.ndarray, basis: Basis) -> np.ndarr
 def state_index(values: Sequence[int], basis: Basis = Basis.ZERO_ONE) -> int:
     """Lexicographic index of a configuration (inverse of ``state_matrix`` rows)."""
     idx = 0
-    for v in values:
-        bit = int(v) if basis is Basis.ZERO_ONE else (int(v) + 1) // 2
-        idx = (idx << 1) | bit
+    if basis is Basis.ZERO_ONE:
+        for v in values:
+            idx = (idx << 1) | int(v)
+    else:
+        for v in values:
+            idx = (idx << 1) | (int(v) + 1) // 2
     return idx
 
 

@@ -95,10 +95,10 @@ class SampleSet:
     exhaustive: bool = False
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.int8)
+        states = np.array(self.states, dtype=np.int8)  # copies: freezing them leaves the caller's arrays alone
         if states.ndim != 2:
             raise ValueError("states must be a 2-D array")
-        counts = np.asarray(self.counts, dtype=np.float64).reshape(-1)
+        counts = np.array(self.counts, dtype=np.float64).reshape(-1)
         if counts.shape[0] != states.shape[0]:
             raise ValueError("one count per state required")
         if self.exhaustive:

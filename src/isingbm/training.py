@@ -47,7 +47,6 @@ from .model import (
     SpinState,
     _boltzmann,
     _replacing,
-    _row_indices,
     all_energies,
     cached_state_table,
     clamp_visible,
@@ -313,7 +312,7 @@ def grad_dkl(
             cached_state_table(h, basis),
             cached_state_table(n - h, basis),
         )
-        E_rows = E.reshape(1 << m, -1)[_row_indices(V)]
+        E_rows = E.reshape(1 << m, -1)[dataset._indices]
         W = dataset.weights[:, None] * _boltzmann(E_rows, cfg.beta)
         data = _moments(W, V, cached_state_table(n - m, basis))
         return _estimate(bm, data[0] - model[0], data[1] - model[1])

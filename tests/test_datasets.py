@@ -14,6 +14,7 @@ from isingbm.datasets import (
     two_phase,
 )
 from isingbm.errors import DatasetFormatError
+from isingbm.model import state_index
 
 
 def test_row_accessors_serve_int_tuples_of_the_rows():
@@ -25,6 +26,20 @@ def test_row_accessors_serve_int_tuples_of_the_rows():
         assert all(type(b) is int for b in ds.row(d))
     with pytest.raises(ValueError):
         from_rows(ds.rows).input_part(0)
+
+
+def test_dataset_copies_the_callers_arrays_before_freezing():
+    rows, weights = np.array([[0, 1], [1, 1]], dtype=np.int8), np.array([0.25, 0.75])
+    ds = Dataset(rows, weights)
+    rows[0, 0], weights[0] = 1, 0.5  # the caller's arrays stay writeable
+    assert ds.rows.tolist() == [[0, 1], [1, 1]] and ds.weights.tolist() == [0.25, 0.75]
+    assert not ds.rows.flags.writeable and not ds.weights.flags.writeable
+
+
+def test_dataset_keeps_each_rows_state_index():
+    for ds in (adder2(), two_phase(10), from_rows([(1, 1, 0), (0, 0, 1)])):
+        assert ds._indices.tolist() == [state_index(ds.row(d)) for d in range(ds.num_rows)]
+        assert not ds._indices.flags.writeable
 
 
 def test_xor_rows_match_truth_table():

@@ -560,3 +560,87 @@ def test_beta_derivatives_on_the_fixtures_match_the_naive_moments(name, beta):
     ref = ref_dkl_beta_derivatives(bm, beta, ds)
     for x, y in zip(got, ref):
         assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
+
+
+# ---------------------------------------------------------------- the raw moments
+#
+# The weighting's variance is s2 / r - a^2 from one pass. A row's smallest gap
+# is 0, with weight 1, so var >= a^2 / r: the cancellation multiplies the
+# relative rounding of the dot products by at most about 1 + 2 r, and that
+# rounding is at most (2^n_h + 2) eps.
+
+
+def weighting_of_gaps(D, beta):
+    """The weighting of a machine of log2(rows) visible and log2(cols) hidden
+    nodes whose row gaps are ``D`` (each row's smallest gap 0)."""
+    from isingbm.model import _weighting
+
+    rows, cols = D.shape
+    m_v, n_h = rows.bit_length() - 1, cols.bit_length() - 1
+    bm = BoltzmannMachine(m_v, 0, n_h, np.zeros(m_v + n_h), {})
+    bm.__dict__["_row_gaps"] = (np.zeros(rows), D)
+    return _weighting(bm, beta)
+
+
+def two_pass_variance(D, beta):
+    w = np.exp(-beta * D)
+    r = w.sum(axis=1)
+    a = (w * D).sum(axis=1) / r
+    return (w * (D - a[:, None]) ** 2).sum(axis=1) / r
+
+
+def exact_variance(w, d):
+    """Variance of the gaps ``d`` under the weights ``w``, in rational arithmetic."""
+    from fractions import Fraction
+
+    w, d = [Fraction(x) for x in w], [Fraction(x) for x in d]
+    r = sum(w)
+    a = sum(x * y for x, y in zip(w, d)) / r
+    return float(sum(x * (y - a) ** 2 for x, y in zip(w, d)) / r)
+
+
+def variance_bound(r, cols):
+    return (1 + 2 * r) * (cols + 2) * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("num_hidden", [1, 5, 10])
+def test_raw_moment_variance_of_adversarial_rows_is_within_the_bound(num_hidden):
+    # one zero gap and 2^n_h - 1 gaps delta: at small beta delta, var / a^2 is
+    # about 1 / (2^n_h - 1), as far below a^2 as a row allows
+    cols = 1 << num_hidden
+    D = np.repeat(np.geomspace(1e-6, 3.0, 8)[:, None], cols, axis=1)
+    D[:, 0] = 0.0
+    for beta in (0.01, 1.0, 10.0):
+        slot = weighting_of_gaps(D, beta)
+        two_pass = two_pass_variance(D, beta)
+        w = np.exp(-beta * D)
+        for v in range(D.shape[0]):
+            exact = exact_variance(w[v], D[v])
+            bound = variance_bound(slot.r[v], cols) * exact
+            assert slot.var[v] > 0.0
+            assert abs(slot.var[v] - exact) <= bound
+            assert abs(slot.var[v] - two_pass[v]) <= bound
+
+
+def test_rows_of_equal_gaps_have_variance_exactly_zero():
+    from isingbm.model import _weighting
+
+    # every gap of a row equal means every gap 0, a row's smallest gap being 0
+    for beta in (0.01, 1.0, 100.0):
+        slot = weighting_of_gaps(np.zeros((4, 64)), beta)
+        assert np.all(slot.var == 0.0) and np.all(slot.mean == 0.0)
+    flat = BoltzmannMachine(2, 1, 4, np.zeros(7), {})
+    assert np.all(_weighting(flat, 2.0).var == 0.0)
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_raw_moment_variances_are_never_negative_and_match_the_two_pass_formula(basis):
+    from isingbm.model import _weighting
+
+    for bm in fixtures_and_random_machines(basis):
+        D = bm._row_gaps[1]
+        for beta in (0.01, 1.0, 50.0, 100.0):
+            slot = _weighting(bm, beta)
+            ref = two_pass_variance(D, beta)
+            assert np.all(slot.var >= 0.0)
+            assert np.all(np.abs(slot.var - ref) <= variance_bound(slot.r, D.shape[1]) * ref)

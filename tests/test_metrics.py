@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,15 @@ from isingbm.metrics import (
     visible_marginal,
 )
 from isingbm.metrics import _golden_section
-from isingbm.model import Basis, BoltzmannMachine, all_energies, convert_basis, random_machine, state_index
+from isingbm.model import (
+    Basis,
+    BoltzmannMachine,
+    SpinState,
+    all_energies,
+    convert_basis,
+    random_machine,
+    state_index,
+)
 from isingbm.samplers import Backend, SamplerConfig, exact_sample, gibbs_sample
 
 
@@ -127,6 +137,87 @@ def test_distribution_past_62_nodes():
     assert kl_divergence(dist, dist) == 0.0
     with pytest.raises(ValueError, match="distinct"):
         Distribution([rows[0], rows[0]], [0.5, 0.5])
+
+
+# A support of every state in order (the visible marginal, model
+# probabilities, conditionals) answers ``prob`` and ``kl_divergence`` by
+# index; the same distribution through the public constructor takes the
+# sorted search, the reference for every lookup.
+
+
+def searched_copy(dist):
+    return Distribution(dist.support, dist.probs)
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_prob_by_index_agrees_with_the_sorted_search(rng, basis):
+    fast = visible_marginal(random_machine(2, 1, 2, rng, basis=basis), 1.3)
+    slow = searched_copy(fast)
+    assert fast._every and not slow._every
+    lo, hi = basis.symbols
+    foreign = 0 if basis is Basis.PLUS_MINUS else -1  # a symbol of the other basis alone
+    queries = [
+        *fast.support,
+        (hi, lo), (hi, lo, hi, lo), (),  # wrong width
+        (foreign, hi, hi), (2, lo, hi),  # outside the basis
+        np.array([hi, lo, hi], dtype=np.int8), (np.int64(lo), np.int32(hi), np.int8(lo)),  # numpy ints
+        (1, 1, 1),  # all ones, a state of either basis
+    ]
+    for state in queries:
+        assert fast.prob(state) == slow.prob(state)
+    assert fast.prob((foreign, hi, hi)) == 0.0 and fast.prob((2, lo, hi)) == 0.0
+    assert fast.prob((1, 1, 1)) == float(fast.probs[-1])
+    assert all(type(fast.prob(s)) is float for s in queries)
+
+
+def test_every_state_supports_share_one_read_only_index(rng):
+    a = visible_marginal(random_machine(2, 1, 2, rng), 1.0)
+    b = model_probability(random_machine(3, 0, 1, rng), 2.0, projection=[0, 1, 2])
+    assert a._index is b._index and not a._index.flags.writeable
+    assert a._index.tolist() == list(range(8))
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_conditional_input_checks_match_the_state_checks(rng, basis):
+    bm = random_machine(2, 2, 1, rng, basis=basis)
+    lo, hi = basis.symbols
+    ref = conditional_probability(bm, 1.1, (hi, lo)).probs.tobytes()
+    for same in ((np.int64(hi), np.int8(lo)), np.array([hi, lo]), [float(hi), float(lo)]):
+        assert conditional_probability(bm, 1.1, same).probs.tobytes() == ref
+    ones = conditional_probability(bm, 1.1, (1, 1)).probs  # all ones, in either basis
+    assert ones.tobytes() == conditional_probability(bm, 1.1, (hi, hi)).probs.tobytes()
+    foreign = 0 if basis is Basis.PLUS_MINUS else -1
+    for bad in ((2, lo), (hi, foreign), (foreign, 3)):
+        with pytest.raises(ValueError) as want:
+            SpinState(bad, basis)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            conditional_probability(bm, 1.1, bad)
+    with pytest.raises(ValueError, match="expected 2 input values, got 3"):
+        conditional_probability(bm, 1.1, (lo, lo, lo))
+
+
+def test_kl_reads_an_every_state_support_by_index_and_any_other_through_find(rng, monkeypatch):
+    p = visible_marginal(random_machine(2, 1, 2, rng), 0.8)
+    calls = []
+    find = Distribution._find
+    monkeypatch.setattr(Distribution, "_find", lambda self, *a: calls.append(len(self.probs)) or find(self, *a))
+    q = dataset_distribution(from_rows([(0, 0, 1), (1, 1, 0), (1, 0, 1)], [0.2, 0.3, 0.5]))
+    fast = kl_divergence(q, p)
+    assert calls == []
+    assert fast == kl_divergence(q, searched_copy(p)) and calls == [8]  # the same bits
+    assert fast == pytest.approx(ref_kl(q, p), rel=1e-12)
+    for other in (
+        Distribution(p.support[1:6], p.probs[1:6] / p.probs[1:6].sum()),  # part of the states
+        Distribution(p.support[::-1], p.probs[::-1]),  # every state, out of order
+    ):
+        calls.clear()
+        assert kl_divergence(q, other) == pytest.approx(ref_kl(q, other), rel=1e-12) and calls == [len(other.probs)]
+    calls.clear()
+    q_pm = Distribution([(1, 1, 1), (-1, 1, 1)], [0.5, 0.5])  # another basis: only all ones matches
+    assert kl_divergence(q_pm, p) == ref_kl(q_pm, p) == float("inf") and calls == [8]
+    calls.clear()
+    q_ones = Distribution([(1, 1, 1), (-1, 1, 1)], [1.0, 0.0])  # {-1,+1}, its mass on all ones
+    assert kl_divergence(q_ones, p) == pytest.approx(-np.log(p.prob((1, 1, 1))), rel=1e-12) and calls == [8]
 
 
 # ---------------------------------------------------------------- model probability

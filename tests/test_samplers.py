@@ -50,6 +50,14 @@ def test_sample_set_invariants():
     SampleSet(np.array([[0], [1]]), np.array([0.5, 0.5]), 1.0, 0, "t", exhaustive=True)
 
 
+def test_sample_set_copies_the_callers_arrays_before_freezing():
+    states, counts = np.array([[0, 1], [1, 1]], dtype=np.int8), np.array([1.0, 2.0])
+    ss = SampleSet(states, counts, 1.0, 3, "t")
+    states[0, 0], counts[0] = 1, 5.0  # the caller's arrays stay writeable
+    assert ss.states.tolist() == [[0, 1], [1, 1]] and ss.counts.tolist() == [1.0, 2.0]
+    assert not ss.states.flags.writeable and not ss.counts.flags.writeable
+
+
 def test_sample_set_distinctness_by_index_in_both_bases_and_past_62_nodes(rng):
     for basis in Basis:
         lo, hi = basis.symbols
