@@ -18,8 +18,10 @@ from .errors import CapacityError
 from .model import (
     Basis,
     BoltzmannMachine,
+    _SYMBOLS,
     _basis_of,
     _boltzmann,
+    _check_symbols,
     _row_indices,
     _state_rows,
     _weighting,
@@ -33,10 +35,6 @@ if TYPE_CHECKING:  # avoid a runtime cycle with samplers
     from .samplers import SampleSet
 
 DEFAULT_BETA_GRID = np.geomspace(0.1, 10.0, 40)
-
-# Each basis's symbols as a set, for the per-call membership checks.
-_SYMBOLS = {basis: frozenset(basis.symbols) for basis in Basis}
-
 
 @lru_cache(maxsize=8)
 def _every_index(width: int) -> np.ndarray:
@@ -63,7 +61,7 @@ class Distribution:
 
     def __init__(self, support: Sequence[Sequence[int]], probs: Sequence[float]):
         support = list(support)
-        probs = np.asarray(probs, dtype=np.float64).reshape(-1)
+        probs = np.array(probs, dtype=np.float64).reshape(-1)  # a copy: the caller's array stays its own
         if len(support) != probs.shape[0]:
             raise ValueError("support and probs must have equal length")
         if np.any(probs < 0):
@@ -228,9 +226,7 @@ def conditional_probability(
         p = _boltzmann(prefix_energies(bm, v_input), beta)
         return Distribution._indexed(p.reshape(1 << m_o, -1).sum(axis=1), m_o, bm.basis)
     values = tuple(map(int, v_input))
-    if not _SYMBOLS[bm.basis].issuperset(values):
-        bad = [v for v in values if v not in _SYMBOLS[bm.basis]]
-        raise ValueError(f"state values {bad} not in basis {bm.basis.value}")
+    _check_symbols(values, bm.basis)
     return Distribution._indexed(wt.c[state_index(values, bm.basis)], m_o, bm.basis)
 
 

@@ -51,6 +51,17 @@ class Basis(str, Enum):
         return (0, 1) if self is Basis.ZERO_ONE else (-1, 1)
 
 
+# Each basis's symbols as a set, for the per-call membership checks.
+_SYMBOLS = {basis: frozenset(basis.symbols) for basis in Basis}
+
+
+def _check_symbols(values: tuple[int, ...], basis: Basis) -> None:
+    """Refuse int values that are not all symbols of ``basis``."""
+    if not _SYMBOLS[basis].issuperset(values):
+        bad = [v for v in values if v not in _SYMBOLS[basis]]
+        raise ValueError(f"state values {bad} not in basis {basis.value}")
+
+
 @dataclass(frozen=True)
 class SpinState:
     """One configuration of every node, in a declared basis."""
@@ -60,10 +71,7 @@ class SpinState:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        allowed = set(self.basis.symbols)
-        bad = [v for v in self.values if v not in allowed]
-        if bad:
-            raise ValueError(f"state values {bad} not in basis {self.basis.value}")
+        _check_symbols(self.values, self.basis)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -50,6 +50,13 @@ def test_distribution_validation():
         Distribution(((0,), (1,)), np.array([-0.1, 1.1]))
 
 
+def test_distribution_copies_the_callers_probabilities():
+    probs = np.array([0.5, 0.5])
+    dist = Distribution([(0,), (1,)], probs)
+    probs[0] = 0.9  # the caller's array stays writeable and apart
+    assert dist.probs.tolist() == [0.5, 0.5] and not dist.probs.flags.writeable
+
+
 # The divergences as they were computed on supports of tuples, before the
 # support was keyed by state index: the reference for the index-keyed ones.
 
