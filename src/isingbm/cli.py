@@ -210,22 +210,22 @@ def main():
 @click.option("--mode", type=click.Choice(["distribution", "function"]), default="distribution")
 @click.option("--gradient", type=click.Choice(["exact", "sampled"]), default="exact")
 @click.option("--backend", type=click.Choice(["exact", "gibbs", "remote"]), default="exact")
-@click.option("--beta", default=1.0, show_default=True, help="sampler inverse temperature")
-@click.option("--reads", default=1000, show_default=True)
-@click.option("--chains", default=1, show_default=True)
+@click.option("--beta", default=SamplerConfig.beta, show_default=True, help="sampler inverse temperature")
+@click.option("--reads", default=SamplerConfig.num_reads, show_default=True)
+@click.option("--chains", default=SamplerConfig.num_chains, show_default=True)
 @click.option("--endpoint", default=None, help="remote backend URL")
-@click.option("--eta", default=0.1, show_default=True)
-@click.option("--weight-decay", default=1e-5, show_default=True)
-@click.option("--momentum", default=0.6, show_default=True)
-@click.option("--max-steps", default=1000, show_default=True)
-@click.option("--delta-min", default=1e-6, show_default=True)
-@click.option("--h-max", default=1.0, show_default=True)
-@click.option("--j-max", default=1.0, show_default=True)
-@click.option("--init-range", default=0.5, show_default=True)
-@click.option("--loss-every", default=1, show_default=True)
+@click.option("--eta", default=TrainingConfig.eta, show_default=True)
+@click.option("--weight-decay", default=TrainingConfig.weight_decay, show_default=True)
+@click.option("--momentum", default=TrainingConfig.momentum, show_default=True)
+@click.option("--max-steps", default=TrainingConfig.max_steps, show_default=True)
+@click.option("--delta-min", default=TrainingConfig.delta_theta_min, show_default=True)
+@click.option("--h-max", default=TrainingConfig.h_max, show_default=True)
+@click.option("--j-max", default=TrainingConfig.j_max, show_default=True)
+@click.option("--init-range", default=TrainingConfig.init_range, show_default=True)
+@click.option("--loss-every", default=TrainingConfig.loss_every, show_default=True)
 @click.option("--seeds", default=1, show_default=True, type=click.IntRange(min=1),
               help="number of seeded restarts")
-@click.option("--seed", default=0, show_default=True, help="base seed")
+@click.option("--seed", default=TrainingConfig.seed, show_default=True, help="base seed")
 @click.option("--config", "config_path", type=click.Path(path_type=Path), default=None,
               help="training-config JSON; overrides the individual hyperparameter flags")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True)
@@ -238,32 +238,27 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
     arch = _parse_arch(arch_spec, connectivity)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    base_cfg = None
     if config_path is not None:
         try:
             base_cfg = TrainingConfig.from_dict(json.loads(config_path.read_text()))
         except (OSError, ValueError, TypeError) as exc:
             raise _fail(EXIT_INPUT, "input", f"cannot load training config: {exc}")
-        beta = base_cfg.sampler.beta
+    else:
+        base_cfg = TrainingConfig(
+            eta=eta, weight_decay=weight_decay, momentum=momentum,
+            max_steps=max_steps, delta_theta_min=delta_min,
+            h_max=h_max, j_max=j_max,
+            gradient_mode=GradientMode(gradient),
+            sampler=SamplerConfig(beta=beta, num_reads=reads, seed=seed, backend=Backend(backend),
+                                  num_chains=chains, endpoint=endpoint),
+            init_range=init_range, seed=seed, loss_every=loss_every,
+        )
 
     # Only the best machine so far is kept: each machine holds its energy table.
     best = None
     outputs = []
-    for k in range(seeds):
-        run_seed = seed + k
-        if base_cfg is not None:
-            cfg = replace(base_cfg, seed=run_seed,
-                          sampler=replace(base_cfg.sampler, seed=run_seed))
-        else:
-            cfg = TrainingConfig(
-                eta=eta, weight_decay=weight_decay, momentum=momentum,
-                max_steps=max_steps, delta_theta_min=delta_min,
-                h_max=h_max, j_max=j_max,
-                gradient_mode=GradientMode(gradient),
-                sampler=SamplerConfig(beta=beta, num_reads=reads, seed=run_seed, backend=Backend(backend),
-                                      num_chains=chains, endpoint=endpoint),
-                init_range=init_range, seed=run_seed, loss_every=loss_every,
-            )
+    for run_seed in range(seed, seed + seeds):
+        cfg = replace(base_cfg, seed=run_seed, sampler=replace(base_cfg.sampler, seed=run_seed))
         if mode == "distribution":
             bm, trace = train_distribution(dataset, arch, cfg)
         else:
@@ -277,21 +272,11 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
         click.echo(f"seed {run_seed}: final loss {trace.final_loss:.6g} after {trace.num_steps} steps")
 
     best_seed, best_bm, best_trace = best
-    if base_cfg is not None:
-        config_snapshot = {
-            "dataset": dataset_id, "arch": arch_spec, "connectivity": connectivity,
-            "mode": mode, "seeds": seeds, "seed": seed,
-            "training_config": base_cfg.to_dict(),
-        }
-    else:
-        config_snapshot = {
-            "dataset": dataset_id, "arch": arch_spec, "connectivity": connectivity,
-            "mode": mode, "gradient": gradient, "backend": backend, "beta": beta,
-            "reads": reads, "chains": chains, "eta": eta, "weight_decay": weight_decay,
-            "momentum": momentum, "max_steps": max_steps, "delta_min": delta_min,
-            "h_max": h_max, "j_max": j_max, "init_range": init_range,
-            "loss_every": loss_every, "seeds": seeds, "seed": seed,
-        }
+    config_snapshot = {
+        "dataset": dataset_id, "arch": arch_spec, "connectivity": connectivity,
+        "mode": mode, "seeds": seeds, "seed": seed,
+        "training_config": base_cfg.to_dict(),
+    }
     config_hash = hashlib.sha256(json.dumps(config_snapshot, sort_keys=True).encode()).hexdigest()[:16]
     model_path = out_dir / "model_best.json"
     save_model(
@@ -300,13 +285,13 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
             "dataset": dataset_id,
             "config_hash": config_hash,
             "seed": best_seed,
-            "training_beta": beta,
+            "training_beta": base_cfg.sampler.beta,
             "final_loss": best_trace.final_loss,
         },
     )
     outputs.append(model_path)
     _write_manifest(out_dir / "manifest.json", "train", config_snapshot,
-                    [seed + k for k in range(seeds)],
+                    list(range(seed, seed + seeds)),
                     [p for p in [dataset_path] if p], outputs, started)
     click.echo(json.dumps({
         "best_seed": best_seed,
@@ -506,14 +491,14 @@ def cmd_verify_propositions(machines, max_nodes, seed, out_path):
 @main.command("sample")
 @click.option("--model", "model_spec", required=True)
 @click.option("--backend", type=click.Choice(["exact", "gibbs", "remote"]), default="exact")
-@click.option("--beta", default=1.0, show_default=True)
-@click.option("--reads", default=1000, show_default=True)
-@click.option("--chains", default=1, show_default=True)
-@click.option("--burn-in", default=1000, show_default=True)
-@click.option("--thinning", default=10, show_default=True)
+@click.option("--beta", default=SamplerConfig.beta, show_default=True)
+@click.option("--reads", default=SamplerConfig.num_reads, show_default=True)
+@click.option("--chains", default=SamplerConfig.num_chains, show_default=True)
+@click.option("--burn-in", default=SamplerConfig.burn_in, show_default=True)
+@click.option("--thinning", default=SamplerConfig.thinning, show_default=True)
 @click.option("--exhaustive", is_flag=True, default=False)
 @click.option("--endpoint", default=None)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=SamplerConfig.seed, show_default=True)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
 def cmd_sample(model_spec, backend, beta, reads, chains, burn_in, thinning,
                exhaustive, endpoint, seed, out_path):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -19,20 +20,30 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DatasetFormatError
-from .model import BoltzmannMachine, _replacing, _row_indices, model_from_dict
+from .model import (
+    Basis,
+    BoltzmannMachine,
+    _basis_of,
+    _check_probabilities,
+    _replacing,
+    _row_indices,
+    model_from_dict,
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Distinct visible rows with positive weights summing to one."""
+    """Distinct visible rows, states of one basis, with positive weights
+    summing to one. Datasets compare by identity: their fields hold arrays."""
 
-    rows: np.ndarray                     # (D, m) of 0/1
+    rows: np.ndarray                     # (D, m) of 0/1 or of -1/+1
     weights: np.ndarray                  # (D,), > 0, sums to 1
     io_split: tuple[int, int] | None = None
-    # every row as an int tuple and its lexicographic index (``model._row_indices``),
-    # built once: `rows` is a read-only copy
-    _row_tuples: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _indices: np.ndarray = field(init=False, repr=False, compare=False)
+    # every row as an int tuple, its lexicographic index (``model._row_indices``)
+    # and the rows' basis, built once: `rows` is a read-only copy
+    _row_tuples: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    _indices: np.ndarray = field(init=False, repr=False)
+    _basis: Basis = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=np.int8)  # a copy: freezing it leaves the caller's array alone
@@ -41,10 +52,8 @@ class Dataset:
         weights = np.array(self.weights, dtype=np.float64).reshape(-1)
         if weights.shape[0] != rows.shape[0]:
             raise ValueError("one weight per row required")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        if abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
+        _check_probabilities(weights, "weights", positive=True)
+        basis = _basis_of(rows)
         row_tuples = tuple(map(tuple, rows.tolist()))
         if len(set(row_tuples)) != rows.shape[0]:
             raise ValueError("rows must be distinct")
@@ -59,6 +68,7 @@ class Dataset:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_row_tuples", row_tuples)
         object.__setattr__(self, "_indices", indices)
+        object.__setattr__(self, "_basis", basis)
 
     @property
     def num_rows(self) -> int:
@@ -93,7 +103,8 @@ def from_rows(
         weights = np.full(rows.shape[0], 1.0 / rows.shape[0])
     else:
         weights = np.asarray(weights, dtype=np.float64)
-        weights = weights / weights.sum()
+        with np.errstate(invalid="ignore", divide="ignore"):  # Dataset refuses what cannot be normalised
+            weights = weights / weights.sum()
     return Dataset(rows=rows, weights=weights, io_split=io_split)
 
 
@@ -200,8 +211,8 @@ def _parse_dataset(text: str) -> Dataset:
                 w = float(rec[-1])
             except ValueError as exc:
                 raise DatasetFormatError(f"bad weight: {exc}", line=ln) from exc
-            if w <= 0:
-                raise DatasetFormatError(f"weight must be positive, got {w}", line=ln)
+            if not (math.isfinite(w) and w > 0):
+                raise DatasetFormatError(f"weight must be finite and positive, got {w}", line=ln)
             weights.append(w)
 
     if not rows:

@@ -21,6 +21,7 @@ from .model import (
     _SYMBOLS,
     _basis_of,
     _boltzmann,
+    _check_probabilities,
     _check_symbols,
     _row_indices,
     _state_rows,
@@ -64,10 +65,7 @@ class Distribution:
         probs = np.array(probs, dtype=np.float64).reshape(-1)  # a copy: the caller's array stays its own
         if len(support) != probs.shape[0]:
             raise ValueError("support and probs must have equal length")
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {probs.sum()}, expected 1")
+        _check_probabilities(probs, "probabilities")
         if len({len(s) for s in support}) != 1:
             raise ValueError("support entries must be states of one width in one basis")
         rows = np.array(support, dtype=np.int64)
@@ -168,7 +166,7 @@ def visible_marginal(bm: BoltzmannMachine, beta: float) -> Distribution:
 
 
 def dataset_distribution(ds: Dataset) -> Distribution:
-    return Distribution._indexed(ds.weights, ds.num_bits, _basis_of(ds.rows), ds._indices)
+    return Distribution._indexed(ds.weights, ds.num_bits, ds._basis, ds._indices)
 
 
 def _probs_of(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndarray]:

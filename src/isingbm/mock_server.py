@@ -3,7 +3,8 @@
 Implements the wire protocol of ``samplers.remote_sample``: POST /v1/sample
 with {basis, biases, couplings, num_reads} returns {samples, counts,
 energies}. Sampling is backed by exact enumeration, so small problems come
-back Boltzmann-distributed at the server's configured temperature.
+back Boltzmann-distributed at the server's configured temperature: each
+request is answered by ``samplers.exact_sample``.
 
 The optional ``beta_drift`` knob lowers the effective inverse temperature as
 problems grow (beta / (1 + drift * nodes)). This is a synthetic shape, not a
@@ -14,13 +15,14 @@ exercised against a service whose beta visibly depends on problem size.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from .model import Basis, BoltzmannMachine, energies, state_matrix
-from .samplers import SAMPLE_ROUTE
+from .model import Basis, BoltzmannMachine, _row_indices, all_energies
+from .samplers import SAMPLE_ROUTE, SamplerConfig, exact_sample
 
 # A request body is bounded by what the node limit allows: every bias and every
 # coupling triple of a complete graph, each in at most this many bytes of JSON
@@ -41,6 +43,10 @@ class MockAnnealerServer:
         seed: int = 0,
         max_nodes: int = 20,
     ):
+        # every request samples at beta / (1 + drift * nodes): refused here, not per request
+        SamplerConfig(beta=beta)
+        if not (math.isfinite(beta_drift) and beta_drift >= 0):
+            raise ValueError(f"beta_drift must be finite and nonnegative, got {beta_drift}")
         self.beta = beta
         self.beta_drift = beta_drift
         self.seed = seed
@@ -144,20 +150,13 @@ def _make_handler(server: MockAnnealerServer):
                 return
 
             beta = server.effective_beta(n)
-            states = state_matrix(n, Basis.PLUS_MINUS)
-            E = energies(bm, states)
-            w = np.exp(-beta * (E - E.min()))
-            probs = w / w.sum()
-            rng = np.random.default_rng(server.next_seed())
-            draws = rng.choice(probs.shape[0], size=num_reads, p=probs)
-            idx, counts = np.unique(draws, return_counts=True)
-            samples = states[idx]
+            ss = exact_sample(bm, SamplerConfig(beta=beta, num_reads=num_reads, seed=server.next_seed()))
             self._reply(
                 200,
                 {
-                    "samples": [[int(v) for v in s] for s in samples],
-                    "counts": [int(c) for c in counts],
-                    "energies": [float(e) for e in E[idx]],
+                    "samples": ss.states.tolist(),
+                    "counts": [int(c) for c in ss.counts],
+                    "energies": all_energies(bm)[_row_indices(ss.states)].tolist(),
                     "backend_id": f"mock-annealer(beta={beta:.4g})",
                 },
             )

@@ -62,6 +62,17 @@ def _check_symbols(values: tuple[int, ...], basis: Basis) -> None:
         raise ValueError(f"state values {bad} not in basis {basis.value}")
 
 
+def _check_probabilities(p: np.ndarray, what: str, positive: bool = False) -> None:
+    """Refuse ``p`` unless it is a probability vector: every entry finite and
+    nonnegative (positive with ``positive``), summing to 1 within 1e-9."""
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"{what} must be finite")
+    if np.any(p <= 0 if positive else p < 0):
+        raise ValueError(f"{what} must be {'positive' if positive else 'nonnegative'}")
+    if abs(float(p.sum()) - 1.0) > 1e-9:
+        raise ValueError(f"{what} sum to {p.sum()}, expected 1")
+
+
 @dataclass(frozen=True)
 class SpinState:
     """One configuration of every node, in a declared basis."""
@@ -80,15 +91,16 @@ class SpinState:
         return np.asarray(self.values, dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoltzmannMachine:
     """Node partition, biases and symmetric pairwise couplings.
 
     Couplings are stored sparsely, keyed by the (min, max) index pair; lookup
-    is symmetric. ``h_max``/``j_max`` record the intended parameter bounds but
-    are only *checked* on demand (``assert_within_bounds``); training clips to
-    them, and bundled reference machines may sit exactly on or slightly past
-    the caps.
+    is symmetric. Every parameter must be finite. ``h_max``/``j_max`` record
+    the intended parameter bounds but are only *checked* on demand
+    (``assert_within_bounds``); training clips to them, and bundled reference
+    machines may sit exactly on or slightly past the caps. Machines compare
+    by identity: their fields hold arrays.
     """
 
     num_visible_input: int
@@ -107,6 +119,8 @@ class BoltzmannMachine:
         biases = np.array(self.biases, dtype=np.float64).reshape(-1)
         if biases.shape != (n,):
             raise ValueError(f"expected {n} biases, got {biases.shape}")
+        if not np.all(np.isfinite(biases)):
+            raise ValueError("biases must be finite")
         biases.flags.writeable = False
         object.__setattr__(self, "biases", biases)
 
@@ -121,9 +135,11 @@ class BoltzmannMachine:
             if key in normalized:
                 raise ValueError(f"duplicate coupling entry for pair {key}")
             normalized[key] = float(value)
+            if not math.isfinite(normalized[key]):
+                raise ValueError(f"coupling {key} must be finite, got {value}")
         object.__setattr__(self, "couplings", MappingProxyType(normalized))
 
-        if self.h_max <= 0 or self.j_max <= 0:
+        if not (self.h_max > 0 and self.j_max > 0):  # NaN fails too
             raise ValueError("h_max and j_max must be positive")
 
     # -- structure ------------------------------------------------------
@@ -328,7 +344,7 @@ def _basis_of(rows: np.ndarray) -> Basis:
         lo, hi = basis.symbols
         if np.all((rows == lo) | (rows == hi)):
             return basis
-    raise ValueError("support entries must be states of one width in one basis")
+    raise ValueError("rows must be states of one width in one basis")
 
 
 def enumerate_states(num_nodes: int, basis: Basis = Basis.ZERO_ONE) -> Iterator[SpinState]:

@@ -31,6 +31,7 @@ from .metrics import Distribution, boltzmann_probabilities
 from .model import (
     Basis,
     BoltzmannMachine,
+    _check_probabilities,
     _replacing,
     _row_indices,
     _state_rows,
@@ -74,16 +75,19 @@ class SamplerConfig:
             raise ValueError("num_reads must be >= 1")
         if self.burn_in < 0 or self.thinning < 1 or self.num_chains < 1:
             raise ValueError("invalid chain controls")
+        if self.exhaustive and self.backend is not Backend.EXACT:
+            raise ValueError(f"exhaustive draws need the exact backend, not {self.backend.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Distinct drawn states with multiplicities (or exact weights).
 
     ``counts`` are positive integers summing to ``num_reads`` unless
     ``exhaustive`` is set, in which case they are the exact Boltzmann
     probabilities of every state. ``beta`` is the inverse temperature the
-    backend reports or the caller assumes.
+    backend reports or the caller assumes. Sets compare by identity: their
+    fields hold arrays.
     """
 
     states: np.ndarray          # (K, N) in `basis`
@@ -102,11 +106,10 @@ class SampleSet:
         if counts.shape[0] != states.shape[0]:
             raise ValueError("one count per state required")
         if self.exhaustive:
-            if np.any(counts < 0) or abs(counts.sum() - 1.0) > 1e-9:
-                raise ValueError("exhaustive weights must be a probability vector")
+            _check_probabilities(counts, "exhaustive weights")
         else:
-            if np.any(counts < 1) or np.any(counts != np.round(counts)):
-                raise ValueError("counts must be positive integers")
+            if not np.all(np.isfinite(counts)) or np.any(counts < 1) or np.any(counts != np.round(counts)):
+                raise ValueError("counts must be finite positive integers")
             if int(counts.sum()) != self.num_reads:
                 raise ValueError("counts must sum to num_reads")
         lo, hi = self.basis.symbols
@@ -364,10 +367,13 @@ def remote_sample(
         raise ProtocolError(f"unexpected status {status}: {text}")
     try:
         doc = json.loads(body)
-        samples = np.asarray(doc["samples"], dtype=np.int64)
-        counts = np.asarray(doc["counts"], dtype=np.int64)
+        samples, counts = np.asarray(doc["samples"]), np.asarray(doc["counts"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ProtocolError(f"malformed response: {exc}") from exc
+    # JSON integers read as a signed integer dtype; floats, strings, booleans
+    # and integers past int64 read as another kind
+    if samples.dtype.kind != "i" or counts.dtype.kind != "i":
+        raise ProtocolError("samples and counts must be integers in int64 range")
 
     if samples.ndim != 2 or samples.shape[1] != bm.num_nodes:
         raise ProtocolError(
@@ -474,12 +480,15 @@ def save_sample_set(ss: SampleSet, path: str | os.PathLike) -> None:
 def load_sample_set(path: str | os.PathLike) -> SampleSet:
     with open(path) as fh:
         doc = json.load(fh)
-    return SampleSet(
-        states=np.asarray(doc["states"], dtype=np.int8),
-        counts=np.asarray(doc["counts"], dtype=np.float64),
-        beta=float(doc["beta"]),
-        num_reads=int(doc["num_reads"]),
-        backend_id=str(doc.get("backend_id", "file")),
-        basis=Basis(doc.get("basis", Basis.ZERO_ONE.value)),
-        exhaustive=bool(doc.get("exhaustive", False)),
-    )
+    try:
+        return SampleSet(
+            states=np.asarray(doc["states"], dtype=np.int8),
+            counts=np.asarray(doc["counts"], dtype=np.float64),
+            beta=float(doc["beta"]),
+            num_reads=int(doc["num_reads"]),
+            backend_id=str(doc.get("backend_id", "file")),
+            basis=Basis(doc.get("basis", Basis.ZERO_ONE.value)),
+            exhaustive=bool(doc.get("exhaustive", False)),
+        )
+    except (KeyError, TypeError, OverflowError) as exc:  # int(Infinity) overflows
+        raise ValueError(f"malformed sample file: {exc}") from exc

@@ -62,9 +62,10 @@ class GradientMode(str, Enum):
     SAMPLED = "sampled"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientEstimate:
-    """Partial derivatives for every bias and every coupling pair."""
+    """Partial derivatives for every bias and every coupling pair; estimates
+    compare by identity, as their fields hold arrays."""
 
     d_bias: np.ndarray
     pairs: tuple[tuple[int, int], ...]

@@ -164,8 +164,11 @@ def _dead_port() -> int:
      3, "transport"),
     (["sweep-beta", "--model", "and_gate", "--dataset", "two_phase"], 2, "input"),
     (["fit-beta", "--sizes", "9:4"], 2, "usage"),
+    (["sample", "--model", "and_gate", "--backend", "gibbs", "--exhaustive"], 2, "input"),
+    (["fit-beta", "--backend", "gibbs", "--exhaustive", "--sizes", "4:4"], 2, "input"),
 ], ids=["sample-beta-0", "sample-gibbs-beta-nan", "train-beta-negative", "fit-beta-0", "fit-no-endpoint", "fit-no-scheme",
-        "fit-dead-endpoint", "sweep-dataset-width", "fit-sizes-reversed"])
+        "fit-dead-endpoint", "sweep-dataset-width", "fit-sizes-reversed", "sample-gibbs-exhaustive",
+        "fit-gibbs-exhaustive"])
 def test_typed_failures_exit_with_code_and_kind(runner, tmp_path, monkeypatch, args, code, kind):
     monkeypatch.delenv("ISINGBM_ENDPOINT", raising=False)
     args = [a.format(dead=_dead_port()) for a in args] + ["--out", str(tmp_path / "out")]
@@ -173,6 +176,25 @@ def test_typed_failures_exit_with_code_and_kind(runner, tmp_path, monkeypatch, a
     assert result.exit_code == code, result.output
     err = json.loads(result.stderr.strip().splitlines()[-1])
     assert err["error"]["kind"] == kind
+
+
+def test_non_finite_inputs_exit_2(runner, tmp_path):
+    # each was accepted and written out as NaN, or died with exit 1
+    dataset = tmp_path / "nan.csv"
+    dataset.write_text("bit_0,bit_1,weight\n0,0,nan\n1,1,nan\n")
+    model = tmp_path / "nan_model.json"
+    model.write_text('{"basis": "01", "m_I": 2, "m_O": 0, "n": 0, "biases": [NaN, 0.5], "couplings": []}\n')
+    samples = tmp_path / "inf_samples.json"
+    samples.write_text('{"beta": 1.0, "num_reads": 2, "states": [[0, 1, 1, 0]], "counts": [Infinity]}\n')
+    for args in (["sweep-beta", "--model", "xor_ground_state", "--dataset", str(dataset)],
+                 ["sweep-beta", "--model", str(model), "--dataset", "xor"],
+                 ["sample", "--model", str(model)],
+                 ["fit-beta", "--model", "and_gate", "--sample-file", str(samples)]):
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "out.json")])
+        assert result.exit_code == 2, (args, result.output)
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"]["kind"] == "input" and "finite" in err["error"]["message"]
+        assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_import_leaves_out_requests():

@@ -14,7 +14,7 @@ from isingbm.datasets import (
     two_phase,
 )
 from isingbm.errors import DatasetFormatError
-from isingbm.model import state_index
+from isingbm.model import Basis, state_index
 
 
 def test_row_accessors_serve_int_tuples_of_the_rows():
@@ -121,6 +121,33 @@ def test_dataset_csv_negative_weight_fails_with_line(tmp_path):
     with pytest.raises(DatasetFormatError) as err:
         load_dataset(path)
     assert err.value.line == 3
+
+
+def test_dataset_csv_non_finite_weight_fails_with_line(tmp_path):
+    for weight in ("nan", "inf"):
+        path = tmp_path / "d.csv"
+        path.write_text(f"bit_0,weight\n0,0.5\n1,{weight}\n")
+        with pytest.raises(DatasetFormatError, match="finite") as err:
+            load_dataset(path)
+        assert err.value.line == 3
+
+
+def test_dataset_refuses_non_finite_weights():
+    for weights in ([np.nan, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.array([[0], [1]]), np.array(weights))
+        with pytest.raises(ValueError, match="finite"):
+            from_rows([(0,), (1,)], weights)
+    with pytest.raises(ValueError):  # 0 / 0 is NaN, refused without a warning
+        from_rows([(0,), (1,)], [0.0, 0.0])
+
+
+def test_dataset_rows_must_be_states_of_one_basis():
+    # (2, 0) and (0, 0) would share index 0; a row of -1s and 0s is in no basis
+    for rows in ([(2, 0), (0, 0), (1, 1)], [(-1, 1), (0, 1)]):
+        with pytest.raises(ValueError, match="one basis"):
+            from_rows(rows)
+    assert from_rows([(-1, 1), (1, 1)])._basis is Basis.PLUS_MINUS
 
 
 def test_dataset_csv_bad_bits(tmp_path):

@@ -48,6 +48,9 @@ def test_distribution_validation():
         Distribution(((0,), (1,)), np.array([0.4, 0.7]))
     with pytest.raises(ValueError):
         Distribution(((0,), (1,)), np.array([-0.1, 1.1]))
+    for probs in ([np.nan, np.nan], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            Distribution(((0,), (1,)), np.array(probs))
 
 
 def test_distribution_copies_the_callers_probabilities():

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -91,6 +92,26 @@ def test_spin_state_validates_symbols():
 def test_machine_rejects_self_coupling():
     with pytest.raises(ValueError):
         machine([0.0, 0.0], {(1, 1): 0.5})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_machine_refuses_non_finite_parameters(value):
+    with pytest.raises(ValueError, match="finite"):
+        machine([0.0, value], {})
+    with pytest.raises(ValueError, match="finite"):
+        machine([0.0, 0.0], {(0, 1): value})
+    with pytest.raises(ValueError, match="positive"):
+        BoltzmannMachine(1, 0, 0, np.zeros(1), {}, h_max=np.nan)
+
+
+def test_model_file_with_non_finite_parameters_is_refused(tmp_path):
+    # json reads NaN and Infinity, so a model file can carry them
+    path = tmp_path / "m.json"
+    doc = model_to_dict(machine([0.25, -0.5], {(0, 1): 0.125}))
+    doc["couplings"][0][2] = float("nan")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="finite"):
+        load_model(path)
 
 
 def test_machine_coupling_lookup_is_symmetric():

@@ -119,13 +119,29 @@ def test_remote_malformed_sample_length_is_protocol_error(broken_server, rng):
         remote_sample(bm, SamplerConfig(num_reads=5), broken_server)
 
 
+def _reply_counts(counts: list, samples: list | None = None) -> type:
+    """A well-shaped reply for a 2-node machine with the given counts."""
+    samples = samples or [[1, -1]] * len(counts)
+    return _replying(body=json.dumps({"samples": samples, "counts": counts}).encode())
+
+
 @pytest.mark.parametrize("broken_server, error", [
     (_replying(status=503, body=b"overloaded"), TransportError),
     (_replying(status=404, body=b"no such route"), ProtocolError),
     (_replying(body=b"<html>not json</html>"), ProtocolError),
     (_replying(missing=100), TransportError),  # body cut short of its length
     (_replying(delay=1.0), TransportError),     # slower than the timeout below
-], indirect=["broken_server"], ids=["503", "404", "non-json", "truncated", "slow"])
+    (_reply_counts([1e300]), ProtocolError),    # past int64: was an OverflowError
+    (_reply_counts([2.5]), ProtocolError),      # was truncated to 2
+    (_reply_counts(["3"]), ProtocolError),      # was read as 3
+    (_reply_counts([True]), ProtocolError),
+    (_reply_counts([10**30]), ProtocolError),
+    (_replying(body=b'{"samples": [[1, -1]], "counts": [Infinity]}'), ProtocolError),
+    (_reply_counts([5], [[1, -1.0]]), ProtocolError),  # a float state value
+    (_reply_counts([5], [[1, 0.5]]), ProtocolError),
+], indirect=["broken_server"], ids=["503", "404", "non-json", "truncated", "slow", "count-1e300", "count-2.5",
+                                    "count-string", "count-true", "count-past-int64", "count-infinity",
+                                    "sample-float", "sample-fraction"])
 def test_remote_faults_map_to_typed_errors(broken_server, error, rng, monkeypatch):
     monkeypatch.setattr(samplers, "_TIMEOUT_S", 0.2)
     bm = random_machine(2, 0, 0, rng)
@@ -148,6 +164,21 @@ def test_drift_lowers_effective_beta_with_size():
     flat = MockAnnealerServer(beta=3.0, beta_drift=0.0)
     flat.stop()
     assert flat.effective_beta(4) == flat.effective_beta(10) == 3.0
+
+
+@pytest.mark.parametrize("kwargs", [{"beta": 0.0}, {"beta": -1.0}, {"beta": float("nan")}, {"beta": float("inf")},
+                                    {"beta_drift": -0.1}, {"beta_drift": float("nan")}])
+def test_mock_refuses_a_temperature_no_request_could_sample_at(kwargs):
+    with pytest.raises(ValueError):
+        MockAnnealerServer(**kwargs)
+
+
+def test_mock_answers_400_to_non_finite_parameters(mock_server):
+    # json reads NaN and Infinity; the machine refuses them
+    for biases, couplings in (("[NaN, 0.5]", "[]"), ("[0.5, 0.5]", "[[0, 1, Infinity]]")):
+        body = f'{{"basis": "pm1", "biases": {biases}, "couplings": {couplings}, "num_reads": 5}}'.encode()
+        status, doc = _post_with_length(mock_server, str(len(body)), body)
+        assert status == 400 and "finite" in doc["error"]
 
 
 def test_stop_returns_on_a_server_never_started():

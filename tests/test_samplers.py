@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from unittest import mock
 
@@ -38,6 +39,9 @@ def test_sampler_config_validation():
         SamplerConfig(num_reads=0)
     with pytest.raises(ValueError):
         SamplerConfig(thinning=0)
+    for backend in (Backend.GIBBS, Backend.REMOTE):  # only the exact backend has a table to return
+        with pytest.raises(ValueError, match="exhaustive"):
+            SamplerConfig(backend=backend, exhaustive=True)
 
 
 def test_sample_set_invariants():
@@ -48,6 +52,20 @@ def test_sample_set_invariants():
     with pytest.raises(ValueError):  # integer counts
         SampleSet(np.array([[0]]), np.array([2.5]), 1.0, 2, "t")
     SampleSet(np.array([[0], [1]]), np.array([0.5, 0.5]), 1.0, 0, "t", exhaustive=True)
+    with pytest.raises(ValueError, match="finite"):  # a probability vector of finite weights
+        SampleSet(np.array([[0], [1]]), np.array([np.nan, np.nan]), 1.0, 0, "t", exhaustive=True)
+    for count in (np.inf, np.nan):  # typed, not an OverflowError from the sum
+        with pytest.raises(ValueError, match="finite"):
+            SampleSet(np.array([[0]]), np.array([count]), 1.0, 2, "t")
+
+
+def test_load_sample_set_refuses_non_finite_values(tmp_path):
+    doc = {"beta": 1.0, "num_reads": 2, "states": [[0]], "counts": [2], "basis": "01"}
+    for field, value in (("counts", [float("inf")]), ("num_reads", float("inf"))):
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps({**doc, field: value}))  # written as Infinity
+        with pytest.raises(ValueError):
+            load_sample_set(path)
 
 
 def test_sample_set_copies_the_callers_arrays_before_freezing():

@@ -545,6 +545,26 @@ def test_training_config_json_round_trip():
     assert restored == cfg
 
 
+def test_array_holding_dataclasses_compare_by_identity_and_hash():
+    from isingbm.samplers import SampleSet
+
+    bm = random_machine(2, 0, 1, np.random.default_rng(0))
+    twin = BoltzmannMachine(2, 0, 1, bm.biases, bm.couplings)
+    values = [
+        (bm, twin),
+        (logic_gate("AND"), logic_gate("AND")),
+        (SampleSet(np.array([[0], [1]]), np.array([1, 2]), 1.0, 3, "t"),
+         SampleSet(np.array([[0], [1]]), np.array([1, 2]), 1.0, 3, "t")),
+        (GradientEstimate([0.5, 1.0], ((0, 1),), [0.25]), GradientEstimate([0.5, 1.0], ((0, 1),), [0.25])),
+    ]
+    for a, b in values:  # none of these raises: equality is identity
+        assert a == a and a != b and hash(a) == hash(a)
+        assert len({a, b}) == 2
+    cfg = TrainingConfig(init_model=bm)
+    assert cfg == TrainingConfig(init_model=bm) and cfg != TrainingConfig(init_model=twin)
+    assert hash(cfg) == hash(TrainingConfig(init_model=bm))
+
+
 # ---------------------------------------------------------------- trace
 
 
