@@ -227,7 +227,8 @@ def main():
               help="number of seeded restarts")
 @click.option("--seed", default=TrainingConfig.seed, show_default=True, help="base seed")
 @click.option("--config", "config_path", type=click.Path(path_type=Path), default=None,
-              help="training-config JSON; overrides the individual hyperparameter flags")
+              help="training-config JSON, such as a train manifest's training_config; "
+                   "overrides the individual hyperparameter flags")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True)
 def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, beta, reads,
               chains, endpoint, eta, weight_decay, momentum, max_steps, delta_min,
