@@ -119,7 +119,7 @@ class BoltzmannMachine:
         biases = np.array(self.biases, dtype=np.float64).reshape(-1)
         if biases.shape != (n,):
             raise ValueError(f"expected {n} biases, got {biases.shape}")
-        if not np.all(np.isfinite(biases)):
+        if not np.isfinite(biases).all():
             raise ValueError("biases must be finite")
         biases.flags.writeable = False
         object.__setattr__(self, "biases", biases)
@@ -136,7 +136,7 @@ class BoltzmannMachine:
                 raise ValueError(f"duplicate coupling entry for pair {key}")
             normalized[key] = float(value)
             if not math.isfinite(normalized[key]):
-                raise ValueError(f"coupling {key} must be finite, got {value}")
+                raise ValueError(f"coupling {key} must be finite, got {normalized[key]}")
         object.__setattr__(self, "couplings", MappingProxyType(normalized))
 
         if not (self.h_max > 0 and self.j_max > 0):  # NaN fails too
