@@ -15,6 +15,9 @@ with its ``src`` first on ``PYTHONPATH``:
   --reads 20000 --chains 10 --burn-in 1000 --thinning 10`` (18 nodes, 3.8 M
   site updates, so the draw and not process start-up dominates) into a
   temporary file;
+* ``train_exact_18``: ``isingbm train --dataset two_phase --arch 10v8h --beta
+  3 --loss-every 1 --max-steps 150`` (18 nodes, exact gradients, the loss
+  every step) into a temporary directory;
 * ``tier1``: ``python -m pytest -q --continue-on-collection-errors``, the
   tier-1 suite, unless ``--skip-tier1`` is given (the suite's own smoke test
   of this script skips it, so the suite does not run itself).
@@ -52,6 +55,8 @@ def commands(out: Path, skip_tier1: bool) -> dict[str, list[str]]:
                                  "--beta-grid", "0.5:6:500", "--out", str(out / "two_phase_500.csv")],
         "gibbs_18": CLI + ["sample", "--model", "two_phase_trained", "--backend", "gibbs", "--reads", "20000",
                            "--chains", "10", "--burn-in", "1000", "--thinning", "10", "--out", str(out / "gibbs_18.json")],
+        "train_exact_18": CLI + ["train", "--dataset", "two_phase", "--arch", "10v8h", "--beta", "3",
+                                 "--loss-every", "1", "--max-steps", "150", "--out", str(out / "train_exact_18")],
     }
     if not skip_tier1:
         cmds["tier1"] = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .datasets import (
@@ -203,6 +204,12 @@ def main():
 # ---------------------------------------------------------------- train
 
 
+# The ``train`` flags that build its TrainingConfig; the others (seed, seeds,
+# dataset, arch, connectivity, mode, out) are honoured beside --config.
+_CONFIG_FLAGS = ("gradient", "backend", "beta", "reads", "chains", "endpoint", "eta", "weight_decay", "momentum",
+                 "max_steps", "delta_min", "h_max", "j_max", "init_range", "loss_every")
+
+
 @main.command("train")
 @click.option("--dataset", "dataset_spec", required=True, help="built-in name or CSV path")
 @click.option("--arch", "arch_spec", required=True, help="e.g. 3v1h or 4i3o10h")
@@ -228,13 +235,19 @@ def main():
 @click.option("--seed", default=TrainingConfig.seed, show_default=True, help="base seed")
 @click.option("--config", "config_path", type=click.Path(path_type=Path), default=None,
               help="training-config JSON, such as a train manifest's training_config; "
-                   "overrides the individual hyperparameter flags")
+                   "it sets every hyperparameter, so no hyperparameter flag may be given beside it")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True)
 def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, beta, reads,
               chains, endpoint, eta, weight_decay, momentum, max_steps, delta_min,
               h_max, j_max, init_range, loss_every, seeds, seed, config_path, out_dir):
     """Run seeded training restarts and keep the best model."""
     started = _utc_now()
+    if config_path is not None:  # the config replaces every flag that builds a TrainingConfig
+        ctx = click.get_current_context()
+        typed = [f"--{name.replace('_', '-')}" for name in _CONFIG_FLAGS
+                 if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE]
+        if typed:
+            raise _fail(EXIT_INPUT, "usage", f"{', '.join(typed)} cannot be combined with --config")
     dataset, dataset_id, dataset_path = _resolve_dataset(dataset_spec)
     arch = _parse_arch(arch_spec, connectivity)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -420,8 +433,9 @@ def cmd_fit_beta(model_spec, sample_file, backend, beta, sizes, reads, chains,
     out_path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out_path, report)
     _write_manifest(out_path.with_suffix(out_path.suffix + ".manifest.json"), "fit-beta",
-                    {"backend": backend, "beta": beta, "sizes": sizes, "reads": reads,
-                     "exhaustive": exhaustive, "seed": seed},
+                    # no endpoint: reproduce's in-process mock listens on a new port each run
+                    {"backend": backend, "beta": beta, "sizes": sizes, "reads": reads, "chains": chains,
+                     "exhaustive": exhaustive, "beta_grid": grid_spec, "seed": seed},
                     [seed], inputs, [out_path], started)
     click.echo(json.dumps({"out": str(out_path), "entries": len(report["entries"])}))
 
@@ -513,8 +527,9 @@ def cmd_sample(model_spec, backend, beta, reads, chains, burn_in, thinning,
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_sample_set(ss, out_path)
     _write_manifest(out_path.with_suffix(out_path.suffix + ".manifest.json"), "sample",
-                    {"model": model_spec, "backend": backend, "beta": beta,
-                     "reads": reads, "exhaustive": exhaustive, "seed": seed},
+                    {"model": model_spec, "backend": backend, "beta": beta, "reads": reads, "chains": chains,
+                     "burn_in": burn_in, "thinning": thinning, "exhaustive": exhaustive, "endpoint": endpoint,
+                     "seed": seed},
                     [seed], [p for p in [model_path] if p], [out_path], started)
     click.echo(json.dumps({
         "out": str(out_path),

@@ -99,6 +99,8 @@ class SampleSet:
     exhaustive: bool = False
 
     def __post_init__(self):
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         states = np.array(self.states, dtype=np.int8)  # copies: freezing them leaves the caller's arrays alone
         if states.ndim != 2:
             raise ValueError("states must be a 2-D array")
@@ -473,7 +475,7 @@ def save_sample_set(ss: SampleSet, path: str | os.PathLike) -> None:
         "exhaustive": ss.exhaustive,
     }
     with _replacing(path) as fh:
-        json.dump(doc, fh)
+        json.dump(doc, fh, allow_nan=False)
         fh.write("\n")
 
 

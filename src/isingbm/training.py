@@ -12,10 +12,10 @@ where the "data phase" clamps some nodes to data values and the "model phase"
 is freer. Every moment comes from one reduction, ``_moments``: signed weights
 on states split into leading and trailing nodes give the mean vector from the
 row and column sums of the weights and the cross block of the second moments
-from one matrix product. Exact mode takes the weights from the machine's
-cached energy table or an input's slice (``prefix_energies``) through
-``model._boltzmann``, so no machine is clamped or re-enumerated; sampled
-mode draws a step's clamped subgraphs (``clamp_visible``) in one
+from one matrix product. Exact mode weighs the cached energy table or an
+input's slice (``prefix_energies``) in one exp pass that gives both phases
+and the loss (``_exact_phases``), clamping and re-enumerating nothing;
+sampled mode draws a step's clamped subgraphs (``clamp_visible``) in one
 ``draw_many`` call and puts the drawn free states behind the fixed values.
 The overall inverse-temperature prefactor of the analytic gradient
 is deliberately dropped: it only rescales the learning rate, while the
@@ -34,25 +34,17 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import CapacityError
-from .metrics import (
-    _check_width,
-    kl_divergence,
-    dataset_distribution,
-    negative_conditional_log_likelihood,
-    visible_marginal,
-)
+from .metrics import _check_width
 from .model import (
     Basis,
     BoltzmannMachine,
     SpinState,
-    _boltzmann,
     _replacing,
     all_energies,
     cached_state_table,
     clamp_visible,
     complete_pairs,
     prefix_energies,
-    state_index,
 )
 from .samplers import Backend, SampleSet, SamplerConfig, draw_many, draw_samples
 
@@ -64,12 +56,13 @@ class GradientMode(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class GradientEstimate:
-    """Partial derivatives for every bias and every coupling pair; estimates
-    compare by identity, as their fields hold arrays."""
+    """Partial derivatives for every bias and every coupling pair, and in exact
+    mode the loss there; estimates compare by identity (fields hold arrays)."""
 
     d_bias: np.ndarray
     pairs: tuple[tuple[int, int], ...]
     d_pair: np.ndarray
+    loss: float | None = None
 
     def __post_init__(self):
         d_bias = np.asarray(self.d_bias, dtype=np.float64)
@@ -261,10 +254,31 @@ def _data_rows(bm: BoltzmannMachine, dataset: Dataset) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, bm.num_visible)
 
 
-def _estimate(bm: BoltzmannMachine, mean: np.ndarray, second: np.ndarray) -> GradientEstimate:
+def _estimate(bm: BoltzmannMachine, mean: np.ndarray, second: np.ndarray, loss=None) -> GradientEstimate:
     pairs = sorted(bm.couplings)
     k, l = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return GradientEstimate(mean, tuple(pairs), second[k, l])
+    return GradientEstimate(mean, tuple(pairs), second[k, l], loss)
+
+
+def _exact_phases(E: np.ndarray, rows: np.ndarray, q: np.ndarray, beta: float, S_a: np.ndarray, S_b: np.ndarray):
+    """Data-minus-model moments of an energy slice and its data rows'
+    probabilities, from one exp pass with each row of ``E`` shifted by its
+    minimum m, as in ``model._weighting``: w = exp(-beta (E - m)), r = sum w
+    along the row, u = r exp(-beta (m - min m)), Z = sum u. The model phase
+    weighs a state by -w u / (r Z), data row ``rows[d]`` adds q_d w / r, and
+    ``_moments`` reads the weights split as ``S_a`` x ``S_b``. u[rows] / Z
+    are the probabilities, bit for bit ``metrics``' own."""
+    m = E.min(axis=1)
+    w = np.subtract(E, m[:, None])
+    np.exp(np.multiply(w, -beta, out=w), out=w)
+    r = w.sum(axis=1)
+    u = r * np.exp(-beta * (m - m.min()))
+    Z = float(u.sum())
+    data = q[:, None] * (w[rows] / r[rows, None])
+    w *= (-(u / (r * Z)))[:, None]
+    w[rows] += data
+    mean, second = _moments(w.reshape(S_a.shape[0], S_b.shape[0]), S_a, S_b)
+    return mean, second, u[rows] / Z
 
 
 def _derived_seed(*parts: int) -> int:
@@ -306,17 +320,12 @@ def grad_dkl(
     n, m, basis = bm.num_nodes, bm.num_visible, bm.basis
 
     if mode is GradientMode.EXACT:
-        E = all_energies(bm)
-        h = n // 2  # the halves of the split sum: no state table wider than n - h
-        model = _moments(
-            _boltzmann(E, cfg.beta).reshape(1 << h, -1),
-            cached_state_table(h, basis),
-            cached_state_table(n - h, basis),
-        )
-        E_rows = E.reshape(1 << m, -1)[dataset._indices]
-        W = dataset.weights[:, None] * _boltzmann(E_rows, cfg.beta)
-        data = _moments(W, V, cached_state_table(n - m, basis))
-        return _estimate(bm, data[0] - model[0], data[1] - model[1])
+        h, q = n // 2, dataset.weights  # moments over the halves: no state table wider than n - h
+        mean, second, p = _exact_phases(all_energies(bm).reshape(1 << m, -1), dataset._indices, q, cfg.beta,
+                                        cached_state_table(h, basis), cached_state_table(n - h, basis))
+        # the relative entropy as metrics.kl_divergence computes it
+        loss = float("inf") if np.any(p <= 0.0) else max(float(np.sum(q * np.log(q / p))), 0.0)
+        return _estimate(bm, mean, second, loss)
 
     full_ss = draw_samples(bm, cfg)
     if call_counter is not None:
@@ -366,16 +375,15 @@ def grad_ncll(
     if mode is GradientMode.EXACT:
         S_out = cached_state_table(m_o, basis)
         S_hidden = cached_state_table(bm.num_hidden, basis)
-        mean, second = np.zeros(bm.num_nodes), np.zeros((bm.num_nodes, bm.num_nodes))
-        for v in V:
-            # rows: the data row (x, y), then (x, o) for every output o
-            E = prefix_energies(bm, v[:m_i]).reshape(1 << m_o, -1)
-            W = np.vstack([_boltzmann(E[state_index(v[m_i:], basis)], cfg.beta),
-                           -_boltzmann(E.reshape(-1), cfg.beta).reshape(E.shape)])
-            S_a = np.vstack([v, np.hstack([np.broadcast_to(v[:m_i], (1 << m_o, m_i)), S_out])])
-            row_mean, row_second = _moments(W, S_a, S_hidden)
+        mean, second, loss = np.zeros(bm.num_nodes), np.zeros((bm.num_nodes, bm.num_nodes)), 0.0
+        for v, y in zip(V, dataset._indices % (1 << m_o)):  # per row: a shared input counts once per row
+            E = prefix_energies(bm, v[:m_i]).reshape(1 << m_o, -1)  # rows (x, o) for every output o
+            S_a = np.hstack([np.broadcast_to(v[:m_i], (1 << m_o, m_i)), S_out])
+            row_mean, row_second, p = _exact_phases(E, y[None], np.ones(1), cfg.beta, S_a, S_hidden)
             mean += row_mean
             second += row_second
+            # -ln p(y | x) as metrics.negative_conditional_log_likelihood sums it
+            loss = loss - float(np.log(float(p[0]))) if p[0] > 0.0 else float("inf")
     else:
         phases = [(fixed, sign, _derived_seed(cfg.seed, d, tag))
                   for d, v in enumerate(V) for fixed, sign, tag in ((v, 1.0, 2), (v[:m_i], -1.0, 3))]
@@ -387,7 +395,7 @@ def grad_ncll(
     # Both phases fix the inputs, so their terms are the same constants.
     mean[:m_i] = 0.0
     second[:m_i, :m_i] = 0.0
-    return _estimate(bm, mean, second)
+    return _estimate(bm, mean, second, loss if mode is GradientMode.EXACT else None)
 
 
 def finite_difference_gradient(
@@ -470,43 +478,40 @@ def _run_training(
     arch: Architecture,
     cfg: TrainingConfig,
     grad_fn: Callable,
-    loss_fn: Callable[[BoltzmannMachine], float],
 ) -> tuple[BoltzmannMachine, TrainingTrace]:
+    """A step's loss, that of the exact ``grad_fn`` at the machine the step
+    leaves, is filled in at the next step's gradient call, the last one's
+    after the loop."""
+
+    def loss(bm: BoltzmannMachine, known: float | None = None) -> float:
+        try:  # a sampled step's gradient holds no loss: one exact call gives it
+            return grad_fn(bm, dataset, GradientMode.EXACT, cfg.sampler, {}).loss if known is None else known
+        except CapacityError:  # past the cap the loss is not evaluated
+            return float("nan")
+
     bm = _initial_machine(arch, cfg)
     pairs = sorted(bm.couplings)
-    bound = np.concatenate(
-        [np.full(bm.num_nodes, cfg.h_max), np.full(len(pairs), cfg.j_max)]
-    )
+    bound = np.concatenate([np.full(bm.num_nodes, cfg.h_max), np.full(len(pairs), cfg.j_max)])
     theta = np.concatenate([bm.biases, np.array([bm.couplings[p] for p in pairs])])
     prev_delta = np.zeros_like(theta)
 
     start = time.perf_counter()
-    records = [TraceRecord(0, loss_fn(bm), float("nan"), 0.0)]
+    records = [TraceRecord(0, float("nan"), float("nan"), 0.0)]
     for step in range(1, cfg.max_steps + 1):
         counter: dict[str, int] = {}
         step_sampler = replace(cfg.sampler, seed=_derived_seed(cfg.seed, step))
         grad = grad_fn(bm, dataset, cfg.gradient_mode, step_sampler, counter)
+        if records[-1].step % cfg.loss_every == 0:
+            records[-1] = replace(records[-1], loss=loss(bm, grad.loss))
         theta, delta = momentum_update(theta, grad.to_vector(), prev_delta, cfg, bound)
         prev_delta = delta
-        bm = bm.with_parameters(
-            theta[: bm.num_nodes],
-            dict(zip(pairs, theta[bm.num_nodes:])),
-        )
+        bm = bm.with_parameters(theta[: bm.num_nodes], dict(zip(pairs, theta[bm.num_nodes:])))
         delta_inf = float(np.abs(delta).max())
-        stopping = delta_inf <= cfg.delta_theta_min or step == cfg.max_steps
-        loss = loss_fn(bm) if (step % cfg.loss_every == 0 or stopping) else float("nan")
-        records.append(
-            TraceRecord(
-                step,
-                loss,
-                delta_inf,
-                time.perf_counter() - start,
-                counter.get("full", 0),
-                counter.get("clamped", 0),
-            )
-        )
+        records.append(TraceRecord(step, float("nan"), delta_inf, time.perf_counter() - start,
+                                   counter.get("full", 0), counter.get("clamped", 0)))
         if delta_inf <= cfg.delta_theta_min:
             break
+    records[-1] = replace(records[-1], loss=loss(bm))
     return bm, TrainingTrace(tuple(records))
 
 
@@ -515,18 +520,11 @@ def train_distribution(
 ) -> tuple[BoltzmannMachine, TrainingTrace]:
     """Generative training loop; the trace records the relative entropy of the
     visible marginal against the dataset at the sampler's temperature."""
-    q = dataset_distribution(dataset)
-
-    def loss(bm: BoltzmannMachine) -> float:
-        try:
-            return kl_divergence(q, visible_marginal(bm, cfg.sampler.beta))
-        except CapacityError:  # past the cap the loss is not evaluated
-            return float("nan")
 
     def grad(bm, ds, mode, sampler_cfg, counter):
         return grad_dkl(bm, ds, mode, sampler_cfg, cfg.clamped_resample, counter)
 
-    return _run_training(dataset, arch, cfg, grad, loss)
+    return _run_training(dataset, arch, cfg, grad)
 
 
 def train_function_approximator(
@@ -538,11 +536,4 @@ def train_function_approximator(
         raise ValueError("function approximation requires an input/output split")
     if dataset.io_split != (arch.num_visible_input, arch.num_visible_output):
         raise ValueError("architecture partition must match the dataset split")
-
-    def loss(bm: BoltzmannMachine) -> float:
-        try:
-            return negative_conditional_log_likelihood(bm, cfg.sampler.beta, dataset)
-        except CapacityError:  # past the cap the loss is not evaluated
-            return float("nan")
-
-    return _run_training(dataset, arch, cfg, grad_ncll, loss)
+    return _run_training(dataset, arch, cfg, grad_ncll)

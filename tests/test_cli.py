@@ -13,8 +13,10 @@ from click.testing import CliRunner
 
 import isingbm
 from isingbm.cli import main
+from isingbm.datasets import load_fixture
 from isingbm.model import load_model_entry
-from isingbm.samplers import load_sample_set
+from isingbm.samplers import Backend, SamplerConfig, draw_samples, load_sample_set, save_sample_set
+from isingbm.training import TrainingConfig
 
 
 @pytest.fixture
@@ -166,12 +168,16 @@ def _dead_port() -> int:
     (["fit-beta", "--sizes", "9:4"], 2, "usage"),
     (["sample", "--model", "and_gate", "--backend", "gibbs", "--exhaustive"], 2, "input"),
     (["fit-beta", "--backend", "gibbs", "--exhaustive", "--sizes", "4:4"], 2, "input"),
+    (["train", "--dataset", "and", "--arch", "3v1h", "--config", "{config}", "--beta", "5", "--eta", "0.3"],
+     2, "usage"),
 ], ids=["sample-beta-0", "sample-gibbs-beta-nan", "train-beta-negative", "fit-beta-0", "fit-no-endpoint", "fit-no-scheme",
         "fit-dead-endpoint", "sweep-dataset-width", "fit-sizes-reversed", "sample-gibbs-exhaustive",
-        "fit-gibbs-exhaustive"])
+        "fit-gibbs-exhaustive", "train-config-with-flags"])
 def test_typed_failures_exit_with_code_and_kind(runner, tmp_path, monkeypatch, args, code, kind):
     monkeypatch.delenv("ISINGBM_ENDPOINT", raising=False)
-    args = [a.format(dead=_dead_port()) for a in args] + ["--out", str(tmp_path / "out")]
+    config = tmp_path / "cfg.json"  # a valid config: only the flags typed beside it are at fault
+    config.write_text(json.dumps(TrainingConfig(sampler=SamplerConfig(beta=2.0)).to_dict()))
+    args = [a.format(dead=_dead_port(), config=config) for a in args] + ["--out", str(tmp_path / "out")]
     result = runner.invoke(main, args)
     assert result.exit_code == code, result.output
     err = json.loads(result.stderr.strip().splitlines()[-1])
@@ -293,6 +299,40 @@ def test_sample_rerun_identical_bytes(runner, tmp_path):
     r2 = runner.invoke(main, args + ["--out", str(tmp_path / "s2.json")])
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert (tmp_path / "s1.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
+
+
+def test_sample_replays_from_its_manifest(runner, tmp_path):
+    # the manifest holds every SamplerConfig field: rebuilt, it draws the same file
+    out = tmp_path / "s.json"
+    result = runner.invoke(main, ["sample", "--model", "and_gate", "--backend", "gibbs", "--beta", "1.5",
+                                  "--reads", "30", "--chains", "3", "--burn-in", "10", "--thinning", "2",
+                                  "--seed", "4", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    c = json.loads((tmp_path / "s.json.manifest.json").read_text())["config"]
+    cfg = SamplerConfig(beta=c["beta"], num_reads=c["reads"], burn_in=c["burn_in"], thinning=c["thinning"],
+                        seed=c["seed"], backend=Backend(c["backend"]), exhaustive=c["exhaustive"],
+                        num_chains=c["chains"], endpoint=c["endpoint"])
+    save_sample_set(draw_samples(load_fixture(c["model"]), cfg), tmp_path / "replay.json")
+    assert (tmp_path / "replay.json").read_bytes() == out.read_bytes()
+
+
+def test_fit_beta_manifest_records_the_draw_options(runner, tmp_path):
+    out = tmp_path / "fit.json"
+    result = runner.invoke(main, ["fit-beta", "--sizes", "3:3", "--reads", "200", "--chains", "4",
+                                  "--beta-grid", "0.5:4:8", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "fit.json.manifest.json").read_text())["config"] == {
+        "backend": "gibbs", "beta": 3.0, "sizes": "3:3", "reads": 200, "chains": 4, "exhaustive": False,
+        "beta_grid": "0.5:4:8", "seed": 0}
+
+
+def test_fit_beta_refuses_a_sample_file_with_a_nan_beta(runner, tmp_path):
+    samples = tmp_path / "nan_beta.json"
+    samples.write_text('{"beta": NaN, "num_reads": 2, "states": [[0, 1, 1, 0]], "counts": [2]}\n')
+    result = runner.invoke(main, ["fit-beta", "--model", "and_gate", "--sample-file", str(samples),
+                                  "--out", str(tmp_path / "fit.json")])
+    assert result.exit_code == 2, result.output
+    assert "finite and positive" in json.loads(result.stderr.strip().splitlines()[-1])["error"]["message"]
 
 
 def test_sample_remote_dead_endpoint_exits_3(runner, tmp_path):

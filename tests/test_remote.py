@@ -232,14 +232,21 @@ def test_sampled_function_training_against_a_fresh_mock_is_unchanged(monkeypatch
 
     models, requests = [], []
     grad_ncll, sample = training.grad_ncll, samplers.remote_sample
-    monkeypatch.setattr(training, "grad_ncll", lambda bm, *a: models.append(bm) or grad_ncll(bm, *a))
+    sampled = training.GradientMode.SAMPLED  # the loss's exact calls send no requests
+
+    def record(bm, ds, mode, *a):
+        if mode is sampled:
+            models.append(bm)
+        return grad_ncll(bm, ds, mode, *a)
+
+    monkeypatch.setattr(training, "grad_ncll", record)
     monkeypatch.setattr(samplers, "remote_sample", lambda bm, *a: requests.append(bm) or sample(bm, *a))
     ds = logic_gate("AND")
     with MockAnnealerServer(beta=3.0, seed=5) as server:
         sampler = SamplerConfig(beta=3.0, num_reads=200, backend=Backend.REMOTE, endpoint=server.url,
                                 seed=20261018)
         cfg = training.TrainingConfig(max_steps=4, delta_theta_min=0.0, seed=sampler.seed, sampler=sampler,
-                                      gradient_mode=training.GradientMode.SAMPLED)
+                                      gradient_mode=sampled)
         bm, trace = training.train_function_approximator(ds, training.Architecture(2, 1, 1), cfg)
 
     expected = [clamp_visible(model, dict(enumerate(fixed)))[0]

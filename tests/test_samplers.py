@@ -59,6 +59,22 @@ def test_sample_set_invariants():
             SampleSet(np.array([[0]]), np.array([count]), 1.0, 2, "t")
 
 
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), 0.0, -1.0])
+def test_sample_set_beta_is_finite_and_positive(tmp_path, beta):
+    # a NaN beta was loaded, and written back as NaN, which is not JSON
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps({"beta": beta, "num_reads": 2, "states": [[0]], "counts": [2]}))
+    with pytest.raises(ValueError, match="finite and positive"):
+        load_sample_set(path)
+    with pytest.raises(ValueError, match="finite and positive"):
+        SampleSet(np.array([[0]]), np.array([2]), beta, 2, "t")
+    if not np.isfinite(beta):  # the writer emits strict JSON only, even for an unchecked set
+        with pytest.raises(ValueError):
+            save_sample_set(SampleSet._indexed(np.array([0]), np.array([2]), 1, Basis.ZERO_ONE, beta, "t"),
+                            tmp_path / "out.json")
+        assert not (tmp_path / "out.json").exists()
+
+
 def test_load_sample_set_refuses_non_finite_values(tmp_path):
     doc = {"beta": 1.0, "num_reads": 2, "states": [[0]], "counts": [2], "basis": "01"}
     for field, value in (("counts", [float("inf")]), ("num_reads", float("inf"))):

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import isingbm.model
 from isingbm.datasets import adder2, from_rows, logic_gate, two_phase
 from isingbm.metrics import (
     conditional_probability,
@@ -265,6 +268,36 @@ def test_exact_grad_dkl_on_21_nodes(rng, basis):
     assert_same_gradient(got, GradientEstimate(d_bias, tuple(complete_pairs(n)), d_pair), atol=1e-10)
 
 
+@pytest.mark.parametrize("basis", list(Basis))
+def test_exact_step_loss_is_the_metrics_loss(rng, basis, enumeration_cap):
+    # the loss comes from the gradient's own exp pass, bit for bit what the
+    # metrics give; past the cap the input's slice is re-enumerated
+    cap = isingbm.model.ENUMERATION_CAP
+    for _ in range(40):
+        m_i, m_o, n_h = (int(k) for k in rng.integers((1, 1, 0), (5, 4, 6)))
+        bm = random_machine(m_i, m_o, n_h, rng, basis=basis)
+        rows = random_rows(rng, m_i + m_o, basis, count=int(rng.integers(1, 9)))
+        ds = from_rows(rows, rng.uniform(0.1, 1.0, size=len(rows)), io_split=(m_i, m_o))
+        cfg = SamplerConfig(beta=float(rng.uniform(0.3, 12.0)))
+        assert grad_dkl(bm, ds, GradientMode.EXACT, cfg).loss == kl_divergence(
+            dataset_distribution(ds), visible_marginal(bm, cfg.beta))
+        assert grad_ncll(bm, ds, GradientMode.EXACT, cfg).loss == negative_conditional_log_likelihood(
+            bm, cfg.beta, ds)
+        assert grad_dkl(bm, ds, GradientMode.SAMPLED, replace(cfg, num_reads=20)).loss is None
+        enumeration_cap(bm.num_nodes - m_i)
+        past = grad_ncll(bm, ds, GradientMode.EXACT, cfg).loss
+        assert past == pytest.approx(negative_conditional_log_likelihood(bm, cfg.beta, ds), rel=1e-12, abs=0)
+        enumeration_cap(cap)
+
+
+def test_exact_training_builds_no_weighting_tables():
+    ds = from_rows(logic_gate("AND").rows)
+    cfg = TrainingConfig(max_steps=5, sampler=SamplerConfig(beta=3.0), seed=0)
+    bm, trace = train_distribution(ds, Architecture(3, 0, 2), cfg)
+    assert "_row_gaps" not in bm.__dict__ and "_weighting" not in bm.__dict__
+    assert trace.records[-1].loss == kl_divergence(dataset_distribution(ds), visible_marginal(bm, 3.0))
+
+
 @pytest.mark.parametrize("mode", list(GradientMode))
 def test_gradients_reject_rows_outside_the_basis(rng, mode):
     bm = random_machine(2, 1, 1, rng, basis=Basis.PLUS_MINUS)
@@ -402,12 +435,14 @@ def test_train_distribution_reduces_loss(rng):
 
 def test_loss_errors_other_than_capacity_propagate(monkeypatch):
     def broken(*args, **kwargs):
-        raise RuntimeError("broken marginal")
+        raise RuntimeError("broken table")
 
-    monkeypatch.setattr(training, "visible_marginal", broken)
+    # a sampled run reads the energy table through training only for its loss
+    monkeypatch.setattr(training, "all_energies", broken)
     ds = from_rows(logic_gate("AND").rows)
-    cfg = TrainingConfig(max_steps=2, sampler=SamplerConfig(beta=1.0), seed=0)
-    with pytest.raises(RuntimeError, match="broken marginal"):
+    cfg = TrainingConfig(max_steps=2, sampler=SamplerConfig(beta=1.0, num_reads=50), seed=0,
+                         gradient_mode=GradientMode.SAMPLED)
+    with pytest.raises(RuntimeError, match="broken table"):
         train_distribution(ds, Architecture(3, 0, 1), cfg)
 
 
