@@ -242,7 +242,7 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
               h_max, j_max, init_range, loss_every, seeds, seed, config_path, out_dir):
     """Run seeded training restarts and keep the best model."""
     started = _utc_now()
-    if config_path is not None:  # the config replaces every flag that builds a TrainingConfig
+    if config_path is not None:
         ctx = click.get_current_context()
         typed = [f"--{name.replace('_', '-')}" for name in _CONFIG_FLAGS
                  if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE]
