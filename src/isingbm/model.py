@@ -389,11 +389,11 @@ class _Weighting(NamedTuple):
 
 
 # ``_weighting`` passes over the gaps in blocks of whole rows of about this
-# many entries (64 KB), so its two block buffers stay in cache and below
+# many entries (120 KB), so its two block buffers stay in cache and below
 # glibc's 128 KB mmap threshold: larger ones can be mapped, or trimmed off
 # the heap top, and page-fault afresh at every beta point. A longer row is
 # a block alone.
-_WEIGHT_BLOCK = 1 << 13
+_WEIGHT_BLOCK = 15 << 10
 
 
 def _weighting(bm: BoltzmannMachine, beta: float) -> _Weighting:
