@@ -267,7 +267,7 @@ def _exact_phases(E: np.ndarray, rows: np.ndarray, q: np.ndarray, beta: float, S
     along the row, u = r exp(-beta (m - min m)), Z = sum u. The model phase
     weighs a state by -w u / (r Z), data row ``rows[d]`` adds q_d w / r, and
     ``_moments`` reads the weights split as ``S_a`` x ``S_b``. u[rows] / Z
-    are the probabilities, bit for bit ``metrics``' own."""
+    are the probabilities, bit for bit ``metrics``' own within the cap."""
     m = E.min(axis=1)
     w = np.subtract(E, m[:, None])
     np.exp(np.multiply(w, -beta, out=w), out=w)
