@@ -12,9 +12,11 @@ either side. Each run is a fresh process.
 
 The output file, ``BENCH_<short sha of the change checkout>.json`` in
 ``--out-dir``, holds the two shas, the host and, under ``workloads``, every
-run's end-to-end metrics and error rate, and per metric the median and
-quartiles of each side, the number of pairs the change won and the ratio of
-the medians. A metric's direction comes from the change checkout's
+run's end-to-end metrics and error rate, its minor page faults (``minflt``,
+from ``getrusage``; compare them before trusting a ``sweep`` difference, which
+the heap layout a process inherits can cause alone), and per metric the
+median and quartiles of each side, the number of pairs the change won and the
+ratio of the medians. A metric's direction comes from the change checkout's
 BENCHMARK.json. A run for another workload is added to an existing file of
 the same name; one for the same workload replaces its entry. ``--smoke``
 passes ``--smoke`` to each run (one short cycle), for testing this script.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -62,7 +65,9 @@ def is_dirty(checkout: Path) -> bool | None:
 def run_once(checkout: Path, args, seed: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(seed),
            "--seconds", str(args.seconds), "--trace", "0"] + (["--smoke"] if args.smoke else [])
+    minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - minflt
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
     try:
@@ -71,7 +76,7 @@ def run_once(checkout: Path, args, seed: int) -> dict:
         raise SystemExit(f"{checkout}: bench/run.py gave no result (exit {proc.returncode})\n{proc.stderr}")
     values = {name: m["value"] for name, m in result["metrics"].items()}
     values["error_rate"] = result["failed"] / result["attempted"] if result["attempted"] else 1.0
-    return {"metrics": values, "attempted": result["attempted"], "failed": result["failed"],
+    return {"metrics": values, "minflt": minflt, "attempted": result["attempted"], "failed": result["failed"],
             "correct": result["correct"], "env": env}
 
 

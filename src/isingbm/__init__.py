@@ -10,7 +10,6 @@ from .model import (
     convert_state,
     energy,
     energies,
-    enumerate_states,
     ground_states,
     load_model,
     random_machine,

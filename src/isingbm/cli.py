@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -109,7 +110,7 @@ def _sha256(path: Path) -> str:
 
 def _write_json(path: Path, doc: dict) -> None:
     with _replacing(path) as fh:
-        fh.write(json.dumps(doc, indent=1, default=str) + "\n")
+        fh.write(json.dumps(doc, indent=1, default=str, allow_nan=False) + "\n")
 
 
 def _write_manifest(
@@ -286,6 +287,8 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
         click.echo(f"seed {run_seed}: final loss {trace.final_loss:.6g} after {trace.num_steps} steps")
 
     best_seed, best_bm, best_trace = best
+    # NaN when no loss could be evaluated (past the cap): JSON null
+    final_loss = best_trace.final_loss if math.isfinite(best_trace.final_loss) else None
     config_snapshot = {
         "dataset": dataset_id, "arch": arch_spec, "connectivity": connectivity,
         "mode": mode, "seeds": seeds, "seed": seed,
@@ -300,7 +303,7 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
             "config_hash": config_hash,
             "seed": best_seed,
             "training_beta": base_cfg.sampler.beta,
-            "final_loss": best_trace.final_loss,
+            "final_loss": final_loss,
         },
     )
     outputs.append(model_path)
@@ -309,7 +312,7 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
                     [p for p in [dataset_path] if p], outputs, started)
     click.echo(json.dumps({
         "best_seed": best_seed,
-        "best_final_loss": best_trace.final_loss,
+        "best_final_loss": final_loss,
         "model": str(model_path),
     }))
 

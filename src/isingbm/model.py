@@ -19,12 +19,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,10 +34,6 @@ from .errors import CapacityError
 # beyond which operations refuse to enumerate. Only this module reads it, at
 # call time, through ``check_capacity`` and ``prefix_energies``.
 ENUMERATION_CAP = 24
-
-# States are generated in blocks so a 2^24 sweep never materializes the full
-# (2^N, N) matrix at once.
-_BLOCK_BITS = 20
 
 
 class Basis(str, Enum):
@@ -151,22 +147,6 @@ class BoltzmannMachine:
     @property
     def num_nodes(self) -> int:
         return self.num_visible + self.num_hidden
-
-    @property
-    def visible_indices(self) -> range:
-        return range(self.num_visible)
-
-    @property
-    def input_indices(self) -> range:
-        return range(self.num_visible_input)
-
-    @property
-    def output_indices(self) -> range:
-        return range(self.num_visible_input, self.num_visible)
-
-    @property
-    def hidden_indices(self) -> range:
-        return range(self.num_visible, self.num_nodes)
 
     def coupling(self, k: int, l: int) -> float:
         """Symmetric lookup; absent pairs couple with strength 0."""
@@ -345,15 +325,6 @@ def _basis_of(rows: np.ndarray) -> Basis:
         if np.all((rows == lo) | (rows == hi)):
             return basis
     raise ValueError("rows must be states of one width in one basis")
-
-
-def enumerate_states(num_nodes: int, basis: Basis = Basis.ZERO_ONE) -> Iterator[SpinState]:
-    """Yield all 2^N states in lexicographic order (node 0 most significant)."""
-    check_capacity(num_nodes)
-    for start in range(0, 1 << num_nodes, 1 << min(_BLOCK_BITS, num_nodes)):
-        block = state_matrix(num_nodes, basis, start, min(start + (1 << _BLOCK_BITS), 1 << num_nodes))
-        for row in block:
-            yield SpinState(tuple(int(v) for v in row), basis)
 
 
 def all_energies(bm: BoltzmannMachine) -> np.ndarray:
@@ -691,16 +662,22 @@ def model_from_dict(doc: dict) -> tuple[BoltzmannMachine, dict]:
 @contextmanager
 def _replacing(path: str | os.PathLike):
     """Text file on ``<path>.tmp`` (newlines untranslated), renamed over
-    ``path`` once the block completes: no reader sees a half-written file."""
+    ``path`` once the block completes: no reader sees a half-written file.
+    A block that raises leaves ``path`` as it was and removes the temporary."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def save_model(bm: BoltzmannMachine, path: str | os.PathLike, metadata: dict | None = None) -> None:
     with _replacing(path) as fh:
-        json.dump(model_to_dict(bm, metadata), fh, indent=1)
+        json.dump(model_to_dict(bm, metadata), fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 

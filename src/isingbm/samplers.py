@@ -126,8 +126,9 @@ class SampleSet:
     def _indexed(
         cls, index: np.ndarray, counts: np.ndarray, num_nodes: int, basis: Basis, beta: float, backend_id: str
     ) -> "SampleSet":
-        """Unchecked constructor, for draws made here: distinct lexicographic
-        state indices of ``num_nodes`` nodes with positive integer counts."""
+        """Unchecked constructor, for sets tallied here (``_tally``): distinct
+        lexicographic state indices of ``num_nodes`` nodes with positive
+        integer counts."""
         ss = cls.__new__(cls)
         for name, value in (("beta", beta), ("num_reads", int(counts.sum())), ("backend_id", backend_id),
                             ("basis", basis), ("exhaustive", False)):
@@ -167,31 +168,17 @@ def exact_sample(bm: BoltzmannMachine, cfg: SamplerConfig) -> SampleSet:
         )
     rng = np.random.default_rng(cfg.seed)
     draws = rng.choice(probs.shape[0], size=cfg.num_reads, p=probs)
-    return _index_sample_set(draws, bm, cfg, "exact")
-
-
-def _index_sample_set(draws: np.ndarray, bm: BoltzmannMachine, cfg: SamplerConfig, backend_id: str) -> SampleSet:
-    """Sample set of lexicographic state indices drawn here, each read once;
-    ``np.unique`` makes them distinct, so the set skips re-validation."""
-    idx, counts = np.unique(draws, return_counts=True)
-    return SampleSet._indexed(idx, counts, bm.num_nodes, bm.basis, cfg.beta, backend_id)
+    return _tally(draws, n, bm.basis, cfg.beta, "exact")
 
 
 def _tally(
-    index: np.ndarray, weights: np.ndarray, num_nodes: int, basis: Basis, beta: float, backend_id: str
+    index: np.ndarray, num_nodes: int, basis: Basis, beta: float, backend_id: str, weights: np.ndarray | None = None
 ) -> SampleSet:
-    """Checked sample set of state indices read ``weights`` times each, equal
-    indices merged."""
+    """Sample set of lexicographic state indices, each read once or ``weights``
+    times (positive integers), equal indices merged; ``np.unique`` makes them
+    distinct, so the set skips re-validation."""
     idx, inverse = np.unique(index, return_inverse=True)
-    counts = np.bincount(inverse, weights=weights)
-    return SampleSet(
-        states=_state_rows(idx, num_nodes, basis),
-        counts=counts,
-        beta=beta,
-        num_reads=int(counts.sum()),
-        backend_id=backend_id,
-        basis=basis,
-    )
+    return SampleSet._indexed(idx, np.bincount(inverse, weights), num_nodes, basis, beta, backend_id)
 
 
 def gibbs_sample(bm: BoltzmannMachine, cfg: SamplerConfig) -> SampleSet:
@@ -204,7 +191,7 @@ def gibbs_sample(bm: BoltzmannMachine, cfg: SamplerConfig) -> SampleSet:
     fair coins, burned in, then thinned until the read quota is met. Every
     size runs the one kernel, ``_gibbs_lanes`` with one machine.
     """
-    return _gibbs_lanes([bm], [cfg])[0]
+    return _gibbs_lanes([bm], cfg, [cfg.seed])[0]
 
 
 def _chunk_widths(n: int) -> list[int]:
@@ -214,11 +201,12 @@ def _chunk_widths(n: int) -> list[int]:
 
 
 def _gibbs_lanes(
-    machines: Sequence[BoltzmannMachine], cfgs: Sequence[SamplerConfig]
+    machines: Sequence[BoltzmannMachine], cfg: SamplerConfig, seeds: Sequence[int]
 ) -> list[SampleSet]:
-    """Gibbs for machines of one size and basis whose configs differ only in
-    ``seed``, run as lanes of one kernel; each machine keeps its own
-    ``default_rng(seed)`` start and stream, so it draws as it would alone.
+    """Gibbs for machines of one size and basis under ``cfg``, machine g
+    seeded with ``seeds[g]``, run as lanes of one kernel; each machine keeps
+    its own ``default_rng(seed)`` start and stream, so it draws as it would
+    alone.
 
     A chain is one index per chunk of ``_chunk_widths(n)``: in a chunk of w
     nodes, machine g's lanes hold g * 2^w plus the index of the chunk's
@@ -234,16 +222,16 @@ def _gibbs_lanes(
     nodes), the kept states 8·c bytes a read; callers keep L·2^w within
     2^_TABLE_BITS.
     """
-    n, basis, cfg0 = machines[0].num_nodes, machines[0].basis, cfgs[0]
+    n, basis = machines[0].num_nodes, machines[0].basis
     lo, hi = basis.symbols
-    chains, per_chain = cfg0.num_chains, -(-cfg0.num_reads // cfg0.num_chains)
-    keep = range(cfg0.burn_in + cfg0.thinning - 1, cfg0.burn_in + per_chain * cfg0.thinning, cfg0.thinning)
+    chains, per_chain = cfg.num_chains, -(-cfg.num_reads // cfg.num_chains)
+    keep = range(cfg.burn_in + cfg.thinning - 1, cfg.burn_in + per_chain * cfg.thinning, cfg.thinning)
     widths = _chunk_widths(n)
     ends = list(accumulate(widths))
     J_syms = [bm.coupling_matrix + bm.coupling_matrix.T for bm in machines]
     if len(widths) == 1:
         S, P = cached_state_table(n, basis), np.empty((n, len(machines) << n))
-        for g, (bm, cfg, J_sym) in enumerate(zip(machines, cfgs, J_syms)):
+        for g, (bm, J_sym) in enumerate(zip(machines, J_syms)):
             # 1 / (1 + exp(clip(beta * dE))) in place, dE = (hi - lo) * (b_k + S @ J_sym[:, k]);
             # J_sym's zero diagonal drops site k, and hi - lo = 1 or 2 scales exactly
             p = P[:, g << n:(g + 1) << n]
@@ -257,10 +245,10 @@ def _gibbs_lanes(
     else:
         fields = [np.concatenate([
             (-cfg.beta * (hi - lo)) * (cached_state_table(w, basis) @ J_sym[end - w:end] + bm.biases * (d == 0)).T
-            for bm, cfg, J_sym in zip(machines, cfgs, J_syms)
+            for bm, J_sym in zip(machines, J_syms)
         ], axis=1) for d, (w, end) in enumerate(zip(widths, ends))]
         tables = [[G[end - w:end] for G in fields] for w, end in zip(widths, ends)]
-    rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     coins = [rng.random((chains, n)) >= 0.5 for rng in rngs]
     x, chunks = [], []  # each chunk's lane indices; its sites and the other chunks' fields
     for c, (w, end) in enumerate(zip(widths, ends)):
@@ -285,11 +273,8 @@ def _gibbs_lanes(
     for c, w in enumerate(widths[1:], 1):
         draws = (draws << w) + kept[:, c]
     offset = sum(1 << (n - end + w) for w, end in zip(widths, ends))
-    return [
-        _index_sample_set(draws[:, g * chains:(g + 1) * chains].reshape(-1)[: cfg.num_reads] - g * offset,
-                          bm, cfg, f"gibbs/chains={chains}")
-        for g, (bm, cfg) in enumerate(zip(machines, cfgs))
-    ]
+    return [_tally(draws[:, g * chains:(g + 1) * chains].reshape(-1)[: cfg.num_reads] - g * offset,
+                   n, basis, cfg.beta, f"gibbs/chains={chains}") for g in range(len(machines))]
 
 
 def _sweep_uniforms(rngs: Sequence[np.random.Generator], sweeps: int, widths: Sequence[int], chains: int):
@@ -336,7 +321,7 @@ def remote_sample(
     if urllib.parse.urlsplit(endpoint).scheme not in ("http", "https"):
         raise ValueError(f"endpoint {endpoint!r} is not an http(s) URL")
     if bm.num_nodes == 0:
-        return _index_sample_set(np.zeros(cfg.num_reads, dtype=np.int64), bm, cfg, f"remote({endpoint})")
+        return _tally(np.zeros(cfg.num_reads, dtype=np.int64), 0, bm.basis, cfg.beta, f"remote({endpoint})")
 
     wire_bm = bm if bm.basis is Basis.PLUS_MINUS else convert_basis(bm)
     payload = {
@@ -388,44 +373,41 @@ def remote_sample(
 
     # Duplicate rows are merged, keeping the reported multiplicities.
     backend_id = str(doc.get("backend_id", f"remote({endpoint})"))
-    return _tally(_row_indices(samples), counts, bm.num_nodes, bm.basis, cfg.beta, backend_id)
+    return _tally(_row_indices(samples), bm.num_nodes, bm.basis, cfg.beta, backend_id, counts)
 
 
-def draw_samples(
-    bm: BoltzmannMachine, cfg: SamplerConfig, endpoint: str | None = None
-) -> SampleSet:
+def draw_samples(bm: BoltzmannMachine, cfg: SamplerConfig) -> SampleSet:
     """Dispatch on the configured backend."""
     if cfg.backend is Backend.EXACT:
         return exact_sample(bm, cfg)
     if cfg.backend is Backend.GIBBS:
         return gibbs_sample(bm, cfg)
-    return remote_sample(bm, cfg, endpoint)
+    return remote_sample(bm, cfg)
 
 
 def draw_many(
-    machines: Sequence[BoltzmannMachine], cfgs: Sequence[SamplerConfig]
+    machines: Sequence[BoltzmannMachine], cfg: SamplerConfig, seeds: Sequence[int]
 ) -> list[SampleSet]:
-    """``[draw_samples(bm, cfg) for bm, cfg in zip(machines, cfgs)]``, byte
-    for byte, with the Gibbs draws batched: grouped by node count, basis and
-    config apart from ``seed``, each group runs through ``_gibbs_lanes`` in
-    runs of 2^(_TABLE_BITS - w) machines, w the widest of ``_chunk_widths(n)``.
+    """``[draw_samples(bm, replace(cfg, seed=s)) for bm, s in zip(machines,
+    seeds)]``, byte for byte, with the Gibbs draws batched: grouped by node
+    count and basis, each group runs through ``_gibbs_lanes`` in runs of
+    2^(_TABLE_BITS - w) machines, w the widest of ``_chunk_widths(n)``.
     Exact and remote draws go through ``draw_samples`` in the given order, so
     a remote service sees the same requests in the same order.
     """
-    if len(machines) != len(cfgs):
-        raise ValueError("one config per machine required")
+    if len(machines) != len(seeds):
+        raise ValueError("one seed per machine required")
+    if cfg.backend is not Backend.GIBBS:
+        return [draw_samples(bm, replace(cfg, seed=s)) for bm, s in zip(machines, seeds)]
     out: list[SampleSet | None] = [None] * len(machines)
     groups: dict[tuple, list[int]] = {}
-    for i, (bm, cfg) in enumerate(zip(machines, cfgs)):
-        if cfg.backend is Backend.GIBBS:
-            groups.setdefault((bm.num_nodes, bm.basis, replace(cfg, seed=0)), []).append(i)
-        else:
-            out[i] = draw_samples(bm, cfg)
-    for (n, _, _), members in groups.items():
+    for i, bm in enumerate(machines):
+        groups.setdefault((bm.num_nodes, bm.basis), []).append(i)
+    for (n, _), members in groups.items():
         size = 1 << (_TABLE_BITS - _chunk_widths(n)[0])
         for start in range(0, len(members), size):
             run = members[start:start + size]
-            for i, ss in zip(run, _gibbs_lanes([machines[i] for i in run], [cfgs[i] for i in run])):
+            for i, ss in zip(run, _gibbs_lanes([machines[i] for i in run], cfg, [seeds[i] for i in run])):
                 out[i] = ss
     return out
 
@@ -457,8 +439,8 @@ def merge_sample_sets(sets: Sequence[SampleSet]) -> SampleSet:
         raise ValueError("exhaustive sample sets cannot be merged")
     if any(s.basis is not first.basis or s.num_nodes != first.num_nodes for s in sets):
         raise ValueError("sample sets disagree on basis or node count")
-    return _tally(np.concatenate([_row_indices(s.states) for s in sets]), np.concatenate([s.counts for s in sets]),
-                  first.num_nodes, first.basis, first.beta, first.backend_id)
+    return _tally(np.concatenate([_row_indices(s.states) for s in sets]), first.num_nodes, first.basis, first.beta,
+                  first.backend_id, np.concatenate([s.counts for s in sets]))
 
 
 # -- files ----------------------------------------------------------------------

@@ -75,14 +75,8 @@ class GradientEstimate:
         object.__setattr__(self, "pairs", tuple((int(k), int(l)) for k, l in self.pairs))
         object.__setattr__(self, "d_pair", d_pair)
 
-    def coupling_dict(self) -> dict[tuple[int, int], float]:
-        return {pair: float(v) for pair, v in zip(self.pairs, self.d_pair)}
-
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.d_bias, self.d_pair])
-
-    def linf(self) -> float:
-        return float(max(np.abs(self.d_bias).max(initial=0.0), np.abs(self.d_pair).max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -194,10 +188,6 @@ class TrainingTrace:
         object.__setattr__(self, "records", records)
 
     @property
-    def initial_loss(self) -> float:
-        return self.records[0].loss
-
-    @property
     def final_loss(self) -> float:
         losses = [r.loss for r in self.records if np.isfinite(r.loss)]
         return losses[-1] if losses else float("nan")
@@ -291,7 +281,7 @@ def _clamped_draws(
     """One draw per (fixed leading values, seed): the subgraph left free by
     clamping, drawn with ``cfg`` under that seed, all in one ``draw_many``."""
     machines = [clamp_visible(bm, dict(enumerate(fixed)))[0] for fixed, _ in phases]
-    return draw_many(machines, [replace(cfg, seed=seed) for _, seed in phases])
+    return draw_many(machines, cfg, [seed for _, seed in phases])
 
 
 # -- gradients ---------------------------------------------------------------

@@ -26,7 +26,8 @@ def test_smoke_pair_writes_every_key(tmp_path):
     assert pair["seed"] == 7 and pair["first"] == "base"
     end_to_end = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     for side in ("base", "change"):
-        assert set(pair[side]) == {"metrics", "attempted", "failed", "correct"}
+        assert set(pair[side]) == {"metrics", "minflt", "attempted", "failed", "correct"}
+        assert isinstance(pair[side]["minflt"], int) and pair[side]["minflt"] > 0
         assert set(pair[side]["metrics"]) == end_to_end | {"error_rate"}
         assert pair[side]["correct"] and pair[side]["metrics"]["error_rate"] == 0.0
     assert set(run["summary"]) == end_to_end | {"error_rate"}

@@ -12,9 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 import isingbm
-from isingbm.cli import main
+from isingbm.cli import _write_json, main
 from isingbm.datasets import load_fixture
-from isingbm.model import load_model_entry
+from isingbm.model import load_model_entry, save_model
 from isingbm.samplers import Backend, SamplerConfig, draw_samples, load_sample_set, save_sample_set
 from isingbm.training import TrainingConfig
 
@@ -146,6 +146,34 @@ def test_train_past_enumeration_cap_exits_2(runner, tmp_path):
     assert result.exit_code == 2
     err = json.loads(result.stderr.strip().splitlines()[-1])
     assert err["error"]["kind"] == "capacity"
+
+
+def _strict(text: str):
+    """JSON that refuses NaN and the infinities, as a strict reader does."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_sampled_train_past_the_cap_writes_a_null_loss(runner, tmp_path, enumeration_cap):
+    # Gibbs draws the 4-node machine, but a cap of 3 leaves no loss to evaluate
+    enumeration_cap(3)
+    out = tmp_path / "x"
+    result = runner.invoke(main, [
+        "train", "--dataset", "and", "--arch", "3v1h", "--gradient", "sampled", "--backend", "gibbs",
+        "--reads", "20", "--max-steps", "1", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert _strict(result.output.strip().splitlines()[-1])["best_final_loss"] is None
+    assert _strict((out / "model_best.json").read_text())["metadata"]["final_loss"] is None
+
+
+def test_json_writers_refuse_non_finite_values(tmp_path):
+    bm = load_fixture("and_gate")
+    with pytest.raises(ValueError):
+        save_model(bm, tmp_path / "m.json", metadata={"final_loss": float("nan")})
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "r.json", {"min_dkl": float("inf")})
+    assert list(tmp_path.iterdir()) == []  # no file and no temporary left behind
 
 
 def _dead_port() -> int:

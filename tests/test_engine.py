@@ -154,7 +154,7 @@ def test_ground_set_equals_naive_ties_on_symmetric_machines(seed):
 
 
 def clamped_reference(bm, beta, v_input):
-    reduced, _ = clamp_visible(bm, dict(zip(bm.input_indices, v_input)))
+    reduced, _ = clamp_visible(bm, dict(zip(range(bm.num_visible_input), v_input)))
     return model_probability(reduced, beta, range(bm.num_visible_output))
 
 

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from isingbm.errors import CapacityError
 from isingbm.model import (
     Basis,
     BoltzmannMachine,
@@ -15,7 +14,6 @@ from isingbm.model import (
     convert_state,
     energies,
     energy,
-    enumerate_states,
     ground_states,
     load_model,
     load_model_entry,
@@ -129,9 +127,6 @@ def test_machine_bounds_check_on_demand():
 
 def test_partition_indexing():
     bm = BoltzmannMachine(2, 1, 3, np.zeros(6), {})
-    assert list(bm.input_indices) == [0, 1]
-    assert list(bm.output_indices) == [2]
-    assert list(bm.hidden_indices) == [3, 4, 5]
     assert bm.num_visible == 3 and bm.num_nodes == 6
 
 
@@ -270,24 +265,9 @@ def test_convert_basis_preserves_boltzmann_distribution(rng, beta):
 # ---------------------------------------------------------------- enumeration
 
 
-def test_enumerate_states_small_orders():
-    assert [s.values for s in enumerate_states(1)] == [(0,), (1,)]
-    assert [s.values for s in enumerate_states(2)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-def test_enumerate_states_18_nodes_distinct_count():
-    seen = set()
-    count = 0
-    for s in enumerate_states(18):
-        count += 1
-        seen.add(s.values)
-    assert count == 2**18
-    assert len(seen) == 2**18
-
-
-def test_enumerate_states_capacity():
-    with pytest.raises(CapacityError):
-        list(enumerate_states(25))
+def test_state_matrix_small_orders():
+    assert state_matrix(1).tolist() == [[0], [1]]
+    assert state_matrix(2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_state_index_inverts_state_matrix():

@@ -149,6 +149,15 @@ def test_remote_faults_map_to_typed_errors(broken_server, error, rng, monkeypatc
         remote_sample(bm, SamplerConfig(num_reads=5), broken_server)
 
 
+@pytest.mark.parametrize("broken_server", [_reply_counts([2, 3, 4], [[1, -1], [-1, 1], [1, -1]])],
+                         indirect=True)
+def test_remote_duplicate_rows_merge_their_counts(broken_server, rng):
+    bm = random_machine(2, 0, 0, rng)  # {0,1}: +1 -> 1, -1 -> 0
+    ss = remote_sample(bm, SamplerConfig(num_reads=9), broken_server)
+    assert ss.states.tolist() == [[0, 1], [1, 0]]
+    assert ss.counts.tolist() == [3, 6] and ss.num_reads == 9
+
+
 def test_remote_endpoint_must_be_http(rng):
     bm = random_machine(2, 0, 0, rng)
     for endpoint in ("localhost:1", "file:///dev/null"):

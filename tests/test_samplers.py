@@ -337,53 +337,46 @@ def test_gibbs_draws_of_a_training_config_are_unchanged():
 @st.composite
 def draw_batches(draw):
     """A ``_TABLE_BITS`` small enough to chunk groups and split some machines
-    into several chunks, and a batch of Gibbs and exact draws whose configs
-    come from a pool of two, so some share a kernel and some do not."""
-    pool = []
-    for _ in range(2):
-        chains = draw(st.integers(1, 12))
-        reads = draw(st.integers(1, 4)) * chains - draw(st.integers(0, chains - 1))
-        pool.append(SamplerConfig(beta=draw(st.floats(0.05, 5.0)), num_reads=reads,
-                                  burn_in=draw(st.integers(0, 12)), thinning=draw(st.integers(1, 3)),
-                                  num_chains=chains, backend=Backend.GIBBS))
+    into several chunks, one Gibbs or exact config, and a batch of machines of
+    a few sizes in both bases, so some share a kernel and some do not."""
+    chains = draw(st.integers(1, 12))
+    reads = draw(st.integers(1, 4)) * chains - draw(st.integers(0, chains - 1))
+    cfg = SamplerConfig(beta=draw(st.floats(0.05, 5.0)), num_reads=reads, burn_in=draw(st.integers(0, 12)),
+                        thinning=draw(st.integers(1, 3)), num_chains=chains,
+                        backend=draw(st.sampled_from([Backend.GIBBS, Backend.GIBBS, Backend.EXACT])))
     sizes = draw(st.lists(st.integers(0, 8), min_size=1, max_size=3))
-    machines, cfgs = [], []
-    for _ in range(draw(st.integers(1, 12))):
-        machines.append(random_machine(draw(st.sampled_from(sizes)), 0, 0,
-                                       np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
-                                       basis=draw(st.sampled_from(list(Basis)))))
-        cfgs.append(replace(draw(st.sampled_from(pool)), seed=draw(st.integers(0, 2**32 - 1)),
-                            backend=draw(st.sampled_from([Backend.GIBBS, Backend.GIBBS, Backend.EXACT]))))
-    return draw(st.integers(1, 6)), machines, cfgs
+    machines = [random_machine(draw(st.sampled_from(sizes)), 0, 0,
+                               np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                               basis=draw(st.sampled_from(list(Basis))))
+                for _ in range(draw(st.integers(1, 12)))]
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(machines), max_size=len(machines)))
+    return draw(st.integers(1, 6)), machines, cfg, seeds
 
 
 def _chunk_of_five():
-    # with 2^3 states per kernel: five 1-node machines under one config (a
-    # run of four and a run of one), a 4-node machine in two chunks,
-    # then 1-node machines under another config and the exact backend
+    # with 2^3 states per kernel: five 1-node machines (a run of four and a
+    # run of one) around a 4-node machine in two chunks
     cfg = SamplerConfig(beta=1.5, num_reads=9, burn_in=2, thinning=2, num_chains=3, backend=Backend.GIBBS)
-    cfgs = [replace(cfg, seed=i) for i in range(6)]
-    cfgs += [replace(cfg, seed=6, num_chains=2), replace(cfg, seed=7, backend=Backend.EXACT)]
-    machines = [random_machine(4 if i == 5 else 1, 0, 0, np.random.default_rng(i)) for i in range(8)]
-    return 3, machines, cfgs
+    machines = [random_machine(4 if i == 3 else 1, 0, 0, np.random.default_rng(i)) for i in range(6)]
+    return 3, machines, cfg, list(range(6))
 
 
 @settings(max_examples=60, deadline=None)
 @given(draw_batches())
 @example(_chunk_of_five())
 def test_draw_many_equals_one_draw_per_machine(batch):
-    table_bits, machines, cfgs = batch
+    table_bits, machines, cfg, seeds = batch
     kernels = []
 
-    def lanes(ms, cs):
+    def lanes(ms, c, ss):
         kernels.append(len(ms) << samplers._chunk_widths(ms[0].num_nodes)[0])
-        return gibbs_lanes(ms, cs)
+        return gibbs_lanes(ms, c, ss)
 
     gibbs_lanes = samplers._gibbs_lanes
     with mock.patch.object(samplers, "_TABLE_BITS", table_bits), mock.patch.object(samplers, "_gibbs_lanes", lanes):
-        many = draw_many(machines, cfgs)
+        many = draw_many(machines, cfg, seeds)
         assert all(states <= 1 << table_bits for states in kernels)
-        each = [draw_samples(bm, cfg) for bm, cfg in zip(machines, cfgs)]
+        each = [draw_samples(bm, replace(cfg, seed=s)) for bm, s in zip(machines, seeds)]
     assert len(many) == len(each)
     for got, want in zip(many, each):
         assert got.states.dtype == want.states.dtype and got.states.shape == want.states.shape
@@ -398,24 +391,25 @@ def test_draw_many_of_17_and_18_node_machines_equals_one_draw_per_machine():
     machines = [random_machine(n, 0, 0, np.random.default_rng(i), basis=basis)
                 for i, (n, basis) in enumerate([(17, Basis.ZERO_ONE), (18, Basis.ZERO_ONE), (17, Basis.ZERO_ONE),
                                                 (18, Basis.ZERO_ONE), (18, Basis.PLUS_MINUS)])]
-    cfgs = [replace(cfg, seed=i) for i in range(len(machines))]
     gibbs_lanes, kernels = samplers._gibbs_lanes, []
 
-    def lanes(ms, cs):
+    def lanes(ms, c, ss):
         kernels.append(len(ms))
-        return gibbs_lanes(ms, cs)
+        return gibbs_lanes(ms, c, ss)
 
     with mock.patch.object(samplers, "_gibbs_lanes", lanes):
-        many = draw_many(machines, cfgs)
+        many = draw_many(machines, cfg, range(len(machines)))
     assert kernels == [2, 2, 1]
-    for got, bm, c in zip(many, machines, cfgs):
-        want = gibbs_sample(bm, c)
+    for i, (got, bm) in enumerate(zip(many, machines)):
+        want = gibbs_sample(bm, replace(cfg, seed=i))
         assert got.states.tobytes() == want.states.tobytes() and got.counts.tobytes() == want.counts.tobytes()
 
 
 def test_draw_many_wants_one_config_per_machine():
-    with pytest.raises(ValueError):
-        draw_many([single_node()], [])
+    # a machine's config is the batch's under its own seed
+    for seeds in ([], [1, 2]):
+        with pytest.raises(ValueError):
+            draw_many([single_node()], SamplerConfig(backend=Backend.GIBBS), seeds)
 
 
 def test_gibbs_matches_exact_distribution(rng):
