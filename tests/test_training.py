@@ -523,6 +523,17 @@ def test_sampled_mode_training_runs(rng):
 GOLDEN_GIBBS = SamplerConfig(beta=3.0, num_reads=200, burn_in=20, thinning=2, num_chains=10,
                              backend=Backend.GIBBS, seed=20261018)
 GOLDEN_RUNS = {
+    # AND rows on a 3v2h bipartite machine, 12 reads: a row left out of the
+    # full draw is redrawn clamped, the others reuse it (2, 1, 1, 2 redrawn)
+    "auto": (
+        [0.1384733131509024, -0.008423517553809774, -0.28951620622076263, 0.30815145182131687,
+         0.3884943425175445],
+        [0.2195868726253975, 0.12090449324140824, -0.3291834127620808, -0.415632201580931,
+         0.58806932516073, 0.4061354228411313],
+        [(0, 1.3802704094691625, float("nan"), 0, 0), (1, 1.2825989992671487, 0.050003746275076866, 1, 2),
+         (2, 1.1393729586265933, 0.055005494002660235, 1, 1), (3, 0.9952823699950047, 0.06633932591760355, 1, 1),
+         (4, 0.8795534913079702, 0.06480562833997704, 1, 2)],
+    ),
     # AND rows on a 3v2h bipartite machine, every row redrawn clamped
     "always": (
         [0.15938196335663243, 0.03155670972069692, -0.25756889994913934, 0.23850409772042694,
@@ -558,8 +569,11 @@ def sampled_run(train, ds, arch, sampler, policy="auto"):
 @pytest.mark.parametrize("kind", sorted(GOLDEN_RUNS))
 def test_sampled_training_is_unchanged(kind):
     # parameters and trace as drawn one clamped subgraph per sampler call
-    if kind == "always":
-        arch = Architecture(3, 0, 2, pairs=tuple((v, 3 + h) for v in range(3) for h in range(2)))
+    arch = Architecture(3, 0, 2, pairs=tuple((v, 3 + h) for v in range(3) for h in range(2)))
+    if kind == "auto":
+        got = sampled_run(train_distribution, from_rows(logic_gate("AND").rows), arch,
+                          replace(GOLDEN_GIBBS, num_reads=12), "auto")
+    elif kind == "always":
         got = sampled_run(train_distribution, from_rows(logic_gate("AND").rows), arch, GOLDEN_GIBBS, "always")
     else:
         got = sampled_run(train_function_approximator, logic_gate("AND"), Architecture(2, 1, 1), GOLDEN_GIBBS)
