@@ -18,6 +18,11 @@ with its ``src`` first on ``PYTHONPATH``:
 * ``train_exact_18``: ``isingbm train --dataset two_phase --arch 10v8h --beta
   3 --loss-every 1 --max-steps 150`` (18 nodes, exact gradients, the loss
   every step) into a temporary directory;
+* ``train_sampled_18``: ``isingbm train --dataset two_phase --arch 10v8h
+  --gradient sampled --backend gibbs --beta 3 --reads 200 --chains 10
+  --max-steps 20 --loss-every 20`` (an 18-node full draw in two chunks and
+  8-node clamped lanes per step, a path no gated workload reaches) into a
+  temporary directory;
 * ``tier1``: ``python -m pytest -q --continue-on-collection-errors``, the
   tier-1 suite, unless ``--skip-tier1`` is given (the suite's own smoke test
   of this script skips it, so the suite does not run itself).
@@ -57,6 +62,9 @@ def commands(out: Path, skip_tier1: bool) -> dict[str, list[str]]:
                            "--chains", "10", "--burn-in", "1000", "--thinning", "10", "--out", str(out / "gibbs_18.json")],
         "train_exact_18": CLI + ["train", "--dataset", "two_phase", "--arch", "10v8h", "--beta", "3",
                                  "--loss-every", "1", "--max-steps", "150", "--out", str(out / "train_exact_18")],
+        "train_sampled_18": CLI + ["train", "--dataset", "two_phase", "--arch", "10v8h", "--gradient", "sampled",
+                                   "--backend", "gibbs", "--beta", "3", "--reads", "200", "--chains", "10",
+                                   "--max-steps", "20", "--loss-every", "20", "--out", str(out / "train_sampled_18")],
     }
     if not skip_tier1:
         cmds["tier1"] = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]

@@ -108,6 +108,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _echo_result(doc: dict) -> None:
+    """A command's result line on stdout, as strict JSON: a value that is not
+    finite is refused (a ValueError, exit 2) unless the command wrote it as
+    null on purpose."""
+    click.echo(json.dumps(doc, allow_nan=False))
+
+
 def _write_json(path: Path, doc: dict) -> None:
     with _replacing(path) as fh:
         fh.write(json.dumps(doc, indent=1, default=str, allow_nan=False) + "\n")
@@ -310,11 +317,11 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
     _write_manifest(out_dir / "manifest.json", "train", config_snapshot,
                     list(range(seed, seed + seeds)),
                     [p for p in [dataset_path] if p], outputs, started)
-    click.echo(json.dumps({
+    _echo_result({
         "best_seed": best_seed,
         "best_final_loss": final_loss,
         "model": str(model_path),
-    }))
+    })
 
 
 # ---------------------------------------------------------------- sweep-beta
@@ -366,14 +373,16 @@ def cmd_sweep_beta(model_spec, dataset_spec, grid_spec, out_path):
 
     dkls = [r[1] for r in rows]
     argmin = int(np.argmin(dkls))
+    # every point's divergence infinite (a data row at probability 0): no minimum, JSON null
+    found = math.isfinite(dkls[argmin])
     _write_manifest(out_path.with_suffix(out_path.suffix + ".manifest.json"), "sweep-beta",
                     {"model": model_spec, "dataset": dataset_spec, "beta_grid": grid_spec},
                     [], [p for p in [model_path, dataset_path] if p], [out_path], started)
-    click.echo(json.dumps({
+    _echo_result({
         "out": str(out_path),
-        "argmin_beta": rows[argmin][0],
-        "min_dkl": dkls[argmin],
-    }))
+        "argmin_beta": rows[argmin][0] if found else None,
+        "min_dkl": dkls[argmin] if found else None,
+    })
 
 
 # ---------------------------------------------------------------- fit-beta
@@ -440,7 +449,7 @@ def cmd_fit_beta(model_spec, sample_file, backend, beta, sizes, reads, chains,
                     {"backend": backend, "beta": beta, "sizes": sizes, "reads": reads, "chains": chains,
                      "exhaustive": exhaustive, "beta_grid": grid_spec, "seed": seed},
                     [seed], inputs, [out_path], started)
-    click.echo(json.dumps({"out": str(out_path), "entries": len(report["entries"])}))
+    _echo_result({"out": str(out_path), "entries": len(report["entries"])})
 
 
 # ---------------------------------------------------------------- verify-propositions
@@ -494,13 +503,13 @@ def cmd_verify_propositions(machines, max_nodes, seed, out_path):
                     "verify-propositions",
                     {"machines": machines, "max_nodes": max_nodes, "seed": seed},
                     [seed], [], [out_path], started)
-    click.echo(json.dumps({
+    _echo_result({
         "out": str(out_path),
         "ground_state_monotone": report["ground_state_monotone"],
         "excited_eventual_decrease": {
             k: v for k, v in report["excited_eventual_decrease"].items()
         },
-    }))
+    })
 
 
 # ---------------------------------------------------------------- sample
@@ -534,12 +543,12 @@ def cmd_sample(model_spec, backend, beta, reads, chains, burn_in, thinning,
                      "burn_in": burn_in, "thinning": thinning, "exhaustive": exhaustive, "endpoint": endpoint,
                      "seed": seed},
                     [seed], [p for p in [model_path] if p], [out_path], started)
-    click.echo(json.dumps({
+    _echo_result({
         "out": str(out_path),
         "distinct_states": int(ss.states.shape[0]),
         "total_weight": float(ss.counts.sum()),
         "backend_id": ss.backend_id,
-    }))
+    })
 
 
 # ---------------------------------------------------------------- serve-mock
@@ -656,7 +665,7 @@ def cmd_reproduce(out_dir, quick):
     _write_json(out_dir / "summary.json", summary)
     _write_manifest(out_dir / "manifest.json", "reproduce", {"quick": quick}, [0],
                     [], outputs + [out_dir / "summary.json"], started)
-    click.echo(json.dumps({"out": str(out_dir), "elapsed_seconds": summary["elapsed_seconds"]}))
+    _echo_result({"out": str(out_dir), "elapsed_seconds": summary["elapsed_seconds"]})
 
 
 if __name__ == "__main__":

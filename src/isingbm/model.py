@@ -185,13 +185,6 @@ class BoltzmannMachine:
         D.flags.writeable = False
         return m, D
 
-    def node_class(self, k: int) -> str:
-        if k < self.num_visible_input:
-            return "input"
-        if k < self.num_visible:
-            return "output"
-        return "hidden"
-
     def with_parameters(
         self, biases: np.ndarray, couplings: Mapping[tuple[int, int], float]
     ) -> "BoltzmannMachine":
@@ -533,58 +526,44 @@ def clamp_visible(
 ) -> tuple[BoltzmannMachine, float]:
     """Fix a subset of nodes and fold their effect into the free subgraph.
 
-    Every free node j picks up ``sum_i coupling_ij * value_i`` on its bias;
-    couplings among free nodes are untouched. The returned offset collects the
-    clamped biases and clamped-pair couplings, so that for any free
-    configuration h:
+    Every free node j picks up ``sum_i coupling_ij * value_i`` on its bias
+    (``_clamped_rows``); couplings among free nodes are untouched. The
+    returned offset collects the clamped biases and clamped-pair couplings,
+    so that for any free configuration h:
 
         energy(bm, assignment + h) == offset + energy(reduced, h)
 
     Energy gaps among free-node configurations are therefore unchanged.
     """
-    allowed = set(bm.basis.symbols)
-    clamped: dict[int, float] = {}
-    for k, v in assignment.items():
-        k = int(k)
-        if not 0 <= k < bm.num_nodes:
-            raise ValueError(f"clamped node {k} out of range")
-        if int(v) not in allowed:
-            raise ValueError(f"clamped value {v} not in basis {bm.basis.value}")
-        clamped[k] = float(v)
+    clamped = dict(sorted((int(k), v) for k, v in assignment.items()))
+    if any(not 0 <= k < bm.num_nodes for k in clamped):
+        raise ValueError(f"clamped nodes {list(clamped)} out of range for {bm.num_nodes} nodes")
+    _check_symbols(tuple(int(v) for v in clamped.values()), bm.basis)
+    nodes, p = list(clamped), np.array([float(v) for v in clamped.values()])
+    free, _, biases = _clamped_rows(bm, nodes, p[None])
+    pos = {int(k): i for i, k in enumerate(free)}
+    inputs, visible = (int(i) for i in np.searchsorted(free, [bm.num_visible_input, bm.num_visible]))
+    reduced = BoltzmannMachine(inputs, visible - inputs, len(free) - visible, biases[0],
+                               {(pos[k], pos[l]): v for (k, l), v in bm.couplings.items() if k in pos and l in pos},
+                               bm.basis, bm.h_max, bm.j_max)
+    return reduced, float(p @ bm.biases[nodes] + p @ bm.coupling_matrix[np.ix_(nodes, nodes)] @ p)
 
-    free = [k for k in range(bm.num_nodes) if k not in clamped]
-    pos = {k: i for i, k in enumerate(free)}
 
-    new_biases = np.array([bm.biases[k] for k in free])
-    offset = sum(bm.biases[k] * v for k, v in clamped.items())
-
-    new_couplings: dict[tuple[int, int], float] = {}
-    for (k, l), v in bm.couplings.items():
-        k_in, l_in = k in clamped, l in clamped
-        if k_in and l_in:
-            offset += v * clamped[k] * clamped[l]
-        elif k_in:
-            new_biases[pos[l]] += v * clamped[k]
-        elif l_in:
-            new_biases[pos[k]] += v * clamped[l]
-        else:
-            new_couplings[(pos[k], pos[l])] = v
-
-    counts = {"input": 0, "output": 0, "hidden": 0}
-    for k in free:
-        counts[bm.node_class(k)] += 1
-
-    reduced = BoltzmannMachine(
-        num_visible_input=counts["input"],
-        num_visible_output=counts["output"],
-        num_hidden=counts["hidden"],
-        biases=new_biases,
-        couplings=new_couplings,
-        basis=bm.basis,
-        h_max=bm.h_max,
-        j_max=bm.j_max,
-    )
-    return reduced, float(offset)
+def _clamped_rows(
+    bm: BoltzmannMachine, nodes: Sequence[int], values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clamp ``nodes`` (ascending) to each row of ``values`` at once: the free
+    nodes (ascending), their symmetric couplings J_sym[free, free] and one
+    bias row per row of values, b_free + sum_k v_k J_sym[k, free], added one
+    clamped node at a time in ascending order. A loop over a coupling dict in
+    sorted pair order adds in that order, so machines whose dict is sorted,
+    as training builds them, get the bits it gave."""
+    free = np.delete(np.arange(bm.num_nodes), list(nodes))
+    J_sym = bm.coupling_matrix + bm.coupling_matrix.T
+    biases = np.repeat(bm.biases[None, free], values.shape[0], axis=0)
+    for col, k in enumerate(nodes):
+        biases += values[:, col, None] * J_sym[k, free]
+    return free, J_sym[np.ix_(free, free)], biases
 
 
 # -- basis conversion -------------------------------------------------------

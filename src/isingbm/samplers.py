@@ -156,16 +156,7 @@ def exact_sample(bm: BoltzmannMachine, cfg: SamplerConfig) -> SampleSet:
     probs = boltzmann_probabilities(bm, cfg.beta)
     n = bm.num_nodes
     if cfg.exhaustive:
-        states = state_matrix(n, bm.basis)
-        return SampleSet(
-            states=states,
-            counts=probs,
-            beta=cfg.beta,
-            num_reads=0,
-            backend_id="exact/exhaustive",
-            basis=bm.basis,
-            exhaustive=True,
-        )
+        return SampleSet(state_matrix(n, bm.basis), probs, cfg.beta, 0, "exact/exhaustive", bm.basis, exhaustive=True)
     rng = np.random.default_rng(cfg.seed)
     draws = rng.choice(probs.shape[0], size=cfg.num_reads, p=probs)
     return _tally(draws, n, bm.basis, cfg.beta, "exact")
@@ -189,7 +180,7 @@ def gibbs_sample(bm: BoltzmannMachine, cfg: SamplerConfig) -> SampleSet:
     sigmoid(-beta * dE_k), where dE_k is the energy change from the lower to
     the upper symbol given the current neighbors. Chains are initialized from
     fair coins, burned in, then thinned until the read quota is met. Every
-    size runs the one kernel, ``_gibbs_lanes`` with one machine.
+    size runs the one kernel, ``_gibbs_arrays``, with one lane.
     """
     return _gibbs_lanes([bm], cfg, [cfg.seed])[0]
 
@@ -200,61 +191,80 @@ def _chunk_widths(n: int) -> list[int]:
     return [n // c + (i < n % c) for i in range(c)]
 
 
+def _lane_capacity(n: int) -> int:
+    """Lanes of n nodes one kernel run holds: 2^(_TABLE_BITS - widest chunk)."""
+    return 1 << (_TABLE_BITS - _chunk_widths(n)[0])
+
+
 def _gibbs_lanes(
     machines: Sequence[BoltzmannMachine], cfg: SamplerConfig, seeds: Sequence[int]
 ) -> list[SampleSet]:
-    """Gibbs for machines of one size and basis under ``cfg``, machine g
-    seeded with ``seeds[g]``, run as lanes of one kernel; each machine keeps
-    its own ``default_rng(seed)`` start and stream, so it draws as it would
-    alone.
+    """Machines of one size and basis, machine g seeded with ``seeds[g]``,
+    drawn as the lanes of one ``_gibbs_arrays`` run: one set per machine."""
+    n, basis = machines[0].num_nodes, machines[0].basis
+    J_syms = np.stack([bm.coupling_matrix + bm.coupling_matrix.T for bm in machines])
+    lane, index, count = _gibbs_arrays(J_syms, np.stack([bm.biases for bm in machines]), basis, cfg, seeds)
+    bounds = np.searchsorted(lane, np.arange(len(machines) + 1))
+    return [SampleSet._indexed(index[a:b], count[a:b], n, basis, cfg.beta, f"gibbs/chains={cfg.num_chains}")
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def _gibbs_arrays(
+    J_syms: np.ndarray, biases: np.ndarray, basis: Basis, cfg: SamplerConfig, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gibbs under ``cfg`` for lanes of one size and basis in one kernel:
+    lane g has the symmetric couplings ``J_syms[g]`` (or the one matrix every
+    lane shares), the biases ``biases[g]`` and its own ``default_rng(seeds[g])``
+    start and stream, so it draws as such a machine alone. Returns the
+    distinct draws as (lane, state index, count), lane-major, index-sorted.
 
     A chain is one index per chunk of ``_chunk_widths(n)``: in a chunk of w
-    nodes, machine g's lanes hold g * 2^w plus the index of the chunk's
+    nodes, lane g's chains hold g * 2^w plus the index of the chunk's
     nodes. Chunk by chunk, site k compares v_k with its table at the chunk's
     index and steps that index to k's bit set or cleared. With one chunk the
     table is the probability of the upper symbol and v_k the uniform u_k.
     With several, the field -beta*dE_k is the sum over chunks d of
-    G_d[k][x_d] (one GEMM per chunk); the other chunks hold still in a
-    chunk's pass, so v_k is log u_k - log1p(-u_k) less their fields and the
-    table is G_c[k], deciding alike unless u_k is within rounding of the
-    probability. For L machines and c chunks of widest w the tables take at
+    G_d[k][x_d] (one GEMM per chunk and matrix); the other chunks hold still
+    in a chunk's pass, so v_k is log u_k - log1p(-u_k) less their fields and
+    the table is G_c[k], deciding alike unless u_k is within rounding of the
+    probability. For L lanes and c chunks of widest w the tables take at
     most 8·n·(c + 2)·L·2^w bytes (24·n·2^n for one chunk: 5.5 MB at 14
     nodes), the kept states 8·c bytes a read; callers keep L·2^w within
-    2^_TABLE_BITS.
+    2^_TABLE_BITS (``_lane_capacity``).
     """
-    n, basis = machines[0].num_nodes, machines[0].basis
+    lanes, n = biases.shape
     lo, hi = basis.symbols
     chains, per_chain = cfg.num_chains, -(-cfg.num_reads // cfg.num_chains)
     keep = range(cfg.burn_in + cfg.thinning - 1, cfg.burn_in + per_chain * cfg.thinning, cfg.thinning)
     widths = _chunk_widths(n)
     ends = list(accumulate(widths))
-    J_syms = [bm.coupling_matrix + bm.coupling_matrix.T for bm in machines]
     if len(widths) == 1:
-        S, P = cached_state_table(n, basis), np.empty((n, len(machines) << n))
-        for g, (bm, J_sym) in enumerate(zip(machines, J_syms)):
-            # 1 / (1 + exp(clip(beta * dE))) in place, dE = (hi - lo) * (b_k + S @ J_sym[:, k]);
-            # J_sym's zero diagonal drops site k, and hi - lo = 1 or 2 scales exactly
-            p = P[:, g << n:(g + 1) << n]
+        # 1 / (1 + exp(clip(beta * dE))) in place, dE = (hi - lo) * (b_k + S @ J_sym[:, k]): the
+        # matvecs once per matrix; J_sym's zero diagonal drops site k, and hi - lo = 1 or 2 scales exactly
+        S, P = cached_state_table(n, basis), np.empty((n, lanes, 1 << n))
+        for g, J_sym in enumerate(J_syms):
             for k in range(n):
-                np.matmul(S, J_sym[:, k], out=p[k])
-            p += bm.biases[:, None]
-            p *= cfg.beta * (hi - lo)
-            np.exp(np.clip(p, -500, 500, out=p), out=p)
-            np.divide(1.0, np.add(p, 1.0, out=p), out=p)
+                np.matmul(S, J_sym[:, k], out=P[k, g])
+        P[:, len(J_syms):] = P[:, :1]
+        P += biases.T[:, :, None]
+        P = P.reshape(n, lanes << n)
+        P *= cfg.beta * (hi - lo)
+        np.exp(np.clip(P, -500, 500, out=P), out=P)
+        np.divide(1.0, np.add(P, 1.0, out=P), out=P)
         tables = [[P]]
     else:
-        fields = [np.concatenate([
-            (-cfg.beta * (hi - lo)) * (cached_state_table(w, basis) @ J_sym[end - w:end] + bm.biases * (d == 0)).T
-            for bm, J_sym in zip(machines, J_syms)
-        ], axis=1) for d, (w, end) in enumerate(zip(widths, ends))]
+        fields = [((-cfg.beta * (hi - lo)) * (
+            np.stack([cached_state_table(w, basis) @ J_sym[end - w:end] for J_sym in J_syms])
+            + (biases * (d == 0))[:, None, :])).transpose(2, 0, 1).reshape(n, lanes << w)
+            for d, (w, end) in enumerate(zip(widths, ends))]
         tables = [[G[end - w:end] for G in fields] for w, end in zip(widths, ends)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    coins = [rng.random((chains, n)) >= 0.5 for rng in rngs]
+    coins = np.stack([rng.random((chains, n)) for rng in rngs]) >= 0.5
     x, chunks = [], []  # each chunk's lane indices; its sites and the other chunks' fields
     for c, (w, end) in enumerate(zip(widths, ends)):
         masks = 1 << np.arange(w - 1, -1, -1, dtype=np.int64)
-        every = np.arange(len(machines) << w, dtype=np.int64)
-        x.append(np.concatenate([(coin[:, end - w:end] @ masks) + (g << w) for g, coin in enumerate(coins)]))
+        every = np.arange(lanes << w, dtype=np.int64)
+        x.append((coins[:, :, end - w:end] @ masks + (np.arange(lanes, dtype=np.int64) << w)[:, None]).reshape(-1))
         sites = [(np.stack([every & ~m, every | m]), t_k) for m, t_k in zip(masks, tables[c][c])]
         chunks.append((c, sites, [(G, d) for d, G in enumerate(tables[c]) if d != c]))
     kept = np.empty((per_chain, len(x), x[0].shape[0]), dtype=np.int64 if n <= 62 else object)
@@ -268,13 +278,17 @@ def _gibbs_lanes(
             x[c] = idx
         if sweep in keep:
             kept[keep.index(sweep)] = x
-    # chunk c is the index's bits from n - ends[c] up; lane offsets add alike
+    # chunk c is the index's bits from n - ends[c] up: lane g's draws are g * offset plus
+    # its index, and shifted to g * 2^n plus its index, one sort tallies every lane
     draws = kept[:, 0]
     for c, w in enumerate(widths[1:], 1):
         draws = (draws << w) + kept[:, c]
     offset = sum(1 << (n - end + w) for w, end in zip(widths, ends))
-    return [_tally(draws[:, g * chains:(g + 1) * chains].reshape(-1)[: cfg.num_reads] - g * offset,
-                   n, basis, cfg.beta, f"gibbs/chains={chains}") for g in range(len(machines))]
+    reads = draws.reshape(per_chain, lanes, chains).transpose(1, 0, 2).reshape(lanes, -1)[:, :cfg.num_reads]
+    keys, count = np.unique(reads - np.arange(lanes, dtype=draws.dtype)[:, None] * (offset - (1 << n)),
+                            return_counts=True)
+    lane = keys >> n
+    return lane.astype(np.int64), keys - (lane << n), count
 
 
 def _sweep_uniforms(rngs: Sequence[np.random.Generator], sweeps: int, widths: Sequence[int], chains: int):
@@ -391,7 +405,7 @@ def draw_many(
     """``[draw_samples(bm, replace(cfg, seed=s)) for bm, s in zip(machines,
     seeds)]``, byte for byte, with the Gibbs draws batched: grouped by node
     count and basis, each group runs through ``_gibbs_lanes`` in runs of
-    2^(_TABLE_BITS - w) machines, w the widest of ``_chunk_widths(n)``.
+    ``_lane_capacity(n)`` machines.
     Exact and remote draws go through ``draw_samples`` in the given order, so
     a remote service sees the same requests in the same order.
     """
@@ -404,7 +418,7 @@ def draw_many(
     for i, bm in enumerate(machines):
         groups.setdefault((bm.num_nodes, bm.basis), []).append(i)
     for (n, _), members in groups.items():
-        size = 1 << (_TABLE_BITS - _chunk_widths(n)[0])
+        size = _lane_capacity(n)
         for start in range(0, len(members), size):
             run = members[start:start + size]
             for i, ss in zip(run, _gibbs_lanes([machines[i] for i in run], cfg, [seeds[i] for i in run])):

@@ -15,8 +15,9 @@ row and column sums of the weights and the cross block of the second moments
 from one matrix product. Exact mode weighs the cached energy table or an
 input's slice (``prefix_energies``) in one exp pass that gives both phases
 and the loss (``_exact_phases``), clamping and re-enumerating nothing;
-sampled mode draws a step's clamped subgraphs (``clamp_visible``) in one
-``draw_many`` call and puts the drawn free states behind the fixed values.
+sampled mode clamps a step's rows in one array op (``_clamped_rows``), draws
+them as lanes of one Gibbs kernel and takes the moments from the tallied
+(lane, state index, count) arrays (``_clamped_draws``).
 The overall inverse-temperature prefactor of the analytic gradient
 is deliberately dropped: it only rescales the learning rate, while the
 expectations themselves are taken at the sampler's temperature.
@@ -39,14 +40,17 @@ from .model import (
     Basis,
     BoltzmannMachine,
     SpinState,
+    _clamped_rows,
     _replacing,
+    _row_indices,
+    _state_rows,
     all_energies,
     cached_state_table,
     clamp_visible,
     complete_pairs,
     prefix_energies,
 )
-from .samplers import Backend, SampleSet, SamplerConfig, draw_many, draw_samples
+from .samplers import Backend, SamplerConfig, _gibbs_arrays, _lane_capacity, draw_samples
 
 
 class GradientMode(str, Enum):
@@ -223,19 +227,14 @@ def _moments(W: np.ndarray, S_a: np.ndarray, S_b: np.ndarray) -> tuple[np.ndarra
     return mean, second
 
 
-def _drawn_rows(
-    fixed: Sequence[float], states: np.ndarray, counts: np.ndarray, weight: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drawn free states behind the fixed leading values, sharing ``weight``
-    in proportion to their counts."""
-    fixed = np.broadcast_to(np.asarray(fixed, dtype=np.float64), (states.shape[0], len(fixed)))
-    return np.hstack([fixed, states]), weight * counts / counts.sum()
-
-
-def _sample_moments(rows: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of stacked ``_drawn_rows`` under their signed weights."""
-    states, weights = zip(*rows)
-    return _moments(np.concatenate(weights)[:, None], np.vstack(states), np.zeros((1, 0)))
+def _sample_moments(bm: BoltzmannMachine, segments) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of drawn states, stacked in order, under signed weights: a
+    segment (state indices over all nodes, counts, weight) shares its weight
+    in proportion to its counts."""
+    index, counts, weights = zip(*segments)
+    S = _state_rows(np.concatenate(index), bm.num_nodes, bm.basis).astype(np.float64)
+    W = np.concatenate([w * c / c.sum() for c, w in zip(counts, weights)])
+    return _moments(W[:, None], S, np.zeros((1, 0)))
 
 
 def _data_rows(bm: BoltzmannMachine, dataset: Dataset) -> np.ndarray:
@@ -276,12 +275,39 @@ def _derived_seed(*parts: int) -> int:
 
 
 def _clamped_draws(
-    bm: BoltzmannMachine, cfg: SamplerConfig, phases: Sequence[tuple[np.ndarray, int]]
-) -> list[SampleSet]:
-    """One draw per (fixed leading values, seed): the subgraph left free by
-    clamping, drawn with ``cfg`` under that seed, all in one ``draw_many``."""
-    machines = [clamp_visible(bm, dict(enumerate(fixed)))[0] for fixed, _ in phases]
-    return draw_many(machines, cfg, [seed for _, seed in phases])
+    bm: BoltzmannMachine, cfg: SamplerConfig, fixed: Sequence[np.ndarray], seeds: Sequence[int],
+    call_counter: dict | None, kind: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One draw per row of fixed leading values (none: the whole machine),
+    with ``cfg`` under the row's seed, counted as ``kind`` sampler calls.
+    Returns (bounds, index, count): row j drew the ascending state indices
+    (over all nodes) ``index[bounds[j]:bounds[j + 1]]`` with those counts.
+    On Gibbs, rows of one width are clamped at once and run as
+    ``_gibbs_arrays`` lanes on their shared free couplings; other backends
+    draw a machine per row in the given order, as a service saw them."""
+    if call_counter is not None and fixed:
+        call_counter[kind] = call_counter.get(kind, 0) + len(fixed)
+    n, widths = bm.num_nodes, np.array([len(v) for v in fixed])
+    parts = [(np.zeros(0, dtype=np.int64),) * 3]  # no rows: empty arrays
+    if cfg.backend is not Backend.GIBBS:
+        for j, (v, seed) in enumerate(zip(fixed, seeds)):
+            ss = draw_samples(clamp_visible(bm, dict(enumerate(v)))[0] if len(v) else bm, replace(cfg, seed=seed))
+            rows = np.hstack([np.broadcast_to(v, (len(ss.counts), len(v))), ss.states])
+            parts.append((np.full(len(ss.counts), j), _row_indices(rows), ss.counts))
+    else:
+        for c in sorted(set(widths.tolist())):
+            js = np.flatnonzero(widths == c)
+            V = np.array([fixed[j] for j in js], dtype=np.float64).reshape(len(js), c)
+            _, J_free, biases = _clamped_rows(bm, range(c), V)
+            prefix = _row_indices(np.hstack([V, np.zeros((len(js), n - c))]))  # the fixed values' bits
+            for start in range(0, len(js), _lane_capacity(n - c)):
+                run = js[start:start + _lane_capacity(n - c)]
+                lane, index, count = _gibbs_arrays(J_free[None], biases[start:start + len(run)], bm.basis, cfg,
+                                                   [seeds[j] for j in run])
+                parts.append((run[lane], prefix[start + lane] + index, count))
+    lane, index, count = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(lane, kind="stable")
+    return np.searchsorted(lane[order], np.arange(len(fixed) + 1)), index[order], count[order]
 
 
 # -- gradients ---------------------------------------------------------------
@@ -317,22 +343,17 @@ def grad_dkl(
         loss = float("inf") if np.any(p <= 0.0) else max(float(np.sum(q * np.log(q / p))), 0.0)
         return _estimate(bm, mean, second, loss)
 
-    full_ss = draw_samples(bm, cfg)
-    if call_counter is not None:
-        call_counter["full"] = call_counter.get("full", 0) + 1
-    seen = [np.all(full_ss.states[:, :m] == v, axis=1) for v in V]
+    _, full, full_counts = _clamped_draws(bm, cfg, [np.zeros(0)], [cfg.seed], call_counter, "full")
+    seen = [full >> (n - m) == v for v in _row_indices(V)]
     redraw = [d for d in range(len(V)) if clamped_resample == "always" or not seen[d].any()]
-    clamped = dict(zip(redraw, _clamped_draws(bm, cfg, [(V[d], _derived_seed(cfg.seed, d, 1)) for d in redraw])))
-    if call_counter is not None and redraw:
-        call_counter["clamped"] = call_counter.get("clamped", 0) + len(redraw)
-    rows = [_drawn_rows((), full_ss.states, full_ss.counts, -1.0)]
-    for d, v in enumerate(V):
-        q = float(dataset.weights[d])
-        if d in clamped:
-            rows.append(_drawn_rows(v, clamped[d].states, clamped[d].counts, q))
-        else:
-            rows.append(_drawn_rows((), full_ss.states[seen[d]], full_ss.counts[seen[d]], q))
-    return _estimate(bm, *_sample_moments(rows))
+    bounds, index, counts = _clamped_draws(bm, cfg, [V[d] for d in redraw],
+                                           [_derived_seed(cfg.seed, d, 1) for d in redraw], call_counter, "clamped")
+    lanes = {d: slice(a, b) for d, a, b in zip(redraw, bounds, bounds[1:])}
+    segments = [(full, full_counts, -1.0)]
+    for d, q in enumerate(dataset.weights.tolist()):
+        at = lanes.get(d)
+        segments.append((full[seen[d]], full_counts[seen[d]], q) if at is None else (index[at], counts[at], q))
+    return _estimate(bm, *_sample_moments(bm, segments))
 
 
 def grad_ncll(
@@ -375,13 +396,12 @@ def grad_ncll(
             # -ln p(y | x) as metrics.negative_conditional_log_likelihood sums it
             loss = loss - float(np.log(float(p[0]))) if p[0] > 0.0 else float("inf")
     else:
-        phases = [(fixed, sign, _derived_seed(cfg.seed, d, tag))
-                  for d, v in enumerate(V) for fixed, sign, tag in ((v, 1.0, 2), (v[:m_i], -1.0, 3))]
-        draws = _clamped_draws(bm, cfg, [(fixed, seed) for fixed, _, seed in phases])
-        if call_counter is not None:
-            call_counter["clamped"] = call_counter.get("clamped", 0) + len(phases)
-        mean, second = _sample_moments([_drawn_rows(fixed, ss.states, ss.counts, sign)
-                                        for (fixed, sign, _), ss in zip(phases, draws)])
+        # per row: all visible nodes clamped (sign +1), then the inputs only (sign -1)
+        fixed = [f for v in V for f in (v, v[:m_i])]
+        seeds = [_derived_seed(cfg.seed, j // 2, 2 + j % 2) for j in range(len(fixed))]
+        bounds, index, counts = _clamped_draws(bm, cfg, fixed, seeds, call_counter, "clamped")
+        mean, second = _sample_moments(bm, [(index[a:b], counts[a:b], 1.0 - 2 * (j % 2))
+                                            for j, (a, b) in enumerate(zip(bounds, bounds[1:]))])
     # Both phases fix the inputs, so their terms are the same constants.
     mean[:m_i] = 0.0
     second[:m_i, :m_i] = 0.0
@@ -394,24 +414,16 @@ def finite_difference_gradient(
     step: float = 1e-5,
 ) -> GradientEstimate:
     """Central differences over every bias and coupling; the gradient oracle."""
-    pairs = sorted(bm.couplings)
-    d_bias = np.empty(bm.num_nodes)
-    for i in range(bm.num_nodes):
-        for sign in (+1, -1):
-            biases = bm.biases.copy()
-            biases[i] += sign * step
-            value = loss_fn(bm.with_parameters(biases, dict(bm.couplings)))
-            d_bias[i] = value if sign > 0 else (d_bias[i] - value)
-        d_bias[i] /= 2 * step
-    d_pair = np.empty(len(pairs))
-    for j, pair in enumerate(pairs):
-        for sign in (+1, -1):
-            couplings = dict(bm.couplings)
-            couplings[pair] += sign * step
-            value = loss_fn(bm.with_parameters(bm.biases, couplings))
-            d_pair[j] = value if sign > 0 else (d_pair[j] - value)
-        d_pair[j] /= 2 * step
-    return GradientEstimate(d_bias, tuple(pairs), d_pair)
+    n, pairs = bm.num_nodes, sorted(bm.couplings)
+    theta = np.concatenate([bm.biases, [bm.couplings[p] for p in pairs]])
+    grad = np.empty_like(theta)
+    for i in range(theta.size):
+        plus, minus = theta.copy(), theta.copy()
+        plus[i] += step
+        minus[i] -= step
+        value = loss_fn(bm.with_parameters(plus[:n], dict(zip(pairs, plus[n:]))))
+        grad[i] = (value - loss_fn(bm.with_parameters(minus[:n], dict(zip(pairs, minus[n:]))))) / (2 * step)
+    return GradientEstimate(grad[:n], tuple(pairs), grad[n:])
 
 
 # -- updates ------------------------------------------------------------------
@@ -451,16 +463,8 @@ def _initial_machine(arch: Architecture, cfg: TrainingConfig) -> BoltzmannMachin
     pairs = arch.pair_list()
     biases = rng.uniform(-cfg.init_range, cfg.init_range, size=arch.num_nodes)
     couplings = {pair: float(v) for pair, v in zip(pairs, rng.uniform(-cfg.init_range, cfg.init_range, size=len(pairs)))}
-    return BoltzmannMachine(
-        num_visible_input=arch.num_visible_input,
-        num_visible_output=arch.num_visible_output,
-        num_hidden=arch.num_hidden,
-        biases=biases,
-        couplings=couplings,
-        basis=Basis.ZERO_ONE,
-        h_max=cfg.h_max,
-        j_max=cfg.j_max,
-    )
+    return BoltzmannMachine(arch.num_visible_input, arch.num_visible_output, arch.num_hidden, biases, couplings,
+                            Basis.ZERO_ONE, cfg.h_max, cfg.j_max)
 
 
 def _run_training(

@@ -93,6 +93,7 @@ def test_reproduce_quick_reruns_bit_identically(runner, tmp_path):
     out, first = tmp_path / "out", tmp_path / "first"
     r1 = runner.invoke(main, ["reproduce", "--quick", "--out", str(out)])
     assert r1.exit_code == 0, r1.output
+    assert set(strict_json_line(r1.output)) == {"out", "elapsed_seconds"}
     out.rename(first)
     r2 = runner.invoke(main, ["reproduce", "--quick", "--out", str(out)])
     assert r2.exit_code == 0, r2.output
@@ -394,6 +395,42 @@ def test_verify_propositions_report(runner, tmp_path):
     assert report["ground_state_monotone"]["fail"] == 0
     assert report["excited_eventual_decrease"]["fail"] == 0
     assert report["counterexamples"] == []
+
+
+def strict_json_line(output: str) -> dict:
+    """The last JSON line of a command's output, parsed strictly: NaN and
+    Infinity are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    lines = [l for l in output.strip().splitlines() if l.startswith("{")]
+    return json.loads(lines[-1], parse_constant=refuse)
+
+
+@pytest.mark.parametrize("args", [
+    ["train", "--dataset", "and", "--arch", "3v1h", "--max-steps", "5", "--out", "{tmp}/run"],
+    ["sweep-beta", "--model", "and_gate", "--dataset", "and", "--beta-grid", "0.5:8:3", "--out", "{tmp}/s.csv"],
+    # the OR rows have probability 0 at every point: no minimum
+    ["sweep-beta", "--model", "and_gate", "--dataset", "or", "--beta-grid", "2000:3000:3", "--out", "{tmp}/s.csv"],
+    ["sample", "--model", "and_gate", "--reads", "50", "--out", "{tmp}/s.json"],
+    ["fit-beta", "--backend", "exact", "--sizes", "4:4", "--reads", "2000", "--out", "{tmp}/fit.json"],
+    ["verify-propositions", "--machines", "3", "--max-nodes", "4", "--out", "{tmp}/props.json"],
+], ids=["train", "sweep-beta", "sweep-beta-no-minimum", "sample", "fit-beta", "verify-propositions"])
+def test_result_lines_are_strict_json(runner, tmp_path, args):
+    # reproduce's line is checked in test_reproduce_quick_reruns_bit_identically
+    result = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
+    assert result.exit_code == 0, result.output
+    doc = strict_json_line(result.output)
+    if args[4] == "or":
+        assert doc["min_dkl"] is None and doc["argmin_beta"] is None
+
+
+def test_a_non_finite_result_value_is_refused():
+    from isingbm.cli import _echo_result
+
+    with pytest.raises(ValueError):
+        _echo_result({"value": float("nan")})
 
 
 def test_verify_propositions_zero_machines(runner, tmp_path):

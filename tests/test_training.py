@@ -1,7 +1,9 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import isingbm.model
 from isingbm.datasets import adder2, from_rows, logic_gate, two_phase
@@ -22,8 +24,9 @@ from isingbm.model import (
     random_machine,
     state_matrix,
 )
-from isingbm import training
-from isingbm.samplers import Backend, SamplerConfig
+from isingbm import samplers, training
+from isingbm.model import _clamped_rows, _state_rows
+from isingbm.samplers import Backend, SampleSet, SamplerConfig, draw_samples
 from isingbm.training import (
     Architecture,
     GradientEstimate,
@@ -389,6 +392,98 @@ def test_clamped_reuse_skips_rows_seen_in_full_draw(rng):
     grad_dkl(bm, ds, GradientMode.SAMPLED, SamplerConfig(beta=0.5, num_reads=20000, seed=0),
              clamped_resample="auto", call_counter=counter)
     assert counter == {"full": 1}
+
+
+def dict_loop_clamp(bm, assignment):
+    """The per-machine clamp the array clamp replaced: the free biases,
+    updated pair by pair in the coupling dict's order."""
+    free = [k for k in range(bm.num_nodes) if k not in assignment]
+    pos = {k: i for i, k in enumerate(free)}
+    biases = np.array([bm.biases[k] for k in free])
+    for (k, l), v in bm.couplings.items():
+        if k in assignment and l in pos:
+            biases[pos[l]] += v * float(assignment[k])
+        elif l in assignment and k in pos:
+            biases[pos[k]] += v * float(assignment[l])
+    return biases
+
+
+@st.composite
+def clamped_steps(draw):
+    """A machine with a sorted coupling dict, in either basis; rows of fixed
+    values for its leading nodes; a Gibbs (or exact) config with one seed per
+    row; a chunk width that often puts more rows than one kernel run holds;
+    and a clamp of any node subset."""
+    basis = draw(st.sampled_from(list(Basis)))
+    n = draw(st.integers(1, 9))
+    c = draw(st.integers(0, n))
+    bm = random_machine(c, 0, n - c, np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                        scale=draw(st.floats(0.1, 3.0)), basis=basis)
+    rows = draw(st.lists(st.lists(st.sampled_from(basis.symbols), min_size=c, max_size=c), min_size=1, max_size=10))
+    chains = draw(st.integers(1, 6))
+    cfg = SamplerConfig(beta=draw(st.floats(0.05, 5.0)), num_reads=draw(st.integers(1, 3)) * chains,
+                        burn_in=draw(st.integers(0, 6)), thinning=draw(st.integers(1, 2)), num_chains=chains,
+                        backend=draw(st.sampled_from([Backend.GIBBS, Backend.GIBBS, Backend.EXACT])))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(rows), max_size=len(rows)))
+    nodes = draw(st.lists(st.integers(0, n - 1), unique=True))
+    assignment = {k: draw(st.sampled_from(basis.symbols)) for k in nodes}
+    return bm, np.array(rows, dtype=np.float64).reshape(len(rows), c), cfg, seeds, draw(st.sampled_from([2, 3, 14])), assignment
+
+
+def _sixteen_free_nodes():
+    # two chunks of eight free nodes at the default chunk width
+    bm = random_machine(2, 0, 16, np.random.default_rng(16), basis=Basis.PLUS_MINUS)
+    cfg = SamplerConfig(beta=1.5, num_reads=30, burn_in=5, thinning=2, num_chains=3, backend=Backend.GIBBS)
+    return bm, np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]]), cfg, [7, 8, 9], 14, {0: 1, 5: -1, 17: 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(clamped_steps())
+@example(_sixteen_free_nodes())
+def test_array_clamp_and_draws_equal_the_per_machine_path(step):
+    bm, V, cfg, seeds, table_bits, assignment = step
+    c = V.shape[1]
+    # biases: bit for bit the dict loop's, for every row at once and for clamp_visible
+    _, _, biases = _clamped_rows(bm, range(c), V)
+    for v, b in zip(V, biases):
+        assert b.tobytes() == dict_loop_clamp(bm, dict(enumerate(v))).tobytes()
+    reduced, _ = clamp_visible(bm, assignment)
+    assert reduced.biases.tobytes() == dict_loop_clamp(bm, assignment).tobytes()
+    # draws: one draw_samples call per row on its clamped machine, byte for byte
+    with mock.patch.object(samplers, "_TABLE_BITS", table_bits):
+        bounds, index, count = training._clamped_draws(bm, cfg, list(V), seeds, None, "clamped")
+        for v, seed, a, b in zip(V, seeds, bounds, bounds[1:]):
+            want = draw_samples(clamp_visible(bm, dict(enumerate(v)))[0], replace(cfg, seed=seed))
+            states = _state_rows(index[a:b], bm.num_nodes, bm.basis)
+            assert np.all(states[:, :c] == v)
+            assert states[:, c:].tobytes() == want.states.tobytes()
+            assert count[a:b].astype(np.float64).tobytes() == want.counts.tobytes()
+    assert bounds[-1] == len(index)
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_a_sampled_gibbs_step_builds_no_machine_and_no_sample_set(rng, basis):
+    built = []
+
+    def counted(fn):
+        def wrapper(self, *args):
+            built.append(type(self).__name__)
+            return fn(self, *args)
+        return wrapper
+
+    bm = random_machine(2, 1, 2, rng, basis=basis)
+    lo, hi = basis.symbols
+    rows = [(lo, lo, hi), (lo, hi, hi), (hi, hi, lo)]
+    cfg = SamplerConfig(beta=1.0, num_reads=40, burn_in=3, thinning=1, num_chains=4, backend=Backend.GIBBS)
+    with mock.patch.object(BoltzmannMachine, "__post_init__", counted(BoltzmannMachine.__post_init__)), \
+            mock.patch.object(SampleSet, "_freeze", counted(SampleSet._freeze)):
+        for policy in ("auto", "always"):
+            grad_dkl(bm, from_rows(rows), GradientMode.SAMPLED, cfg, policy)
+        grad_ncll(bm, from_rows(rows, io_split=(2, 1)), GradientMode.SAMPLED, cfg)
+        assert built == []
+        # the exact backend still draws one machine per clamped row
+        grad_ncll(bm, from_rows(rows, io_split=(2, 1)), GradientMode.SAMPLED, replace(cfg, backend=Backend.EXACT))
+    assert built.count("BoltzmannMachine") == built.count("SampleSet") == 2 * len(rows)
 
 
 # ---------------------------------------------------------------- training loops

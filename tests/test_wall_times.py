@@ -14,7 +14,8 @@ def test_one_round_without_tier1_prints_every_key():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert set(doc) == {"repeat", "commands", "environment"} and doc["repeat"] == 1
-    assert set(doc["commands"]) == {"reproduce", "sweep_beta", "sweep_beta_500", "gibbs_18", "train_exact_18"}
+    assert set(doc["commands"]) == {"reproduce", "sweep_beta", "sweep_beta_500", "gibbs_18", "train_exact_18",
+                                    "train_sampled_18"}
     assert doc["commands"]["sweep_beta"]["argv"][-4:] == ["--beta-grid", "0.5:6:56", "--out", "<tmp>/two_phase.csv"]
     assert doc["commands"]["sweep_beta_500"]["argv"][-4:] == ["--beta-grid", "0.5:6:500", "--out",
                                                               "<tmp>/two_phase_500.csv"]
