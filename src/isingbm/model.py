@@ -558,12 +558,12 @@ def _clamped_rows(
     clamped node at a time in ascending order. A loop over a coupling dict in
     sorted pair order adds in that order, so machines whose dict is sorted,
     as training builds them, get the bits it gave."""
-    free = np.delete(np.arange(bm.num_nodes), list(nodes))
-    J_sym = bm.coupling_matrix + bm.coupling_matrix.T
+    free = np.array(sorted(set(range(bm.num_nodes)) - set(nodes)), dtype=np.int64)
+    J_sym = (bm.coupling_matrix + bm.coupling_matrix.T)[:, free]
     biases = np.repeat(bm.biases[None, free], values.shape[0], axis=0)
     for col, k in enumerate(nodes):
-        biases += values[:, col, None] * J_sym[k, free]
-    return free, J_sym[np.ix_(free, free)], biases
+        biases += values[:, col, None] * J_sym[k]
+    return free, J_sym[free], biases
 
 
 # -- basis conversion -------------------------------------------------------

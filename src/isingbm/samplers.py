@@ -219,18 +219,18 @@ def _gibbs_arrays(
     distinct draws as (lane, state index, count), lane-major, index-sorted.
 
     A chain is one index per chunk of ``_chunk_widths(n)``: in a chunk of w
-    nodes, lane g's chains hold g * 2^w plus the index of the chunk's
-    nodes. Chunk by chunk, site k compares v_k with its table at the chunk's
-    index and steps that index to k's bit set or cleared. With one chunk the
-    table is the probability of the upper symbol and v_k the uniform u_k.
-    With several, the field -beta*dE_k is the sum over chunks d of
-    G_d[k][x_d] (one GEMM per chunk and matrix); the other chunks hold still
-    in a chunk's pass, so v_k is log u_k - log1p(-u_k) less their fields and
-    the table is G_c[k], deciding alike unless u_k is within rounding of the
-    probability. For L lanes and c chunks of widest w the tables take at
-    most 8·n·(c + 2)·L·2^w bytes (24·n·2^n for one chunk: 5.5 MB at 14
-    nodes), the kept states 8·c bytes a read; callers keep L·2^w within
-    2^_TABLE_BITS (``_lane_capacity``).
+    nodes, lane g's chains hold g * 2^w plus the index of the chunk's nodes.
+    Chunk by chunk, site k compares v_k with its table at the chunk's index
+    and gathers the index with k's bit cleared or set from its steps. With
+    one chunk the table is the probability of the upper symbol and v_k the
+    uniform u_k. With several, the field -beta*dE_k is the sum over chunks d
+    of G_d[k][x_d] (one GEMM per chunk and matrix); the other chunks hold
+    still in a chunk's pass, so v_k is log u_k - log1p(-u_k) less their
+    fields and the table is G_c[k], deciding alike unless u_k is within
+    rounding of the probability. For L lanes and c chunks of widest w the
+    tables take at most 8·n·(c + 2)·L·2^w bytes (24·n·2^n for one chunk:
+    5.5 MB at 14 nodes), the kept states 8·c bytes a read; callers keep
+    L·2^w within 2^_TABLE_BITS (``_lane_capacity``).
     """
     lanes, n = biases.shape
     lo, hi = basis.symbols
@@ -265,21 +265,23 @@ def _gibbs_arrays(
         masks = 1 << np.arange(w - 1, -1, -1, dtype=np.int64)
         every = np.arange(lanes << w, dtype=np.int64)
         x.append((coins[:, :, end - w:end] @ masks + (np.arange(lanes, dtype=np.int64) << w)[:, None]).reshape(-1))
-        sites = [(np.stack([every & ~m, every | m]), t_k) for m, t_k in zip(masks, tables[c][c])]
-        chunks.append((c, sites, [(G, d) for d, G in enumerate(tables[c]) if d != c]))
+        # site k's steps: every index with k's bit cleared, then every index with it set
+        steps = np.stack([every & ~masks[:, None], every | masks[:, None]], axis=1).reshape(w, 2 * every.shape[0])
+        chunks.append((c, every.shape[0], list(zip(steps, tables[c][c])),
+                       [(G, d) for d, G in enumerate(tables[c]) if d != c]))
     kept = np.empty((per_chain, len(x), x[0].shape[0]), dtype=np.int64 if n <= 62 else object)
     for sweep, us in enumerate(_sweep_uniforms(rngs, keep.stop, widths, chains)):
-        for (c, sites, others), v in zip(chunks, us):
+        for (c, size, sites, others), v in zip(chunks, us):
             idx = x[c]
             for G, d in others:
                 v = v - G[:, x[d]]
             for (step_k, t_k), v_k in zip(sites, v):
-                idx = step_k[(v_k < t_k[idx]).view(np.int8), idx]
+                idx = step_k[idx + size * (v_k < t_k[idx])]
             x[c] = idx
         if sweep in keep:
             kept[keep.index(sweep)] = x
     # chunk c is the index's bits from n - ends[c] up: lane g's draws are g * offset plus
-    # its index, and shifted to g * 2^n plus its index, one sort tallies every lane
+    # its index; shifted to g * 2^n plus its index, one sort tallies every lane
     draws = kept[:, 0]
     for c, w in enumerate(widths[1:], 1):
         draws = (draws << w) + kept[:, c]

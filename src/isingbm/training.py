@@ -299,12 +299,11 @@ def _clamped_draws(
             js = np.flatnonzero(widths == c)
             V = np.array([fixed[j] for j in js], dtype=np.float64).reshape(len(js), c)
             _, J_free, biases = _clamped_rows(bm, range(c), V)
-            prefix = _row_indices(np.hstack([V, np.zeros((len(js), n - c))]))  # the fixed values' bits
+            prefix = _row_indices(V).astype(np.int64 if n <= 62 else object) << (n - c)
             for start in range(0, len(js), _lane_capacity(n - c)):
-                run = js[start:start + _lane_capacity(n - c)]
-                lane, index, count = _gibbs_arrays(J_free[None], biases[start:start + len(run)], bm.basis, cfg,
-                                                   [seeds[j] for j in run])
-                parts.append((run[lane], prefix[start + lane] + index, count))
+                run = slice(start, start + _lane_capacity(n - c))
+                lane, index, count = _gibbs_arrays(J_free[None], biases[run], bm.basis, cfg, [seeds[j] for j in js[run]])
+                parts.append((js[run][lane], prefix[run][lane] + index, count))
     lane, index, count = (np.concatenate(a) for a in zip(*parts))
     order = np.argsort(lane, kind="stable")
     return np.searchsorted(lane[order], np.arange(len(fixed) + 1)), index[order], count[order]
