@@ -245,7 +245,7 @@ def _gibbs_arrays(
         for g, J_sym in enumerate(J_syms):
             for k in range(n):
                 np.matmul(S, J_sym[:, k], out=P[k, g])
-        P[:, len(J_syms):] = P[:, :1]
+        P[:, len(J_syms):] = P[:, :1]  # one matrix: every lane shares its matvecs
         P += biases.T[:, :, None]
         P = P.reshape(n, lanes << n)
         P *= cfg.beta * (hi - lo)
