@@ -277,36 +277,34 @@ def _derived_seed(*parts: int) -> int:
 def _clamped_draws(
     bm: BoltzmannMachine, cfg: SamplerConfig, fixed: Sequence[np.ndarray], seeds: Sequence[int],
     call_counter: dict | None, kind: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """One draw per row of fixed leading values (none: the whole machine),
-    with ``cfg`` under the row's seed, counted as ``kind`` sampler calls.
-    Returns (bounds, index, count): row j drew the ascending state indices
-    (over all nodes) ``index[bounds[j]:bounds[j + 1]]`` with those counts.
-    On Gibbs, rows of one width are clamped at once and run as
+    with ``cfg`` under the row's seed, counted as ``kind`` sampler calls:
+    per row, its distinct state indices over all nodes, ascending, and their
+    counts. On Gibbs, rows of one width are clamped at once and run as
     ``_gibbs_arrays`` lanes on their shared free couplings; other backends
     draw a machine per row in the given order, as a service saw them."""
     if call_counter is not None and fixed:
         call_counter[kind] = call_counter.get(kind, 0) + len(fixed)
-    n, widths = bm.num_nodes, np.array([len(v) for v in fixed])
-    parts = [(np.zeros(0, dtype=np.int64),) * 3]  # no rows: empty arrays
+    n, widths, out = bm.num_nodes, np.array([len(v) for v in fixed]), [None] * len(fixed)
     if cfg.backend is not Backend.GIBBS:
         for j, (v, seed) in enumerate(zip(fixed, seeds)):
             ss = draw_samples(clamp_visible(bm, dict(enumerate(v)))[0] if len(v) else bm, replace(cfg, seed=seed))
-            rows = np.hstack([np.broadcast_to(v, (len(ss.counts), len(v))), ss.states])
-            parts.append((np.full(len(ss.counts), j), _row_indices(rows), ss.counts))
-    else:
-        for c in sorted(set(widths.tolist())):
-            js = np.flatnonzero(widths == c)
-            V = np.array([fixed[j] for j in js], dtype=np.float64).reshape(len(js), c)
-            _, J_free, biases = _clamped_rows(bm, range(c), V)
-            prefix = _row_indices(V).astype(np.int64 if n <= 62 else object) << (n - c)
-            for start in range(0, len(js), _lane_capacity(n - c)):
-                run = slice(start, start + _lane_capacity(n - c))
-                lane, index, count = _gibbs_arrays(J_free[None], biases[run], bm.basis, cfg, [seeds[j] for j in js[run]])
-                parts.append((js[run][lane], prefix[run][lane] + index, count))
-    lane, index, count = (np.concatenate(a) for a in zip(*parts))
-    order = np.argsort(lane, kind="stable")
-    return np.searchsorted(lane[order], np.arange(len(fixed) + 1)), index[order], count[order]
+            out[j] = (_row_indices(np.hstack([np.broadcast_to(v, (len(ss.counts), len(v))), ss.states])), ss.counts)
+        return out
+    for c in sorted(set(widths.tolist())):
+        js = np.flatnonzero(widths == c)
+        V = np.array([fixed[j] for j in js], dtype=np.float64).reshape(len(js), c)
+        _, J_free, biases = _clamped_rows(bm, range(c), V)
+        prefix = _row_indices(V).astype(np.int64 if n <= 62 else object) << (n - c)
+        for start in range(0, len(js), _lane_capacity(n - c)):
+            run = slice(start, start + _lane_capacity(n - c))
+            lane, index, count = _gibbs_arrays(J_free[None], biases[run], bm.basis, cfg, [seeds[j] for j in js[run]])
+            index = prefix[run][lane] + index
+            bounds = np.concatenate(([0], np.cumsum(np.bincount(lane, minlength=len(js[run])))))
+            for j, a, b in zip(js[run], bounds, bounds[1:]):
+                out[j] = (index[a:b], count[a:b])
+    return out
 
 
 # -- gradients ---------------------------------------------------------------
@@ -342,16 +340,14 @@ def grad_dkl(
         loss = float("inf") if np.any(p <= 0.0) else max(float(np.sum(q * np.log(q / p))), 0.0)
         return _estimate(bm, mean, second, loss)
 
-    _, full, full_counts = _clamped_draws(bm, cfg, [np.zeros(0)], [cfg.seed], call_counter, "full")
+    [(full, full_counts)] = _clamped_draws(bm, cfg, [np.zeros(0)], [cfg.seed], call_counter, "full")
     seen = [full >> (n - m) == v for v in _row_indices(V)]
     redraw = [d for d in range(len(V)) if clamped_resample == "always" or not seen[d].any()]
-    bounds, index, counts = _clamped_draws(bm, cfg, [V[d] for d in redraw],
-                                           [_derived_seed(cfg.seed, d, 1) for d in redraw], call_counter, "clamped")
-    lanes = {d: slice(a, b) for d, a, b in zip(redraw, bounds, bounds[1:])}
+    draws = dict(zip(redraw, _clamped_draws(bm, cfg, [V[d] for d in redraw],
+                                            [_derived_seed(cfg.seed, d, 1) for d in redraw], call_counter, "clamped")))
     segments = [(full, full_counts, -1.0)]
     for d, q in enumerate(dataset.weights.tolist()):
-        at = lanes.get(d)
-        segments.append((full[seen[d]], full_counts[seen[d]], q) if at is None else (index[at], counts[at], q))
+        segments.append(draws[d] + (q,) if d in draws else (full[seen[d]], full_counts[seen[d]], q))
     return _estimate(bm, *_sample_moments(bm, segments))
 
 
@@ -398,9 +394,8 @@ def grad_ncll(
         # per row: all visible nodes clamped (sign +1), then the inputs only (sign -1)
         fixed = [f for v in V for f in (v, v[:m_i])]
         seeds = [_derived_seed(cfg.seed, j // 2, 2 + j % 2) for j in range(len(fixed))]
-        bounds, index, counts = _clamped_draws(bm, cfg, fixed, seeds, call_counter, "clamped")
-        mean, second = _sample_moments(bm, [(index[a:b], counts[a:b], 1.0 - 2 * (j % 2))
-                                            for j, (a, b) in enumerate(zip(bounds, bounds[1:]))])
+        draws = _clamped_draws(bm, cfg, fixed, seeds, call_counter, "clamped")
+        mean, second = _sample_moments(bm, [draw + (1.0 - 2 * (j % 2),) for j, draw in enumerate(draws)])
     # Both phases fix the inputs, so their terms are the same constants.
     mean[:m_i] = 0.0
     second[:m_i, :m_i] = 0.0

@@ -451,14 +451,14 @@ def test_array_clamp_and_draws_equal_the_per_machine_path(step):
     assert reduced.biases.tobytes() == dict_loop_clamp(bm, assignment).tobytes()
     # draws: one draw_samples call per row on its clamped machine, byte for byte
     with mock.patch.object(samplers, "_TABLE_BITS", table_bits):
-        bounds, index, count = training._clamped_draws(bm, cfg, list(V), seeds, None, "clamped")
-        for v, seed, a, b in zip(V, seeds, bounds, bounds[1:]):
+        draws = training._clamped_draws(bm, cfg, list(V), seeds, None, "clamped")
+        assert len(draws) == len(V)
+        for v, seed, (index, count) in zip(V, seeds, draws):
             want = draw_samples(clamp_visible(bm, dict(enumerate(v)))[0], replace(cfg, seed=seed))
-            states = _state_rows(index[a:b], bm.num_nodes, bm.basis)
+            states = _state_rows(index, bm.num_nodes, bm.basis)
             assert np.all(states[:, :c] == v)
             assert states[:, c:].tobytes() == want.states.tobytes()
-            assert count[a:b].astype(np.float64).tobytes() == want.counts.tobytes()
-    assert bounds[-1] == len(index)
+            assert count.astype(np.float64).tobytes() == want.counts.tobytes()
 
 
 @pytest.mark.parametrize("basis", list(Basis))
