@@ -48,6 +48,7 @@ from .metrics import (
 from .model import (
     BoltzmannMachine,
     _replacing,
+    _write_json,
     ground_set,
     load_model_entry,
     random_machine,
@@ -113,11 +114,6 @@ def _echo_result(doc: dict) -> None:
     finite is refused (a ValueError, exit 2) unless the command wrote it as
     null on purpose."""
     click.echo(json.dumps(doc, allow_nan=False))
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    with _replacing(path) as fh:
-        fh.write(json.dumps(doc, indent=1, default=str, allow_nan=False) + "\n")
 
 
 def _write_manifest(
@@ -352,7 +348,7 @@ def cmd_sweep_beta(model_spec, dataset_spec, grid_spec, out_path):
 
     rows = []
     for beta in grid:
-        # first: it refuses a dataset of another width before the table is built
+        # first: it refuses a dataset that does not fit the machine before the table is built
         d1, d2 = dkl_beta_derivatives(bm, float(beta), dataset)
         marginal = visible_marginal(bm, float(beta))
         record = [float(beta), kl_divergence(q, marginal), d1, d2]

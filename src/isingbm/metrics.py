@@ -230,8 +230,7 @@ def conditional_probability(
 
 def negative_conditional_log_likelihood(bm: BoltzmannMachine, beta: float, ds: Dataset) -> float:
     """Sum over rows of -ln p(row output | row input)."""
-    if ds.io_split is None:
-        raise ValueError("dataset has no input/output split")
+    _check_fit(bm, ds, split=True)
     total = 0.0
     for d in range(ds.num_rows):
         cond = conditional_probability(bm, beta, ds.input_part(d))
@@ -259,7 +258,7 @@ def dkl_beta_derivatives(bm: BoltzmannMachine, beta: float, ds: Dataset) -> tupl
     E[E] = sum_v p(v) mean[v] and Var(E) = sum_v p(v) (var[v] + (mean[v] -
     E[E])^2).
     """
-    _check_width(bm, ds)
+    _check_fit(bm, ds)
     wt = _weighting(bm, beta)
     p = wt.u / wt.Z
     mean_E = float(p @ wt.mean)
@@ -268,10 +267,19 @@ def dkl_beta_derivatives(bm: BoltzmannMachine, beta: float, ds: Dataset) -> tupl
     return float(ds.weights @ wt.mean[v]) - mean_E, float(ds.weights @ (var_E - wt.var[v]))
 
 
-def _check_width(bm: BoltzmannMachine, ds: Dataset) -> None:
-    """Refuse a dataset whose rows are not states of the visible nodes."""
+def _check_fit(bm: BoltzmannMachine, ds: Dataset, split: bool = False) -> None:
+    """Refuse a dataset whose rows are not states of the machine's visible
+    nodes: of another width, or in the other basis (all-ones rows fit
+    either); with ``split``, also one whose input/output split is not the
+    machine's partition. Every exact and gradient quantity over a dataset
+    checks here, once per call, in O(1) when the bases agree."""
     if ds.num_bits != bm.num_visible:
         raise ValueError(f"dataset rows have {ds.num_bits} bits, machine has {bm.num_visible} visible nodes")
+    if ds._basis is not bm.basis and not np.all(ds.rows == 1):
+        raise ValueError(f"dataset rows are in basis {ds._basis.value}, machine is in basis {bm.basis.value}")
+    if split and ds.io_split != (bm.num_visible_input, bm.num_visible_output):
+        raise ValueError(f"dataset split {ds.io_split} does not match machine partition "
+                         f"({bm.num_visible_input}, {bm.num_visible_output})")
 
 
 def ground_state_probability_curve(

@@ -273,20 +273,13 @@ def cached_state_table(num_nodes: int, basis: Basis) -> np.ndarray:
     return table
 
 
-def state_matrix(
-    num_nodes: int,
-    basis: Basis = Basis.ZERO_ONE,
-    start: int = 0,
-    stop: int | None = None,
-) -> np.ndarray:
-    """Rows of the lexicographic state table for indices [start, stop).
+def state_matrix(num_nodes: int, basis: Basis = Basis.ZERO_ONE) -> np.ndarray:
+    """Every row of the lexicographic state table.
 
     Node 0 is the most significant bit, so row index and bit pattern agree:
     index 5 of a 3-node table is (1, 0, 1).
     """
-    if stop is None:
-        stop = 1 << num_nodes
-    return _state_rows(np.arange(start, stop, dtype=np.int64), num_nodes, basis)
+    return _state_rows(np.arange(1 << num_nodes), num_nodes, basis)
 
 
 def _state_rows(idx: np.ndarray, num_nodes: int, basis: Basis) -> np.ndarray:
@@ -654,10 +647,17 @@ def _replacing(path: str | os.PathLike):
         raise
 
 
-def save_model(bm: BoltzmannMachine, path: str | os.PathLike, metadata: dict | None = None) -> None:
+def _write_json(path: str | os.PathLike, doc: dict, indent: int | None = 1) -> None:
+    """``doc`` as strict JSON and a newline, through ``_replacing``: a value
+    that is not finite is a ValueError and one JSON cannot hold a TypeError,
+    and either leaves no file. The one writer of every JSON file."""
     with _replacing(path) as fh:
-        json.dump(model_to_dict(bm, metadata), fh, indent=1, allow_nan=False)
+        json.dump(doc, fh, indent=indent, allow_nan=False)
         fh.write("\n")
+
+
+def save_model(bm: BoltzmannMachine, path: str | os.PathLike, metadata: dict | None = None) -> None:
+    _write_json(path, model_to_dict(bm, metadata))
 
 
 def load_model(path: str | os.PathLike) -> BoltzmannMachine:

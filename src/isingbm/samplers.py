@@ -32,17 +32,17 @@ from .model import (
     Basis,
     BoltzmannMachine,
     _check_probabilities,
-    _replacing,
     _row_indices,
     _state_rows,
+    _write_json,
     cached_state_table,
     convert_basis,
     state_matrix,
 )
 
 # Gibbs tabulates each site's conditional over chunks of at most this many
-# nodes; machines batched by ``draw_many`` share a kernel whose chunks hold at
-# most 2^_TABLE_BITS states each (``_gibbs_lanes`` gives the memory).
+# nodes; lanes batched into one kernel run share chunks that hold at most
+# 2^_TABLE_BITS states each (``_gibbs_run`` gives the memory).
 _TABLE_BITS = 14
 # Gibbs draws its uniforms about this many at a time (512 KB), in whole sweeps.
 _UNIFORM_BLOCK = 1 << 16
@@ -191,32 +191,46 @@ def _chunk_widths(n: int) -> list[int]:
     return [n // c + (i < n % c) for i in range(c)]
 
 
-def _lane_capacity(n: int) -> int:
-    """Lanes of n nodes one kernel run holds: 2^(_TABLE_BITS - widest chunk)."""
-    return 1 << (_TABLE_BITS - _chunk_widths(n)[0])
-
-
 def _gibbs_lanes(
     machines: Sequence[BoltzmannMachine], cfg: SamplerConfig, seeds: Sequence[int]
 ) -> list[SampleSet]:
     """Machines of one size and basis, machine g seeded with ``seeds[g]``,
-    drawn as the lanes of one ``_gibbs_arrays`` run: one set per machine."""
+    drawn as the lanes of ``_gibbs_arrays``: one set per machine."""
     n, basis = machines[0].num_nodes, machines[0].basis
     J_syms = np.stack([bm.coupling_matrix + bm.coupling_matrix.T for bm in machines])
-    lane, index, count = _gibbs_arrays(J_syms, np.stack([bm.biases for bm in machines]), basis, cfg, seeds)
-    bounds = np.searchsorted(lane, np.arange(len(machines) + 1))
-    return [SampleSet._indexed(index[a:b], count[a:b], n, basis, cfg.beta, f"gibbs/chains={cfg.num_chains}")
-            for a, b in zip(bounds, bounds[1:])]
+    lanes = _gibbs_arrays(J_syms, np.stack([bm.biases for bm in machines]), basis, cfg, seeds)
+    return [SampleSet._indexed(index, count, n, basis, cfg.beta, f"gibbs/chains={cfg.num_chains}")
+            for index, count in lanes]
 
 
 def _gibbs_arrays(
     J_syms: np.ndarray, biases: np.ndarray, basis: Basis, cfg: SamplerConfig, seeds: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gibbs under ``cfg`` for lanes of one size and basis in one kernel:
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Gibbs under ``cfg`` for any number of lanes of one size and basis:
     lane g has the symmetric couplings ``J_syms[g]`` (or the one matrix every
     lane shares), the biases ``biases[g]`` and its own ``default_rng(seeds[g])``
-    start and stream, so it draws as such a machine alone. Returns the
-    distinct draws as (lane, state index, count), lane-major, index-sorted.
+    start and stream, so it draws as such a machine alone. Returns each
+    lane's distinct draws as (state index, count), index-sorted.
+
+    The lanes run through ``_gibbs_run`` at most 2^(_TABLE_BITS - widest
+    chunk) at a time, so a run's chunks hold at most 2^_TABLE_BITS states.
+    A lane's stream yields the same values in any run, so its draws do not
+    depend on the lanes beside it.
+    """
+    seeds, n = list(seeds), biases.shape[1]
+    size = 1 << (_TABLE_BITS - _chunk_widths(n)[0])
+    out = []
+    for start in range(0, len(seeds), size):
+        run = slice(start, start + size)
+        out += _gibbs_run(J_syms if len(J_syms) == 1 else J_syms[run], biases[run], basis, cfg, seeds[run])
+    return out
+
+
+def _gibbs_run(
+    J_syms: np.ndarray, biases: np.ndarray, basis: Basis, cfg: SamplerConfig, seeds: Sequence[int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One kernel run of ``_gibbs_arrays``, with its arguments and result,
+    for lanes whose chunks hold at most 2^_TABLE_BITS states together.
 
     A chain is one index per chunk of ``_chunk_widths(n)``: in a chunk of w
     nodes, lane g's chains hold g * 2^w plus the index of the chunk's nodes.
@@ -229,8 +243,8 @@ def _gibbs_arrays(
     fields and the table is G_c[k], deciding alike unless u_k is within
     rounding of the probability. For L lanes and c chunks of widest w the
     tables take at most 8·n·(c + 2)·L·2^w bytes (24·n·2^n for one chunk:
-    5.5 MB at 14 nodes), the kept states 8·c bytes a read; callers keep
-    L·2^w within 2^_TABLE_BITS (``_lane_capacity``).
+    5.5 MB at 14 nodes), the kept states 8·c bytes a read; ``_gibbs_arrays``
+    keeps L·2^w within 2^_TABLE_BITS.
     """
     lanes, n = biases.shape
     lo, hi = basis.symbols
@@ -290,7 +304,9 @@ def _gibbs_arrays(
     keys, count = np.unique(reads - np.arange(lanes, dtype=draws.dtype)[:, None] * (offset - (1 << n)),
                             return_counts=True)
     lane = keys >> n
-    return lane.astype(np.int64), keys - (lane << n), count
+    index = keys - (lane << n)
+    bounds = np.searchsorted(lane.astype(np.int64), np.arange(lanes + 1))
+    return [(index[a:b], count[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _sweep_uniforms(rngs: Sequence[np.random.Generator], sweeps: int, widths: Sequence[int], chains: int):
@@ -406,8 +422,8 @@ def draw_many(
 ) -> list[SampleSet]:
     """``[draw_samples(bm, replace(cfg, seed=s)) for bm, s in zip(machines,
     seeds)]``, byte for byte, with the Gibbs draws batched: grouped by node
-    count and basis, each group runs through ``_gibbs_lanes`` in runs of
-    ``_lane_capacity(n)`` machines.
+    count and basis, each group's machines are the lanes of one
+    ``_gibbs_lanes`` call.
     Exact and remote draws go through ``draw_samples`` in the given order, so
     a remote service sees the same requests in the same order.
     """
@@ -419,12 +435,9 @@ def draw_many(
     groups: dict[tuple, list[int]] = {}
     for i, bm in enumerate(machines):
         groups.setdefault((bm.num_nodes, bm.basis), []).append(i)
-    for (n, _), members in groups.items():
-        size = _lane_capacity(n)
-        for start in range(0, len(members), size):
-            run = members[start:start + size]
-            for i, ss in zip(run, _gibbs_lanes([machines[i] for i in run], cfg, [seeds[i] for i in run])):
-                out[i] = ss
+    for members in groups.values():
+        for i, ss in zip(members, _gibbs_lanes([machines[i] for i in members], cfg, [seeds[i] for i in members])):
+            out[i] = ss
     return out
 
 
@@ -472,9 +485,7 @@ def save_sample_set(ss: SampleSet, path: str | os.PathLike) -> None:
         "basis": ss.basis.value,
         "exhaustive": ss.exhaustive,
     }
-    with _replacing(path) as fh:
-        json.dump(doc, fh, allow_nan=False)
-        fh.write("\n")
+    _write_json(path, doc, indent=None)
 
 
 def load_sample_set(path: str | os.PathLike) -> SampleSet:

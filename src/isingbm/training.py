@@ -16,8 +16,8 @@ from one matrix product. Exact mode weighs the cached energy table or an
 input's slice (``prefix_energies``) in one exp pass that gives both phases
 and the loss (``_exact_phases``), clamping and re-enumerating nothing;
 sampled mode clamps a step's rows in one array op (``_clamped_rows``), draws
-them as lanes of one Gibbs kernel and takes the moments from the tallied
-(lane, state index, count) arrays (``_clamped_draws``).
+them as lanes of one Gibbs kernel call per width and takes the moments from
+each lane's tallied (state index, count) arrays (``_clamped_draws``).
 The overall inverse-temperature prefactor of the analytic gradient
 is deliberately dropped: it only rescales the learning rate, while the
 expectations themselves are taken at the sampler's temperature.
@@ -35,11 +35,10 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import CapacityError
-from .metrics import _check_width
+from .metrics import _check_fit
 from .model import (
     Basis,
     BoltzmannMachine,
-    SpinState,
     _clamped_rows,
     _replacing,
     _row_indices,
@@ -50,7 +49,7 @@ from .model import (
     complete_pairs,
     prefix_energies,
 )
-from .samplers import Backend, SamplerConfig, _gibbs_arrays, _lane_capacity, draw_samples
+from .samplers import Backend, SamplerConfig, _gibbs_arrays, draw_samples
 
 
 class GradientMode(str, Enum):
@@ -237,12 +236,6 @@ def _sample_moments(bm: BoltzmannMachine, segments) -> tuple[np.ndarray, np.ndar
     return _moments(W[:, None], S, np.zeros((1, 0)))
 
 
-def _data_rows(bm: BoltzmannMachine, dataset: Dataset) -> np.ndarray:
-    """The dataset's visible rows, checked against the machine's basis."""
-    rows = [SpinState(dataset.row(d), bm.basis).values for d in range(dataset.num_rows)]
-    return np.array(rows, dtype=np.float64).reshape(-1, bm.num_visible)
-
-
 def _estimate(bm: BoltzmannMachine, mean: np.ndarray, second: np.ndarray, loss=None) -> GradientEstimate:
     pairs = sorted(bm.couplings)
     k, l = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
@@ -297,13 +290,9 @@ def _clamped_draws(
         V = np.array([fixed[j] for j in js], dtype=np.float64).reshape(len(js), c)
         _, J_free, biases = _clamped_rows(bm, range(c), V)
         prefix = _row_indices(V).astype(np.int64 if n <= 62 else object) << (n - c)
-        for start in range(0, len(js), _lane_capacity(n - c)):
-            run = slice(start, start + _lane_capacity(n - c))
-            lane, index, count = _gibbs_arrays(J_free[None], biases[run], bm.basis, cfg, [seeds[j] for j in js[run]])
-            index = prefix[run][lane] + index
-            bounds = np.concatenate(([0], np.cumsum(np.bincount(lane, minlength=len(js[run])))))
-            for j, a, b in zip(js[run], bounds, bounds[1:]):
-                out[j] = (index[a:b], count[a:b])
+        lanes = _gibbs_arrays(J_free[None], biases, bm.basis, cfg, [seeds[j] for j in js])
+        for j, p, (index, count) in zip(js, prefix[:, None], lanes):
+            out[j] = (p + index, count)
     return out
 
 
@@ -327,9 +316,9 @@ def grad_dkl(
     (policy "auto") the row never showed up in the full draw, or (policy
     "always") for every row.
     """
-    _check_width(bm, dataset)
+    _check_fit(bm, dataset)
     cfg = sampler_cfg or SamplerConfig()
-    V = _data_rows(bm, dataset)
+    V = dataset.rows.astype(np.float64)
     n, m, basis = bm.num_nodes, bm.num_visible, bm.basis
 
     if mode is GradientMode.EXACT:
@@ -367,15 +356,9 @@ def grad_ncll(
     n - m_I free nodes). Parameters touching only clamped inputs cancel
     exactly. Sampled mode draws both clamped subgraphs for every row.
     """
-    if dataset.io_split is None:
-        raise ValueError("dataset has no input/output split")
-    if dataset.io_split != (bm.num_visible_input, bm.num_visible_output):
-        raise ValueError(
-            f"dataset split {dataset.io_split} does not match machine partition "
-            f"({bm.num_visible_input}, {bm.num_visible_output})"
-        )
+    _check_fit(bm, dataset, split=True)
     cfg = sampler_cfg or SamplerConfig()
-    V = _data_rows(bm, dataset)
+    V = dataset.rows.astype(np.float64)
     m_i, m_o, basis = bm.num_visible_input, bm.num_visible_output, bm.basis
 
     if mode is GradientMode.EXACT:
@@ -519,9 +502,7 @@ def train_function_approximator(
     dataset: Dataset, arch: Architecture, cfg: TrainingConfig
 ) -> tuple[BoltzmannMachine, TrainingTrace]:
     """Discriminative training loop; the trace records the negative conditional
-    log-likelihood at the sampler's temperature."""
-    if dataset.io_split is None:
-        raise ValueError("function approximation requires an input/output split")
-    if dataset.io_split != (arch.num_visible_input, arch.num_visible_output):
-        raise ValueError("architecture partition must match the dataset split")
+    log-likelihood at the sampler's temperature; ``grad_ncll`` refuses a
+    dataset whose split is not the architecture's at the first step, before
+    any update."""
     return _run_training(dataset, arch, cfg, grad_ncll)

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import isingbm
 from isingbm.cli import _write_json, main
 from isingbm.datasets import load_fixture
-from isingbm.model import load_model_entry, save_model
+from isingbm.model import convert_basis, load_model_entry, save_model
 from isingbm.samplers import Backend, SamplerConfig, draw_samples, load_sample_set, save_sample_set
 from isingbm.training import TrainingConfig
 
@@ -175,6 +175,17 @@ def test_json_writers_refuse_non_finite_values(tmp_path):
     with pytest.raises(ValueError):
         _write_json(tmp_path / "r.json", {"min_dkl": float("inf")})
     assert list(tmp_path.iterdir()) == []  # no file and no temporary left behind
+
+
+def test_sweep_beta_refuses_rows_in_the_other_basis(runner, tmp_path):
+    # 0/1 rows on a +-1 machine: the sweep wrote an infinite divergence beside finite derivatives
+    save_model(convert_basis(load_fixture("xor_ground_state")), tmp_path / "pm.json")
+    out = tmp_path / "s.csv"
+    result = runner.invoke(main, ["sweep-beta", "--model", str(tmp_path / "pm.json"), "--dataset", "two_phase_3",
+                                  "--beta-grid", "1:2:2", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr.strip().splitlines()[-1])["error"]["kind"] == "input"
+    assert not out.exists()
 
 
 def _dead_port() -> int:

@@ -24,6 +24,7 @@ from isingbm.model import (
     state_index,
     state_matrix,
 )
+from isingbm.model import _write_json
 from isingbm.datasets import load_fixture
 
 
@@ -332,3 +333,10 @@ def test_load_model_plain(tmp_path):
     save_model(bm, tmp_path / "m.json")
     loaded = load_model(tmp_path / "m.json")
     assert loaded.coupling(0, 1) == 0.125
+
+
+@pytest.mark.parametrize("value, error", [(float("nan"), ValueError), (np.int64(1), TypeError)])
+def test_json_writer_refuses_what_strict_json_cannot_hold(tmp_path, value, error):
+    with pytest.raises(error):
+        _write_json(tmp_path / "doc.json", {"reads": [1, 2.5], "bad": value})
+    assert list(tmp_path.iterdir()) == []  # no file and no temporary left behind

@@ -368,12 +368,12 @@ def test_draw_many_equals_one_draw_per_machine(batch):
     table_bits, machines, cfg, seeds = batch
     kernels = []
 
-    def lanes(ms, c, ss):
-        kernels.append(len(ms) << samplers._chunk_widths(ms[0].num_nodes)[0])
-        return gibbs_lanes(ms, c, ss)
+    def run(J_syms, biases, *args):
+        kernels.append(len(biases) << samplers._chunk_widths(biases.shape[1])[0])
+        return gibbs_run(J_syms, biases, *args)
 
-    gibbs_lanes = samplers._gibbs_lanes
-    with mock.patch.object(samplers, "_TABLE_BITS", table_bits), mock.patch.object(samplers, "_gibbs_lanes", lanes):
+    gibbs_run = samplers._gibbs_run
+    with mock.patch.object(samplers, "_TABLE_BITS", table_bits), mock.patch.object(samplers, "_gibbs_run", run):
         many = draw_many(machines, cfg, seeds)
         assert all(states <= 1 << table_bits for states in kernels)
         each = [draw_samples(bm, replace(cfg, seed=s)) for bm, s in zip(machines, seeds)]
@@ -391,13 +391,13 @@ def test_draw_many_of_17_and_18_node_machines_equals_one_draw_per_machine():
     machines = [random_machine(n, 0, 0, np.random.default_rng(i), basis=basis)
                 for i, (n, basis) in enumerate([(17, Basis.ZERO_ONE), (18, Basis.ZERO_ONE), (17, Basis.ZERO_ONE),
                                                 (18, Basis.ZERO_ONE), (18, Basis.PLUS_MINUS)])]
-    gibbs_lanes, kernels = samplers._gibbs_lanes, []
+    gibbs_run, kernels = samplers._gibbs_run, []
 
-    def lanes(ms, c, ss):
-        kernels.append(len(ms))
-        return gibbs_lanes(ms, c, ss)
+    def run(J_syms, biases, *args):
+        kernels.append(len(biases))
+        return gibbs_run(J_syms, biases, *args)
 
-    with mock.patch.object(samplers, "_gibbs_lanes", lanes):
+    with mock.patch.object(samplers, "_gibbs_run", run):
         many = draw_many(machines, cfg, range(len(machines)))
     assert kernels == [2, 2, 1]
     for i, (got, bm) in enumerate(zip(many, machines)):

@@ -10,6 +10,7 @@ from isingbm.datasets import adder2, from_rows, logic_gate, two_phase
 from isingbm.metrics import (
     conditional_probability,
     dataset_distribution,
+    dkl_beta_derivatives,
     kl_divergence,
     negative_conditional_log_likelihood,
     visible_marginal,
@@ -309,6 +310,44 @@ def test_gradients_reject_rows_outside_the_basis(rng, mode):
         grad_dkl(bm, from_rows([(0, 1, 1), (1, 1, 0)]), mode, cfg)
     with pytest.raises(ValueError):
         grad_ncll(bm, logic_gate("AND"), mode, cfg)
+
+
+_FIT_CFG = SamplerConfig(beta=1.0, num_reads=20, burn_in=2, backend=Backend.GIBBS)
+
+# every quantity over a dataset, and whether it reads the dataset's input/output split
+_OVER_A_DATASET = {
+    "dkl_beta_derivatives": (lambda bm, ds: dkl_beta_derivatives(bm, 1.0, ds), False),
+    "ncll": (lambda bm, ds: negative_conditional_log_likelihood(bm, 1.0, ds), True),
+    **{f"grad_dkl-{m.value}": (lambda bm, ds, m=m: grad_dkl(bm, ds, m, _FIT_CFG), False) for m in GradientMode},
+    **{f"grad_ncll-{m.value}": (lambda bm, ds, m=m: grad_ncll(bm, ds, m, _FIT_CFG), True) for m in GradientMode},
+    "train_function_approximator": (lambda bm, ds: train_function_approximator(
+        ds, Architecture(bm.num_visible_input, bm.num_visible_output, bm.num_hidden),
+        TrainingConfig(max_steps=1, init_model=bm)), True),
+}
+
+_AND = logic_gate("AND").rows
+# name: the machine's partition and basis, a dataset, and whether the dataset fits it
+_FITS = {
+    "width": ((2, 2, 1), Basis.ZERO_ONE, logic_gate("AND"), False),  # the conditional loss read inf
+    "basis-01-rows": ((2, 1, 1), Basis.PLUS_MINUS, logic_gate("AND"), False),
+    "basis-pm-rows": ((2, 1, 1), Basis.ZERO_ONE, from_rows(2 * _AND - 1, io_split=(2, 1)), False),
+    "split": ((2, 1, 1), Basis.ZERO_ONE, from_rows(_AND, io_split=(1, 2)), False),
+    "no-split": ((2, 1, 1), Basis.ZERO_ONE, from_rows(_AND), False),
+    "all-ones-on-pm": ((2, 1, 1), Basis.PLUS_MINUS, from_rows([(1, 1, 1)], io_split=(2, 1)), True),
+}
+
+
+@pytest.mark.parametrize("quantity, case", [(q, c) for q, (_, split) in _OVER_A_DATASET.items()
+                                            for c in _FITS if split or "split" not in c])
+def test_every_quantity_over_a_dataset_refuses_one_that_does_not_fit(rng, quantity, case):
+    call = _OVER_A_DATASET[quantity][0]
+    partition, basis, ds, fits = _FITS[case]
+    bm = random_machine(*partition, rng, basis=basis)
+    if fits:
+        call(bm, ds)
+    else:
+        with pytest.raises(ValueError):
+            call(bm, ds)
 
 
 def test_finite_difference_gradient_on_quadratic():
