@@ -271,8 +271,8 @@ def _check_fit(bm: BoltzmannMachine, ds: Dataset, split: bool = False) -> None:
     """Refuse a dataset whose rows are not states of the machine's visible
     nodes: of another width, or in the other basis (all-ones rows fit
     either); with ``split``, also one whose input/output split is not the
-    machine's partition. Every exact and gradient quantity over a dataset
-    checks here, once per call, in O(1) when the bases agree."""
+    machine's partition. The one fit check of every quantity over a machine
+    and a dataset, made once per call, in O(1) when the bases agree."""
     if ds.num_bits != bm.num_visible:
         raise ValueError(f"dataset rows have {ds.num_bits} bits, machine has {bm.num_visible} visible nodes")
     if ds._basis is not bm.basis and not np.all(ds.rows == 1):

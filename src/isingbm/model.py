@@ -650,7 +650,7 @@ def _replacing(path: str | os.PathLike):
 def _write_json(path: str | os.PathLike, doc: dict, indent: int | None = 1) -> None:
     """``doc`` as strict JSON and a newline, through ``_replacing``: a value
     that is not finite is a ValueError and one JSON cannot hold a TypeError,
-    and either leaves no file. The one writer of every JSON file."""
+    and either leaves ``path`` as it was. The one writer of JSON files."""
     with _replacing(path) as fh:
         json.dump(doc, fh, indent=indent, allow_nan=False)
         fh.write("\n")
