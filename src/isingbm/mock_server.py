@@ -4,7 +4,8 @@ Implements the wire protocol of ``samplers.remote_sample``: POST /v1/sample
 with {basis, biases, couplings, num_reads} returns {samples, counts,
 energies}. Sampling is backed by exact enumeration, so small problems come
 back Boltzmann-distributed at the server's configured temperature: each
-request is answered by ``samplers.exact_sample``.
+request is answered by ``samplers.exact_sample``. It answers HTTP/1.1, so a
+client can keep one connection open for many requests.
 
 The optional ``beta_drift`` knob lowers the effective inverse temperature as
 problems grow (beta / (1 + drift * nodes)). This is a synthetic shape, not a
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -54,7 +56,7 @@ class MockAnnealerServer:
         self._max_body = _BODY_OVERHEAD + _BYTES_PER_TERM * (max_nodes + max_nodes * (max_nodes - 1) // 2)
         self._request_counter = 0
         self._lock = threading.Lock()
-        self._httpd = ThreadingHTTPServer((host, port), _make_handler(self))
+        self._httpd = _Server((host, port), _make_handler(self))
         self._thread: threading.Thread | None = None
 
     @property
@@ -76,7 +78,8 @@ class MockAnnealerServer:
         return self
 
     def stop(self) -> None:
-        """End the loop ``start`` began, if any, and close the socket."""
+        """End the loop ``start`` began, if any, and close the socket and the
+        connections still open; returns once their handler threads ended."""
         if self._thread is not None:  # shutdown() waits for a running loop
             self._httpd.shutdown()
             self._thread.join(timeout=5)
@@ -92,32 +95,76 @@ class MockAnnealerServer:
         self.stop()
 
 
+class _Server(ThreadingHTTPServer):
+    """A threaded server whose ``server_close`` also ends the connections
+    still open and waits for their handler threads: on a kept-alive
+    connection a handler waits for the next request until the client closes."""
+
+    def __init__(self, *args):
+        self._connections: set[socket.socket] = set()
+        self._handlers: list[threading.Thread] = []
+        self._lock = threading.Lock()
+        super().__init__(*args)
+
+    def process_request(self, request, client_address):
+        thread = threading.Thread(target=self.process_request_thread, args=(request, client_address), daemon=True)
+        with self._lock:
+            self._connections.add(request)
+            self._handlers = [t for t in self._handlers if t.is_alive()] + [thread]
+        thread.start()
+
+    def shutdown_request(self, request):
+        with self._lock:  # so server_close never shuts down a closed socket
+            self._connections.discard(request)
+            super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        with self._lock:
+            for request in self._connections:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)  # its handler reads end of file
+                except OSError:  # the peer reset it first
+                    pass
+            handlers = self._handlers
+        for thread in handlers:
+            thread.join()
+
+
 def _make_handler(server: MockAnnealerServer):
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # a client keeps one connection open
+        disable_nagle_algorithm = True
+        wbufsize = -1  # buffered: a reply leaves in one send when the request ends
+
         def log_message(self, *args):  # keep test output quiet
             pass
 
-        def _reply(self, status: int, doc: dict) -> None:
+        def _reply(self, status: int, doc: dict, close: bool = False) -> None:
+            """Send ``doc``; ``close`` for a request whose body was left
+            unread, which must not be parsed as the next request."""
             body = json.dumps(doc).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                self.send_header("Connection", "close")  # also sets close_connection
             self.end_headers()
             self.wfile.write(body)
 
         def do_POST(self):
             if self.path != SAMPLE_ROUTE:
-                self._reply(404, {"error": f"unknown route {self.path}"})
+                self._reply(404, {"error": f"unknown route {self.path}"}, close=True)
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
                 if length < 0:
                     raise ValueError
             except ValueError:
-                self._reply(400, {"error": "Content-Length must be a nonnegative integer"})
+                self._reply(400, {"error": "Content-Length must be a nonnegative integer"}, close=True)
                 return
             if length > server._max_body:
-                self._reply(413, {"error": f"{length}-byte body exceeds service limit {server._max_body}"})
+                self._reply(413, {"error": f"{length}-byte body exceeds service limit {server._max_body}"}, close=True)
                 return
             try:
                 doc = json.loads(self.rfile.read(length))

@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import urllib.parse
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate
@@ -331,6 +333,107 @@ SAMPLE_ROUTE = "/v1/sample"
 _TIMEOUT_S = 60.0  # per socket operation: connect, send, each read
 
 
+# This thread's keep-alive connection to a sampling service, as ``_post``
+# keeps it: (scheme, host, port), the connection, the request target and the
+# request headers.
+_link = threading.local()
+
+
+def _post(endpoint: str, body: bytes) -> tuple[int, bytes]:
+    """POST ``body`` to the endpoint's sample route; return the reply's status
+    and body.
+
+    Each thread keeps one HTTP/1.1 connection open from one request to the
+    next. It is replaced when the endpoint's scheme, host or port changes,
+    and dropped after an exception, a status other than 200 or a reply that
+    closes it. An idle socket that reads as readable has been closed by the
+    peer, so it is reopened before sending. A request once sent is never sent
+    again: whatever fails after it raises.
+    """
+    url = urllib.parse.urlsplit(endpoint)
+    key = (url.scheme, url.hostname, url.port)
+    link = getattr(_link, "current", None)
+    if link is not None and (link[0] != key or _readable(link[1].sock)):
+        _drop_link()
+        link = None
+    if link is None:
+        link = _link.current = (key, *_open(url))
+    _, conn, target, headers = link
+    try:
+        conn.sock.settimeout(_TIMEOUT_S)
+        conn.request("POST", target, body, headers)
+        reply = conn.getresponse()
+        status, data = reply.status, reply.read()
+    except BaseException:  # the exchange stopped part way: the connection is unusable
+        _drop_link()
+        raise
+    if reply.will_close or status != 200:
+        _drop_link()
+    return status, data
+
+
+def _open(url: urllib.parse.SplitResult) -> tuple:
+    """A connection to ``url``'s host, through the proxy the environment
+    names for it unless ``NO_PROXY`` covers the host, with its request target
+    and headers.
+
+    An http proxy gets the absolute-form target; https goes through a CONNECT
+    tunnel. ``connect`` sets TCP_NODELAY, so a request's body, written after
+    its headers, does not wait for the peer's delayed ACK. The socket is
+    closed when the connection is collected (as it is when its thread ends)
+    or at the latest at interpreter exit.
+    """
+    import base64
+    import http.client
+    import urllib.request
+
+    proxy = urllib.request.getproxies().get(url.scheme)
+    if proxy and urllib.request.proxy_bypass(url.netloc):
+        proxy = None
+    cls = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+    target = url.path.rstrip("/") + SAMPLE_ROUTE
+    headers = {"Host": url.netloc, "Content-Type": "application/json"}
+    if proxy is None:
+        conn = cls(url.hostname, url.port, timeout=_TIMEOUT_S)
+    else:
+        proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else "//" + proxy)
+        auth = {}
+        if proxy_url.username is not None and proxy_url.password is not None:
+            user_pass = f"{urllib.parse.unquote(proxy_url.username)}:{urllib.parse.unquote(proxy_url.password)}"
+            auth["Proxy-Authorization"] = "Basic " + base64.b64encode(user_pass.encode()).decode("ascii")
+        conn = cls(proxy_url.hostname, proxy_url.port, timeout=_TIMEOUT_S)
+        if url.scheme == "https":
+            conn.set_tunnel(url.hostname, url.port, headers=auth)
+        else:
+            target = f"http://{url.netloc}{target}"
+            headers.update(auth)
+    try:
+        conn.connect()
+    except BaseException:  # a failed TLS handshake or tunnel leaves a socket open
+        conn.close()
+        raise
+    weakref.finalize(conn, conn.sock.close)
+    return conn, target, headers
+
+
+def _readable(sock) -> bool:
+    """Whether the socket can be read without waiting."""
+    import select
+
+    if not hasattr(select, "poll"):  # Windows, where select() takes any socket
+        return bool(select.select([sock], [], [], 0)[0])
+    poller = select.poll()  # select() refuses descriptors past FD_SETSIZE (1024)
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _drop_link() -> None:
+    """Close this thread's connection, if it has one."""
+    link, _link.current = getattr(_link, "current", None), None
+    if link is not None:
+        link[1].close()
+
+
 def remote_sample(
     bm: BoltzmannMachine, cfg: SamplerConfig, endpoint: str | None = None
 ) -> SampleSet:
@@ -340,12 +443,12 @@ def remote_sample(
     on the way out and the returned states are mapped back. The service does
     not know the caller's temperature; the returned ``beta`` is whatever the
     caller assumed in ``cfg``. A machine with no nodes (a fully clamped
-    subgraph) has one state; it gets every read without a request.
+    subgraph) has one state; it gets every read without a request. Requests
+    go over this thread's keep-alive connection (``_post``), and honour
+    ``HTTP_PROXY``, ``HTTPS_PROXY`` and ``NO_PROXY`` as read when it opened.
     """
     # The HTTP stack loads here, not at import: only this backend uses it.
     import http.client
-    import urllib.error
-    import urllib.request
 
     endpoint = endpoint or cfg.endpoint or os.environ.get(ENDPOINT_ENV_VAR)
     if not endpoint:
@@ -362,21 +465,10 @@ def remote_sample(
         "couplings": [[k, l, v] for (k, l), v in sorted(wire_bm.couplings.items())],
         "num_reads": cfg.num_reads,
     }
-    # Proxies come from the environment, as for any urllib request.
-    request = urllib.request.Request(
-        endpoint.rstrip("/") + SAMPLE_ROUTE, data=json.dumps(payload, allow_nan=False).encode(),
-        headers={"Content-Type": "application/json"},
-    )
     try:
-        try:
-            reply = urllib.request.urlopen(request, timeout=_TIMEOUT_S)
-        except urllib.error.HTTPError as exc:  # any status outside 2xx; read its body too
-            reply = exc
-        with reply:
-            status, body = reply.status, reply.read()
-    except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
-        reason = getattr(exc, "reason", exc)
-        raise TransportError(f"sampling service unreachable: {request.full_url}: {reason}") from exc
+        status, body = _post(endpoint, json.dumps(payload, allow_nan=False).encode())
+    except (OSError, http.client.HTTPException) as exc:
+        raise TransportError(f"sampling service unreachable: {endpoint.rstrip('/')}{SAMPLE_ROUTE}: {exc}") from exc
     text = body.decode("utf-8", "replace").strip()
     if status == 413:
         raise CapacityError(f"service rejected problem size: {text}")

@@ -1,7 +1,15 @@
+import base64
+import gc
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,18 +83,22 @@ def test_remote_oversize_is_capacity_error(mock_server, rng):
 
 
 class _BrokenHandler(BaseHTTPRequestHandler):
-    """Replies with sample rows of the wrong length; ``_replying`` makes
-    variants with another status, body, promised length or delay."""
+    """Replies with sample rows of the wrong length, over HTTP/1.0, so each
+    connection carries one request; ``_replying`` makes variants with another
+    status, body, promised length or delay, or with a list of its own that
+    records each request's target and headers."""
 
     status = 200
     body = json.dumps({"samples": [[1, -1, 1]], "counts": [5]}).encode()
     missing = 0     # bytes the Content-Length header promises but are not sent
     delay = 0.0     # seconds before replying
+    requests: list = []
 
     def log_message(self, *args):
         pass
 
     def do_POST(self):
+        self.requests.append((self.path, dict(self.headers)))
         length = int(self.headers.get("Content-Length", "0"))
         self.rfile.read(length)
         time.sleep(self.delay)
@@ -316,3 +328,214 @@ def test_mock_answers_413_to_a_body_past_its_node_limit(mock_server):
     status, doc = _post_with_length(mock_server, str(len(body)), body)
     assert status == 200 and sum(doc["counts"]) == 5
 
+
+
+def test_mock_closes_a_connection_whose_request_body_it_left_unread(mock_server):
+    # on a kept-alive connection, an unread body would be parsed as the next
+    # request, and the reply to that read as the next request's reply
+    import http.client
+    from urllib.parse import urlsplit
+
+    from isingbm.samplers import SAMPLE_ROUTE
+
+    url = urlsplit(mock_server.url)
+    body = json.dumps({"basis": "pm1", "biases": [0.5, -0.5], "couplings": [[0, 1, 0.25]],
+                       "num_reads": 7}).encode()
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    try:
+        for route, length, sent, status in ((SAMPLE_ROUTE, str(10**12), b"", 413),  # only the header is sent
+                                            ("/v1/other", str(len(body)), body, 404),
+                                            (SAMPLE_ROUTE, "-1", body, 400)):
+            conn.putrequest("POST", route)
+            conn.putheader("Content-Length", length)
+            conn.endheaders(sent)
+            reply = conn.getresponse()
+            assert (reply.status, reply.will_close) == (status, True)
+            reply.read()
+            conn.request("POST", SAMPLE_ROUTE, body)  # the same connection object reopens
+            reply = conn.getresponse()
+            assert (reply.status, reply.will_close) == (200, False)
+            assert sum(json.loads(reply.read())["counts"]) == 7
+    finally:
+        conn.close()
+
+
+def test_stop_ends_the_kept_alive_connections_and_their_handler_threads(rng, monkeypatch):
+    bm = random_machine(2, 0, 0, rng)
+    before = set(threading.enumerate())
+    server = MockAnnealerServer().start()
+    remote_sample(bm, SamplerConfig(num_reads=5), server.url)  # leaves this thread's connection open
+    started = set(threading.enumerate()) - before
+    assert len(started) == 2  # the server loop and the handler of that connection
+    # in a daemon thread, so a stop() that waits on the open connection fails
+    # the test instead of hanging the suite
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=10)
+    assert not stopper.is_alive()
+    assert not any(t.is_alive() for t in started)
+    monkeypatch.setattr(samplers, "_TIMEOUT_S", 2.0)
+    start = time.perf_counter()
+    with pytest.raises(TransportError):  # the cached connection to the stopped server
+        remote_sample(bm, SamplerConfig(num_reads=5), server.url)
+    assert time.perf_counter() - start < 2.0
+
+
+class _OneReplyPerConnection(BaseHTTPRequestHandler):
+    """An HTTP/1.1 service that answers only the first request on a
+    connection: it reads the next one and closes the connection without a
+    reply. With ``hang_up`` it closes the connection right after the first
+    reply, without a ``Connection: close``, as a server ends an idle one."""
+
+    protocol_version = "HTTP/1.1"
+    hang_up = False
+    requests: list = []
+    hung_up = threading.Event()
+
+    def log_message(self, *args):
+        pass
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.requests.append(self.path)
+        self.close_connection = getattr(self, "answered", False) or self.hang_up
+        if getattr(self, "answered", False):
+            return
+        self.answered = True
+        body = json.dumps({"samples": [[1, -1]], "counts": [5]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        if self.hang_up:
+            self.connection.shutdown(socket.SHUT_WR)
+            self.hung_up.set()
+
+
+_HANGS_UP = type("HangsUp", (_OneReplyPerConnection,), {"hang_up": True, "requests": [],
+                                                        "hung_up": threading.Event()})
+
+
+@pytest.mark.parametrize("broken_server", [_OneReplyPerConnection], indirect=True)
+def test_a_request_sent_on_a_kept_alive_connection_is_never_sent_again(broken_server, rng):
+    _OneReplyPerConnection.requests.clear()
+    bm = random_machine(2, 0, 0, rng)
+    assert remote_sample(bm, SamplerConfig(num_reads=5), broken_server).num_reads == 5
+    with pytest.raises(TransportError):  # the service read the request and said nothing
+        remote_sample(bm, SamplerConfig(num_reads=5), broken_server)
+    assert len(_OneReplyPerConnection.requests) == 2  # not resent on a new connection
+    # the failed connection was dropped: the next request opens a new one
+    assert remote_sample(bm, SamplerConfig(num_reads=5), broken_server).num_reads == 5
+    assert len(_OneReplyPerConnection.requests) == 3
+
+
+@pytest.mark.parametrize("broken_server", [_HANGS_UP], indirect=True)
+def test_an_idle_connection_the_service_closed_is_reopened_before_sending(broken_server, rng):
+    bm = random_machine(2, 0, 0, rng)
+    assert remote_sample(bm, SamplerConfig(num_reads=5), broken_server).num_reads == 5
+    assert _HANGS_UP.hung_up.wait(timeout=10)
+    assert remote_sample(bm, SamplerConfig(num_reads=5), broken_server).num_reads == 5
+    assert len(_HANGS_UP.requests) == 2
+
+
+def test_a_connection_on_a_descriptor_past_1024_is_reused(mock_server, rng):
+    # select() refuses descriptors past FD_SETSIZE; the idle check must not
+    import resource
+
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+        pytest.skip("the descriptor limit is too low to open a socket past 1024")
+    bm = random_machine(2, 0, 0, rng)
+    samplers._drop_link()  # so that the descriptor of this thread's connection is not freed below the fillers
+    read_end, write_end = os.pipe()
+    fillers = [os.dup(read_end) for _ in range(1100)]
+    try:
+        with MockAnnealerServer() as server:  # a new endpoint, so a new connection past the fillers
+            for _ in range(2):
+                assert remote_sample(bm, SamplerConfig(num_reads=5), server.url).num_reads == 5
+            assert samplers._link.current[1].sock.fileno() >= 1024
+    finally:
+        for fd in fillers + [read_end, write_end]:
+            os.close(fd)
+
+
+def test_interpreter_exit_leaves_no_unclosed_socket():
+    import isingbm
+
+    src = str(Path(isingbm.__file__).parents[1])
+    probe = ("import numpy as np\n"
+             "from isingbm.mock_server import MockAnnealerServer\n"
+             "from isingbm.model import random_machine\n"
+             "from isingbm.samplers import SamplerConfig, remote_sample\n"
+             "with MockAnnealerServer() as server:\n"
+             "    remote_sample(random_machine(2, 0, 0, np.random.default_rng(0)), SamplerConfig(num_reads=5),"
+             " server.url)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "ResourceWarning" not in out.stderr
+
+
+def test_a_thread_closes_its_connection_when_it_ends(mock_server, rng):
+    bm = random_machine(2, 0, 0, rng)
+    sockets = []
+
+    def draw():
+        remote_sample(bm, SamplerConfig(num_reads=5), mock_server.url)
+        sockets.append(samplers._link.current[1].sock)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        worker = threading.Thread(target=draw)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        gc.collect()
+    assert len(sockets) == 1 and sockets[0].fileno() == -1
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+_PROXY = _replying(body=json.dumps({"samples": [[1, -1]], "counts": [5]}).encode(), requests=[])
+
+
+@pytest.mark.parametrize("broken_server", [_PROXY], indirect=True)
+def test_http_proxy_gets_the_absolute_form_target(broken_server, no_proxy_env, rng):
+    _PROXY.requests.clear()
+    no_proxy_env.setenv("HTTP_PROXY", broken_server.replace("http://", "http://user:pa%20ss@"))
+    endpoint = "http://127.0.0.1:9"  # nothing listens there: only the proxy can answer
+    ss = remote_sample(random_machine(2, 0, 0, rng), SamplerConfig(num_reads=5), endpoint)
+    assert ss.num_reads == 5
+    (target, headers), = _PROXY.requests
+    assert target == endpoint + samplers.SAMPLE_ROUTE
+    assert headers["Host"] == "127.0.0.1:9"
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pa ss").decode()
+
+
+@pytest.mark.parametrize("broken_server", [_PROXY], indirect=True)
+def test_no_proxy_sends_the_request_direct(broken_server, no_proxy_env, rng):
+    _PROXY.requests.clear()
+    no_proxy_env.setenv("HTTP_PROXY", broken_server)
+    no_proxy_env.setenv("NO_PROXY", "localhost,127.0.0.1")
+    with MockAnnealerServer() as server:  # a new endpoint, so a new connection
+        ss = remote_sample(random_machine(2, 0, 0, rng), SamplerConfig(num_reads=5), server.url)
+    assert ss.backend_id.startswith("mock-annealer")
+    assert _PROXY.requests == []
+
+
+def test_kept_alive_requests_do_not_wait_for_delayed_acks(mock_server, rng):
+    # with Nagle's algorithm on either side a request can stall about 40 ms
+    # on the peer's delayed ACK: 100 draws would take at least 4 s
+    bm = random_machine(2, 0, 0, rng)
+    remote_sample(bm, SamplerConfig(num_reads=5), mock_server.url)
+    start = time.perf_counter()
+    for _ in range(100):
+        remote_sample(bm, SamplerConfig(num_reads=5), mock_server.url)
+    assert time.perf_counter() - start < 2.0
