@@ -134,7 +134,7 @@ class _Server(ThreadingHTTPServer):
 def _make_handler(server: MockAnnealerServer):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"  # a client keeps one connection open
-        disable_nagle_algorithm = True
+        disable_nagle_algorithm = True  # a reply is not held back for the peer's delayed ACK
         wbufsize = -1  # buffered: a reply leaves in one send when the request ends
 
         def log_message(self, *args):  # keep test output quiet

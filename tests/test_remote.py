@@ -398,8 +398,8 @@ class _OneReplyPerConnection(BaseHTTPRequestHandler):
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
         self.requests.append(self.path)
-        self.close_connection = getattr(self, "answered", False) or self.hang_up
         if getattr(self, "answered", False):
+            self.close_connection = True
             return
         self.answered = True
         body = json.dumps({"samples": [[1, -1]], "counts": [5]}).encode()
@@ -408,6 +408,7 @@ class _OneReplyPerConnection(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
         if self.hang_up:
+            self.close_connection = True
             self.connection.shutdown(socket.SHUT_WR)
             self.hung_up.set()
 
@@ -431,6 +432,7 @@ def test_a_request_sent_on_a_kept_alive_connection_is_never_sent_again(broken_se
 
 @pytest.mark.parametrize("broken_server", [_HANGS_UP], indirect=True)
 def test_an_idle_connection_the_service_closed_is_reopened_before_sending(broken_server, rng):
+    _HANGS_UP.requests.clear()
     bm = random_machine(2, 0, 0, rng)
     assert remote_sample(bm, SamplerConfig(num_reads=5), broken_server).num_reads == 5
     assert _HANGS_UP.hung_up.wait(timeout=10)
