@@ -40,9 +40,9 @@ from .metrics import (
     dkl_beta_derivatives,
     _check_excited_decrease,
     _check_ground_monotone,
+    _row_conditionals,
     fit_beta,
     kl_divergence,
-    conditional_probability,
     visible_marginal,
 )
 from .model import (
@@ -336,15 +336,10 @@ def cmd_sweep_beta(model_spec, dataset_spec, grid_spec, out_path):
     grid = _parse_beta_grid(grid_spec)
 
     q = dataset_distribution(dataset)
-    row_labels = [_state_label(dataset.row(d)) for d in range(dataset.num_rows)]
     conds = dataset.io_split is not None and bm.num_visible_output >= 1
+    header = ["beta", "dkl", "dkl_dbeta", "d2kl_dbeta2"] + [f"p_state_{_state_label(r)}" for r in dataset.rows]
     if conds:
-        input_labels = [_state_label(dataset.input_part(d)) for d in range(dataset.num_rows)]
-
-    header = ["beta", "dkl", "dkl_dbeta", "d2kl_dbeta2"]
-    header += [f"p_state_{lbl}" for lbl in row_labels]
-    if conds:
-        header += [f"cond_prob_{lbl}" for lbl in input_labels]
+        header += [f"cond_prob_{_state_label(r[:dataset.io_split[0]])}" for r in dataset.rows]
 
     rows = []
     for beta in grid:
@@ -352,12 +347,9 @@ def cmd_sweep_beta(model_spec, dataset_spec, grid_spec, out_path):
         d1, d2 = dkl_beta_derivatives(bm, float(beta), dataset)
         marginal = visible_marginal(bm, float(beta))
         record = [float(beta), kl_divergence(q, marginal), d1, d2]
-        record += [marginal.prob(dataset.row(d)) for d in range(dataset.num_rows)]
+        record += marginal.probs[dataset._indices].tolist()  # a row's index is its position
         if conds:
-            record += [
-                conditional_probability(bm, float(beta), dataset.input_part(d)).prob(dataset.output_part(d))
-                for d in range(dataset.num_rows)
-            ]
+            record += _row_conditionals(bm, float(beta), dataset).tolist()
         rows.append(record)
 
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -434,7 +426,8 @@ def cmd_fit_beta(model_spec, sample_file, backend, beta, sizes, reads, chains,
                                 exhaustive=exhaustive, num_chains=chains, endpoint=endpoint)
             ss = draw_samples(bm, cfg)
             beta_star, _ = fit_beta(ss, bm, grid)
-            report["entries"].append({"size": size, "beta_star": beta_star})
+            # the service's name, not its URL: reproduce's mock has a new port each run
+            report["entries"].append({"size": size, "beta_star": beta_star, "backend_id": ss.backend_id})
             click.echo(f"size {size}: beta* = {beta_star:.4f}")
         report["generating_beta"] = beta
 
@@ -646,13 +639,8 @@ def cmd_reproduce(out_dir, quick):
     ds = adder2()
     adder_rows = []
     for name in ("adder_function", "adder_distribution"):
-        bm = load_fixture(name)
-        conds = [
-            conditional_probability(bm, 5.0, ds.input_part(d)).prob(ds.output_part(d))
-            for d in range(ds.num_rows)
-        ]
-        adder_rows.append({"fixture": name, "min_conditional": min(conds),
-                           "conditionals": conds})
+        conds = _row_conditionals(load_fixture(name), 5.0, ds).tolist()
+        adder_rows.append({"fixture": name, "min_conditional": min(conds), "conditionals": conds})
     summary["adder_conditionals"] = adder_rows
     _write_json(out_dir / "adder_conditionals.json", {"beta": 5.0, "entries": adder_rows})
     outputs.append(out_dir / "adder_conditionals.json")

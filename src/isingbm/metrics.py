@@ -3,7 +3,7 @@
 Everything here is computed by full enumeration of the state space, so these
 functions double as the oracle that sampling backends are checked against.
 They are pure functions of immutable inputs. The Boltzmann weights come from
-``model._weighting`` or, where a whole table is normalised, ``model._boltzmann``.
+``model._weighting`` or ``model._row_pass``; per-row readouts gather from them.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from .model import (
     BoltzmannMachine,
     _SYMBOLS,
     _basis_of,
-    _boltzmann,
     _check_probabilities,
     _check_symbols,
     _row_indices,
+    _row_pass,
     _state_rows,
     _weighting,
     all_energies,
@@ -125,8 +125,9 @@ class Distribution:
 
 
 def boltzmann_probabilities(bm: BoltzmannMachine, beta: float) -> np.ndarray:
-    """exp(-beta*E)/Z over the lexicographic state order (``model._boltzmann``)."""
-    return _boltzmann(all_energies(bm), beta)
+    """exp(-beta*E)/Z over the lexicographic state order (one ``_row_pass`` row)."""
+    w, _, _, Z = _row_pass(all_energies(bm)[None], beta)
+    return w[0] / Z
 
 
 def _project_probs(
@@ -210,8 +211,8 @@ def conditional_probability(
     """p(output | input), hidden nodes summed out.
 
     When the whole machine can be enumerated it is the input's row of the
-    weighting's conditional table. Past the cap, the input's slice comes
-    from ``prefix_energies``, so the cap applies to the n - m_I free nodes.
+    weighting's conditional table. Past the cap, it is u / Z of a ``_row_pass``
+    over the input's ``prefix_energies`` slice: the cap is on the n - m_I free nodes.
     """
     m_o = bm.num_visible_output
     if m_o < 1:
@@ -221,23 +222,36 @@ def conditional_probability(
     try:
         wt = _weighting(bm, beta)
     except CapacityError:
-        p = _boltzmann(prefix_energies(bm, v_input), beta)
-        return Distribution._indexed(p.reshape(1 << m_o, -1).sum(axis=1), m_o, bm.basis)
+        _, _, u, Z = _row_pass(prefix_energies(bm, v_input).reshape(1 << m_o, -1), beta)
+        return Distribution._indexed(u / Z, m_o, bm.basis)
     values = tuple(map(int, v_input))
     _check_symbols(values, bm.basis)
     return Distribution._indexed(wt.c[state_index(values, bm.basis)], m_o, bm.basis)
 
 
-def negative_conditional_log_likelihood(bm: BoltzmannMachine, beta: float, ds: Dataset) -> float:
-    """Sum over rows of -ln p(row output | row input)."""
+def _row_conditionals(bm: BoltzmannMachine, beta: float, ds: Dataset) -> np.ndarray:
+    """p(row output | row input) of every data row, in row order: one gather of
+    the conditional table's elements that ``conditional_probability`` reads;
+    past the cap, u / Z of each row input's slice, as it and ``grad_ncll`` do."""
     _check_fit(bm, ds, split=True)
+    m_i, m_o = ds.io_split
+    y = ds._indices % (1 << m_o)
+    try:
+        return _weighting(bm, beta).c[ds._indices >> m_o, y]
+    except CapacityError:
+        passes = (_row_pass(prefix_energies(bm, x[:m_i]).reshape(1 << m_o, -1), beta) for x in ds.rows)
+        return np.array([u[j] / Z for (_, _, u, Z), j in zip(passes, y)])
+
+
+def negative_conditional_log_likelihood(bm: BoltzmannMachine, beta: float, ds: Dataset) -> float:
+    """Sum over rows of -ln p(row output | row input), added in row order as
+    ``grad_ncll`` adds its loss."""
+    p = _row_conditionals(bm, beta, ds)
+    if np.any(p <= 0.0):
+        return float("inf")
     total = 0.0
-    for d in range(ds.num_rows):
-        cond = conditional_probability(bm, beta, ds.input_part(d))
-        p = cond.prob(ds.output_part(d))
-        if p <= 0.0:
-            return float("inf")
-        total -= float(np.log(p))
+    for log_p in np.log(p).tolist():
+        total -= log_p
     return total
 
 
@@ -400,7 +414,8 @@ def fit_beta(
     sqrt_emp = np.sqrt(emp)
 
     def distance(beta: float) -> float:
-        return 0.5 * float(np.sqrt(np.sum((sqrt_emp - np.sqrt(_boltzmann(E, beta))) ** 2)))
+        w, _, _, Z = _row_pass(E[None], beta)
+        return 0.5 * float(np.sqrt(np.sum((sqrt_emp - np.sqrt(w[0] / Z)) ** 2)))
 
     curve = [(float(b), distance(float(b))) for b in betas]
     values = np.array([v for _, v in curve])

@@ -392,9 +392,9 @@ def _weighting(bm: BoltzmannMachine, beta: float) -> _Weighting:
     var = s2.reshape(rows) / r
     var -= a * a
     np.maximum(var, 0.0, out=var)
-    u = r * np.exp(-beta * (m - m.min()))
+    u = _masses(r, m, beta)
     m_in = m.reshape(1 << bm.num_visible_input, -1)
-    c = r.reshape(m_in.shape) * np.exp(-beta * (m_in - m_in.min(axis=1, keepdims=True)))
+    c = _masses(r.reshape(m_in.shape), m_in, beta)
     c /= c.sum(axis=1, keepdims=True)
     mean = m + a
     for x in (r, u, mean, var, c):
@@ -404,13 +404,25 @@ def _weighting(bm: BoltzmannMachine, beta: float) -> _Weighting:
     return slot
 
 
-def _boltzmann(E: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-beta * E) / Z along the last axis, shifted by its minimum for
-    stability: the one normalisation of energies outside ``_weighting``."""
+def _masses(r: np.ndarray, m: np.ndarray, beta: float) -> np.ndarray:
+    """r exp(-beta (m - min m)) along the last axis: row sums r taken with
+    each row shifted by its own minimum m, put back on one shift, min m."""
+    return r * np.exp(-beta * (m - m.min(axis=-1, keepdims=True)))
+
+
+def _row_pass(E: np.ndarray, beta: float):
+    """(w = exp(-beta (E - m)), r = sum w, u = ``_masses``, Z = sum u), each
+    row of ``E`` shifted by its minimum m: row v has mass u[v] / Z, and a
+    table passed as one row is w / Z. Every exact normalisation outside
+    ``_weighting``'s blocked pass."""
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    w = np.exp(-beta * (E - E.min(axis=-1, keepdims=True)))
-    return w / w.sum(axis=-1, keepdims=True)
+    m = E.min(axis=1)
+    w = np.subtract(E, m[:, None])
+    np.exp(np.multiply(w, -beta, out=w), out=w)
+    r = w.sum(axis=1)
+    u = _masses(r, m, beta)
+    return w, r, u, float(u.sum())
 
 
 def prefix_energies(bm: BoltzmannMachine, prefix: Sequence[int]) -> np.ndarray:

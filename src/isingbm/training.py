@@ -42,6 +42,7 @@ from .model import (
     _clamped_rows,
     _replacing,
     _row_indices,
+    _row_pass,
     _state_rows,
     all_energies,
     cached_state_table,
@@ -244,18 +245,12 @@ def _estimate(bm: BoltzmannMachine, mean: np.ndarray, second: np.ndarray, loss=N
 
 def _exact_phases(E: np.ndarray, rows: np.ndarray, q: np.ndarray, beta: float, S_a: np.ndarray, S_b: np.ndarray):
     """Data-minus-model moments of an energy slice and its data rows'
-    probabilities, from one exp pass with each row of ``E`` shifted by its
-    minimum m, as in ``model._weighting``: w = exp(-beta (E - m)), r = sum w
-    along the row, u = r exp(-beta (m - min m)), Z = sum u. The model phase
-    weighs a state by -w u / (r Z), data row ``rows[d]`` adds q_d w / r, and
-    ``_moments`` reads the weights split as ``S_a`` x ``S_b``. u[rows] / Z
-    are the probabilities, bit for bit ``metrics``' own within the cap."""
-    m = E.min(axis=1)
-    w = np.subtract(E, m[:, None])
-    np.exp(np.multiply(w, -beta, out=w), out=w)
-    r = w.sum(axis=1)
-    u = r * np.exp(-beta * (m - m.min()))
-    Z = float(u.sum())
+    probabilities, from one ``model._row_pass`` over the rows of ``E``: the
+    model phase weighs a state by -w u / (r Z), data row ``rows[d]`` adds
+    q_d w / r, and ``_moments`` reads the weights split as ``S_a`` x
+    ``S_b``. u[rows] / Z are the probabilities, bit for bit ``metrics``'
+    own."""
+    w, r, u, Z = _row_pass(E, beta)
     data = q[:, None] * (w[rows] / r[rows, None])
     w *= (-(u / (r * Z)))[:, None]
     w[rows] += data

@@ -279,6 +279,29 @@ def test_sweep_beta_csv(runner, tmp_path):
     assert all(b > a for a, b in zip(conds, conds[1:]))  # sharpens with beta
 
 
+@pytest.mark.parametrize("model, dataset", [("adder_function", "adder2"), ("two_phase_trained", "two_phase")])
+def test_sweep_beta_row_columns_are_the_public_readouts(runner, tmp_path, model, dataset):
+    # the per-row columns are gathers of the arrays the public readouts index
+    from isingbm.datasets import builtin_dataset
+    from isingbm.metrics import conditional_probability, visible_marginal
+
+    out = tmp_path / "sweep.csv"
+    result = runner.invoke(main, ["sweep-beta", "--model", model, "--dataset", dataset,
+                                  "--beta-grid", "0.5:10:7log", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    bm, ds = load_fixture(model), builtin_dataset(dataset)
+    header, *rows = list(csv.reader(out.read_text().splitlines()))
+    p_at = [i for i, name in enumerate(header) if name.startswith("p_state_")]
+    cond_at = [i for i, name in enumerate(header) if name.startswith("cond_prob_")]
+    assert len(p_at) == ds.num_rows and len(cond_at) == (ds.num_rows if ds.io_split else 0)
+    for row in rows:
+        beta = float(row[0])
+        marginal = visible_marginal(bm, beta)
+        assert [float(row[i]) for i in p_at] == [marginal.prob(ds.row(d)) for d in range(ds.num_rows)]
+        assert [float(row[i]) for i in cond_at] == [
+            conditional_probability(bm, beta, ds.input_part(d)).prob(ds.output_part(d)) for d in range(len(cond_at))]
+
+
 def test_sweep_beta_flat_machine_constant_dkl(runner, tmp_path):
     from isingbm.model import BoltzmannMachine, save_model
 
@@ -364,6 +387,21 @@ def test_fit_beta_manifest_records_the_draw_options(runner, tmp_path):
     assert json.loads((tmp_path / "fit.json.manifest.json").read_text())["config"] == {
         "backend": "gibbs", "beta": 3.0, "sizes": "3:3", "reads": 200, "chains": 4, "exhaustive": False,
         "beta_grid": "0.5:4:8", "seed": 0}
+
+
+def test_fit_beta_entries_name_the_backend_not_the_endpoint(runner, tmp_path, mock_server):
+    result = runner.invoke(main, ["fit-beta", "--sizes", "3:4", "--reads", "200", "--chains", "4",
+                                  "--beta-grid", "0.5:4:8", "--out", str(tmp_path / "gibbs.json")])
+    assert result.exit_code == 0, result.output
+    entries = json.loads((tmp_path / "gibbs.json").read_text())["entries"]
+    assert [e["backend_id"] for e in entries] == ["gibbs/chains=4"] * 2
+    result = runner.invoke(main, ["fit-beta", "--backend", "remote", "--endpoint", mock_server.url,
+                                  "--sizes", "3:4", "--reads", "200", "--chains", "1",
+                                  "--beta-grid", "0.5:4:8", "--out", str(tmp_path / "remote.json")])
+    assert result.exit_code == 0, result.output
+    report = (tmp_path / "remote.json").read_text()
+    assert [e["backend_id"] for e in json.loads(report)["entries"]] == ["mock-annealer(beta=2)"] * 2
+    assert "127.0.0.1" not in report and mock_server.url not in report
 
 
 def test_fit_beta_refuses_a_sample_file_with_a_nan_beta(runner, tmp_path):

@@ -244,7 +244,7 @@ def test_conditional_rejects_zero_one_values_on_pm1_machine(rng):
 #
 # The references are the formulas each quantity used before the weighting:
 # an exp of the whole table per quantity, and one per conditional. The
-# routes that now call ``model._boltzmann`` (the Boltzmann probabilities,
+# routes that now call ``model._row_pass`` (the Boltzmann probabilities,
 # exact draws, fit_beta's distance and the exact gradients) are pinned bit
 # for bit to the inline expressions they replace.
 

@@ -336,14 +336,16 @@ def test_ncll_high_temperature_limit(rng):
     assert value == pytest.approx(4 * np.log(2), abs=1e-5)
 
 
-def test_ncll_matches_sum_of_conditionals():
+@pytest.mark.parametrize("beta", [1.0, 5.0])
+def test_ncll_matches_sum_of_conditionals(beta):
+    # the same elements, added in the same row order: bit for bit
     bm = load_fixture("adder_function")
     ds = __import__("isingbm").datasets.adder2()
     total = 0.0
     for d in range(ds.num_rows):
-        cond = conditional_probability(bm, 5.0, ds.input_part(d))
+        cond = conditional_probability(bm, beta, ds.input_part(d))
         total -= np.log(cond.prob(ds.output_part(d)))
-    assert negative_conditional_log_likelihood(bm, 5.0, ds) == pytest.approx(total, rel=1e-12)
+    assert negative_conditional_log_likelihood(bm, beta, ds) == total
 
 
 def test_ncll_requires_split(rng):
