@@ -295,6 +295,13 @@ def test_exact_step_loss_is_the_metrics_loss(rng, basis, enumeration_cap):
         enumeration_cap(cap)
 
 
+def test_ncll_of_a_split_without_outputs_is_the_exact_step_loss(rng):
+    # p(no outputs | input) = 1 on every row: the metric gives the step's 0
+    bm = random_machine(2, 0, 1, rng)
+    ds = from_rows([(0, 1), (1, 1)], io_split=(2, 0))
+    assert negative_conditional_log_likelihood(bm, 1.0, ds) == grad_ncll(bm, ds).loss == 0.0
+
+
 def test_exact_training_builds_no_weighting_tables():
     ds = from_rows(logic_gate("AND").rows)
     cfg = TrainingConfig(max_steps=5, sampler=SamplerConfig(beta=3.0), seed=0)
