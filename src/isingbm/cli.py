@@ -26,7 +26,7 @@ from click.core import ParameterSource
 
 from . import __version__
 from .datasets import (
-    BUILTIN_DATASETS,
+    _BUILTIN_NAME,
     FIXTURE_NAMES,
     Dataset,
     builtin_dataset,
@@ -170,7 +170,7 @@ def _parse_arch(spec: str, connectivity: str = "complete") -> Architecture:
 
 
 def _resolve_dataset(spec: str) -> tuple[Dataset, str, Path | None]:
-    if spec.lower() in BUILTIN_DATASETS or spec.lower().startswith("two_phase"):
+    if _BUILTIN_NAME.fullmatch(spec):
         return builtin_dataset(spec), spec.lower(), None
     path = Path(spec)
     if not path.is_file():

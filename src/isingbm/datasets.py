@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Sequence
@@ -223,20 +224,19 @@ def _parse_dataset(text: str) -> Dataset:
         raise DatasetFormatError(str(exc)) from exc
 
 
-BUILTIN_DATASETS = ("and", "or", "xor", "adder2", "two_phase")
+# A whole name, in any case, is a built-in: a gate, adder2, or two_phase with an optional size N.
+_BUILTIN_NAME = re.compile(r"(and|or|xor|adder2)|two_phase(?:_([0-9]+))?", re.IGNORECASE)
 
 
 def builtin_dataset(name: str) -> Dataset:
-    """Resolve a generator by name ('two_phase' may carry a size suffix)."""
-    key = name.lower()
-    if key in ("and", "or", "xor"):
-        return logic_gate(key)
-    if key == "adder2":
-        return adder2()
-    if key.startswith("two_phase"):
-        suffix = key.removeprefix("two_phase").lstrip("_")
-        return two_phase(int(suffix) if suffix else 10)
-    raise ValueError(f"unknown dataset {name!r}; built-ins: {BUILTIN_DATASETS}")
+    """Resolve a generator by name ('two_phase' may carry a size suffix, 'two_phase_N')."""
+    match = _BUILTIN_NAME.fullmatch(name)
+    if match is None:
+        raise ValueError(f"unknown dataset {name!r}; built-ins: and, or, xor, adder2, two_phase, two_phase_N")
+    gate, size = match.groups()
+    if gate is None:
+        return two_phase(int(size or 10))
+    return adder2() if gate.lower() == "adder2" else logic_gate(gate)
 
 
 # -- bundled machines ---------------------------------------------------------

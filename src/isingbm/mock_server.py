@@ -131,6 +131,13 @@ class _Server(ThreadingHTTPServer):
             thread.join()
 
 
+def _json(value, what: str, *kinds: type):
+    """``value`` if ``json`` read it as one of ``kinds``; a JSON boolean reads as bool, not int."""
+    if type(value) not in kinds:
+        raise ValueError(f"{what} must be JSON of type {'/'.join(k.__name__ for k in kinds)}, got {json.dumps(value)}")
+    return value
+
+
 def _make_handler(server: MockAnnealerServer):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"  # a client keeps one connection open
@@ -167,12 +174,14 @@ def _make_handler(server: MockAnnealerServer):
                 self._reply(413, {"error": f"{length}-byte body exceeds service limit {server._max_body}"}, close=True)
                 return
             try:
-                doc = json.loads(self.rfile.read(length))
+                doc = _json(json.loads(self.rfile.read(length)), "the request", dict)
                 if doc.get("basis") != Basis.PLUS_MINUS.value:
                     raise ValueError(f"basis must be {Basis.PLUS_MINUS.value!r}")
-                biases = np.asarray(doc["biases"], dtype=np.float64)
-                couplings = {(int(k), int(l)): float(v) for k, l, v in doc["couplings"]}
-                num_reads = int(doc["num_reads"])
+                biases = np.array([_json(b, "a bias", int, float) for b in _json(doc["biases"], "biases", list)], float)
+                terms = [_json(term, "a coupling", list) for term in _json(doc["couplings"], "couplings", list)]
+                couplings = {(_json(k, "index", int), _json(l, "index", int)): float(_json(v, "a value", int, float))
+                             for k, l, v in terms}
+                num_reads = _json(doc["num_reads"], "num_reads", int)
                 if num_reads < 1:
                     raise ValueError("num_reads must be >= 1")
             except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:

@@ -188,6 +188,21 @@ def test_sweep_beta_refuses_rows_in_the_other_basis(runner, tmp_path):
     assert not out.exists()
 
 
+def test_a_dataset_file_named_like_a_built_in_is_read_as_a_file(runner, tmp_path, monkeypatch):
+    # only a whole built-in name (two_phase or two_phase_N) is a built-in:
+    # two_phase_10.csv was parsed as two_phase with size '10.csv' and exited 2
+    from importlib import resources
+
+    monkeypatch.chdir(tmp_path)
+    bundled = resources.files("isingbm").joinpath("data", "datasets", "two_phase_10.csv")
+    Path("two_phase_10.csv").write_bytes(bundled.read_bytes())
+    for spec in ("two_phase_10.csv", "two_phase"):
+        result = runner.invoke(main, ["sweep-beta", "--model", "two_phase_trained", "--dataset", spec,
+                                      "--beta-grid", "1:2:2", "--out", f"{spec}.sweep.csv"])
+        assert result.exit_code == 0, result.output
+    assert Path("two_phase_10.csv.sweep.csv").read_bytes() == Path("two_phase.sweep.csv").read_bytes()
+
+
 def _dead_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))

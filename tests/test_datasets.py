@@ -160,8 +160,10 @@ def test_dataset_csv_bad_bits(tmp_path):
 def test_builtin_lookup():
     assert builtin_dataset("adder2").num_rows == 16
     assert builtin_dataset("two_phase_4").num_rows == 5
-    with pytest.raises(ValueError):
-        builtin_dataset("mnist")
+    assert np.array_equal(builtin_dataset("XOR").rows, builtin_dataset("xor").rows)
+    for name in ("mnist", "two_phase_10.csv", "two_phase_", "and.csv"):
+        with pytest.raises(ValueError):
+            builtin_dataset(name)
 
 
 # ---------------------------------------------------------------- bundled machines
@@ -206,3 +208,24 @@ def test_adder_fixtures_identical_with_caveat():
 def test_unknown_fixture():
     with pytest.raises(ValueError):
         load_fixture("nonexistent")
+
+
+def test_the_fixture_script_rebuilds_the_bundled_files_byte_for_byte(tmp_path, monkeypatch):
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("build_fixtures", root / "scripts" / "build_fixtures.py")
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts its src first
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "FIXTURE_DIR", tmp_path / "fixtures")
+    monkeypatch.setattr(script, "DATASET_DIR", tmp_path / "datasets")
+    script.build()
+    for kind in ("fixtures", "datasets"):
+        committed, built = root / "src" / "isingbm" / "data" / kind, tmp_path / kind
+        names = sorted(p.name for p in committed.iterdir())
+        assert sorted(p.name for p in built.iterdir()) == names
+        for name in names:
+            assert (built / name).read_bytes() == (committed / name).read_bytes(), name

@@ -202,6 +202,45 @@ def test_mock_answers_400_to_non_finite_parameters(mock_server):
         assert status == 400 and "finite" in doc["error"]
 
 
+_GOOD_TERMS = {"basis": "pm1", "biases": [0.5, -0.5], "couplings": [[0, 1, 0.25]], "num_reads": 7}
+
+
+_BAD_BODIES = {
+    # JSON, but not an object
+    "array": "[1, 2]", "string": '"x"', "null": "null", "number": "3",
+    # counts and indices are JSON integers, values JSON numbers; a boolean is neither
+    **{f"num_reads {reads}": json.dumps({**_GOOD_TERMS, "num_reads": reads}) for reads in (True, 10.0, "7")},
+    **{f"coupling {term}": json.dumps({**_GOOD_TERMS, "couplings": [term]})
+       for term in ([0.5, 1, 0.25], [0, True, 0.25], [0, 1, "0.25"], [0, 1])},
+    "couplings object": json.dumps({**_GOOD_TERMS, "couplings": {"0": [0, 1, 0.25]}}),
+    **{f"biases {biases}": json.dumps({**_GOOD_TERMS, "biases": biases})
+       for biases in (["0.1", 0.2], [False, 0.2], "0.1")},
+}
+
+
+@pytest.mark.parametrize("body", _BAD_BODIES.values(), ids=_BAD_BODIES.keys())
+def test_mock_answers_400_to_a_body_the_protocol_does_not_allow(mock_server, body, capfd):
+    # the body was read, so the connection serves the next request
+    import http.client
+    from urllib.parse import urlsplit
+
+    from isingbm.samplers import SAMPLE_ROUTE
+
+    url = urlsplit(mock_server.url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    try:
+        conn.request("POST", SAMPLE_ROUTE, body.encode())
+        reply = conn.getresponse()
+        assert (reply.status, reply.will_close) == (400, False)
+        assert "error" in json.loads(reply.read())
+        conn.request("POST", SAMPLE_ROUTE, json.dumps(_GOOD_TERMS).encode())
+        reply = conn.getresponse()
+        assert reply.status == 200 and sum(json.loads(reply.read())["counts"]) == 7
+    finally:
+        conn.close()
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_stop_returns_on_a_server_never_started():
     # in a daemon thread, so a stop() that waits for a loop fails the test
     # instead of hanging the suite
