@@ -184,7 +184,7 @@ def _make_handler(server: MockAnnealerServer):
                 num_reads = _json(doc["num_reads"], "num_reads", int)
                 if num_reads < 1:
                     raise ValueError("num_reads must be >= 1")
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
                 self._reply(400, {"error": str(exc)})
                 return
 

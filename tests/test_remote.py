@@ -203,11 +203,10 @@ def test_mock_answers_400_to_non_finite_parameters(mock_server):
 
 
 _GOOD_TERMS = {"basis": "pm1", "biases": [0.5, -0.5], "couplings": [[0, 1, 0.25]], "num_reads": 7}
-
-
 _BAD_BODIES = {
     # JSON, but not an object
     "array": "[1, 2]", "string": '"x"', "null": "null", "number": "3",
+    "nested past the parser's recursion limit": "[" * 5000 + "]" * 5000,
     # counts and indices are JSON integers, values JSON numbers; a boolean is neither
     **{f"num_reads {reads}": json.dumps({**_GOOD_TERMS, "num_reads": reads}) for reads in (True, 10.0, "7")},
     **{f"coupling {term}": json.dumps({**_GOOD_TERMS, "couplings": [term]})
