@@ -181,18 +181,20 @@ def _probs_of(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndarray]
     return p_on_q, missing
 
 
+def _relative_entropy(q: np.ndarray, p: np.ndarray) -> float:
+    """sum q ln(q/p) where q > 0, +inf where p is 0 there: ``kl_divergence``'s and ``grad_dkl``'s."""
+    has = q > 0.0
+    q, p = q[has], p[has]
+    if np.any(p <= 0.0):
+        return float("inf")
+    return max(float(np.sum(q * np.log(q / p))), 0.0)  # clip the tiny negative residue when q == p
+
+
 def kl_divergence(q: Distribution, p: Distribution) -> float:
     """D(q || p) = sum q ln(q/p); +inf when p misses mass where q has some."""
-    has = q.probs > 0.0
     if p._every and p._width == q._width and p._basis is q._basis:
-        p_on_q = p.probs[q._index]  # a state's index is its position in p
-    else:
-        p_on_q = _probs_of(p, q)[0]
-    q_v, p_v = q.probs[has], p_on_q[has]
-    if np.any(p_v <= 0.0):
-        return float("inf")
-    # Clip the tiny negative float residue that appears when q == p.
-    return max(float(np.sum(q_v * np.log(q_v / p_v))), 0.0)
+        return _relative_entropy(q.probs, p.probs[q._index])  # a state's index is its position in p
+    return _relative_entropy(q.probs, _probs_of(p, q)[0])
 
 
 def hellinger(p_s: Distribution, p_a: Distribution) -> float:
@@ -243,16 +245,20 @@ def _row_conditionals(bm: BoltzmannMachine, beta: float, ds: Dataset) -> np.ndar
         return np.array([u[j] / Z for (_, _, u, Z), j in zip(passes, y)])
 
 
-def negative_conditional_log_likelihood(bm: BoltzmannMachine, beta: float, ds: Dataset) -> float:
-    """Sum over rows of -ln p(row output | row input), added in row order as
-    ``grad_ncll`` adds its loss."""
-    p = _row_conditionals(bm, beta, ds)
+def _ncll_sum(p: np.ndarray) -> float:
+    """sum -ln p added one row at a time, +inf where p is 0: the NCLL of both
+    ``negative_conditional_log_likelihood`` and ``grad_ncll``."""
     if np.any(p <= 0.0):
         return float("inf")
     total = 0.0
     for log_p in np.log(p).tolist():
         total -= log_p
     return total
+
+
+def negative_conditional_log_likelihood(bm: BoltzmannMachine, beta: float, ds: Dataset) -> float:
+    """Sum over rows of -ln p(row output | row input), added in row order."""
+    return _ncll_sum(_row_conditionals(bm, beta, ds))
 
 
 # -- temperature analysis ------------------------------------------------------

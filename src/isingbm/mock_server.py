@@ -23,7 +23,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from .model import Basis, BoltzmannMachine, _row_indices, all_energies
+from .model import Basis, BoltzmannMachine, _json, _row_indices, all_energies
 from .samplers import SAMPLE_ROUTE, SamplerConfig, exact_sample
 
 # A request body is bounded by what the node limit allows: every bias and every
@@ -129,13 +129,6 @@ class _Server(ThreadingHTTPServer):
             handlers = self._handlers
         for thread in handlers:
             thread.join()
-
-
-def _json(value, what: str, *kinds: type):
-    """``value`` if ``json`` read it as one of ``kinds``; a JSON boolean reads as bool, not int."""
-    if type(value) not in kinds:
-        raise ValueError(f"{what} must be JSON of type {'/'.join(k.__name__ for k in kinds)}, got {json.dumps(value)}")
-    return value
 
 
 def _make_handler(server: MockAnnealerServer):

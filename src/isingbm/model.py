@@ -628,19 +628,22 @@ def model_to_dict(bm: BoltzmannMachine, metadata: dict | None = None) -> dict:
 
 def model_from_dict(doc: dict) -> tuple[BoltzmannMachine, dict]:
     try:
+        doc = _json(doc, "a model document", dict)
+        terms = (_json(term, "a coupling", list) for term in _json(doc["couplings"], "couplings", list))
         bm = BoltzmannMachine(
-            num_visible_input=int(doc["m_I"]),
-            num_visible_output=int(doc["m_O"]),
-            num_hidden=int(doc["n"]),
-            biases=np.asarray(doc["biases"], dtype=np.float64),
-            couplings={(int(k), int(l)): float(v) for k, l, v in doc["couplings"]},
-            basis=Basis(doc["basis"]),
-            h_max=float(doc.get("h_max", 1.0)),
-            j_max=float(doc.get("j_max", 1.0)),
+            num_visible_input=_json(doc["m_I"], "m_I", int),
+            num_visible_output=_json(doc["m_O"], "m_O", int),
+            num_hidden=_json(doc["n"], "n", int),
+            biases=[_json(b, "a bias", int, float) for b in _json(doc["biases"], "biases", list)],
+            couplings={(_json(k, "index", int), _json(l, "index", int)): _json(v, "a value", int, float)
+                       for k, l, v in terms},
+            basis=Basis(_json(doc["basis"], "basis", str)),
+            h_max=float(_json(doc.get("h_max", 1.0), "h_max", int, float)),
+            j_max=float(_json(doc.get("j_max", 1.0), "j_max", int, float)),
         )
-    except (KeyError, TypeError) as exc:
+        return bm, _json(doc.get("metadata", {}), "metadata", dict)
+    except (KeyError, TypeError, OverflowError) as exc:  # float() overflows past 1e308
         raise ValueError(f"malformed model document: {exc}") from exc
-    return bm, doc.get("metadata", {})
 
 
 @contextmanager
@@ -666,6 +669,16 @@ def _write_json(path: str | os.PathLike, doc: dict, indent: int | None = 1) -> N
     with _replacing(path) as fh:
         json.dump(doc, fh, indent=indent, allow_nan=False)
         fh.write("\n")
+
+
+def _json(value, what: str, *kinds: type):
+    """``value`` if ``json`` read it as one of ``kinds``, else a ValueError; a JSON
+    boolean reads as bool, not int. The one type check of every JSON value read."""
+    if type(value) not in kinds:
+        finite = "" if type(value) is not float or math.isfinite(value) else "finite "  # NaN, Infinity
+        raise ValueError(f"{what} must be {finite}JSON of type {'/'.join(k.__name__ for k in kinds)}, "
+                         f"got {json.dumps(value)}")
+    return value
 
 
 def save_model(bm: BoltzmannMachine, path: str | os.PathLike, metadata: dict | None = None) -> None:

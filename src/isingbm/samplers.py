@@ -34,6 +34,7 @@ from .model import (
     Basis,
     BoltzmannMachine,
     _check_probabilities,
+    _json,
     _row_indices,
     _state_rows,
     _write_json,
@@ -103,7 +104,7 @@ class SampleSet:
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be finite and positive, got {self.beta}")
-        states = np.array(self.states, dtype=np.int8)  # copies: freezing them leaves the caller's arrays alone
+        states = np.array(self.states)  # copies: freezing them leaves the caller's arrays alone
         if states.ndim != 2:
             raise ValueError("states must be a 2-D array")
         counts = np.array(self.counts, dtype=np.float64).reshape(-1)
@@ -117,8 +118,9 @@ class SampleSet:
             if int(counts.sum()) != self.num_reads:
                 raise ValueError("counts must sum to num_reads")
         lo, hi = self.basis.symbols
-        if not np.all((states == lo) | (states == hi)):
+        if not np.all((states == lo) | (states == hi)):  # before int8, which would wrap 257 to 1
             raise ValueError(f"state values not in basis {self.basis.value}")
+        states = states.astype(np.int8, copy=False)
         index = np.sort(_row_indices(states))
         if np.any(index[1:] == index[:-1]):
             raise ValueError("states must be distinct")
@@ -467,14 +469,14 @@ def remote_sample(
     if status != 200:
         raise ProtocolError(f"unexpected status {status}: {text}")
     try:
-        doc = json.loads(body)
-        samples, counts = np.asarray(doc["samples"]), np.asarray(doc["counts"])
+        doc = _json(json.loads(body), "the reply", dict)
+        samples = np.array([[_json(s, "a sample value", int) for s in _json(row, "a sample", list)]
+                            for row in _json(doc["samples"], "samples", list)], dtype=np.int64)
+        counts = np.array([_json(c, "a count", int) for c in _json(doc["counts"], "counts", list)], dtype=np.int64)
+    except OverflowError as exc:  # a JSON integer past int64
+        raise ProtocolError("samples and counts must be integers in int64 range") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise ProtocolError(f"malformed response: {exc}") from exc
-    # JSON integers read as a signed integer dtype; floats, strings, booleans
-    # and integers past int64 read as another kind
-    if samples.dtype.kind != "i" or counts.dtype.kind != "i":
-        raise ProtocolError("samples and counts must be integers in int64 range")
 
     if samples.ndim != 2 or samples.shape[1] != bm.num_nodes:
         raise ProtocolError(
@@ -572,16 +574,20 @@ def save_sample_set(ss: SampleSet, path: str | os.PathLike) -> None:
 
 def load_sample_set(path: str | os.PathLike) -> SampleSet:
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = _json(json.load(fh), "a sample file", dict)
     try:
+        exhaustive = _json(doc.get("exhaustive", False), "exhaustive", bool)
+        count_kinds = (int, float) if exhaustive else (int,)  # exhaustive counts are probabilities
         return SampleSet(
-            states=np.asarray(doc["states"], dtype=np.int8),
-            counts=np.asarray(doc["counts"], dtype=np.float64),
-            beta=float(doc["beta"]),
-            num_reads=int(doc["num_reads"]),
-            backend_id=str(doc.get("backend_id", "file")),
-            basis=Basis(doc.get("basis", Basis.ZERO_ONE.value)),
-            exhaustive=bool(doc.get("exhaustive", False)),
+            states=np.array([[_json(b, "a state value", int) for b in _json(s, "a state", list)]
+                             for s in _json(doc["states"], "states", list)], dtype=np.int64),
+            counts=np.array([_json(c, "a count", *count_kinds) for c in _json(doc["counts"], "counts", list)],
+                            dtype=np.float64),
+            beta=float(_json(doc["beta"], "beta", int, float)),
+            num_reads=_json(doc["num_reads"], "num_reads", int),
+            backend_id=_json(doc.get("backend_id", "file"), "backend_id", str),
+            basis=Basis(_json(doc.get("basis", Basis.ZERO_ONE.value), "basis", str)),
+            exhaustive=exhaustive,
         )
-    except (KeyError, TypeError, OverflowError) as exc:  # int(Infinity) overflows
+    except (KeyError, TypeError, OverflowError) as exc:  # past int64 or float range
         raise ValueError(f"malformed sample file: {exc}") from exc

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -35,11 +35,12 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import CapacityError
-from .metrics import _check_fit
+from .metrics import _check_fit, _ncll_sum, _relative_entropy
 from .model import (
     Basis,
     BoltzmannMachine,
     _clamped_rows,
+    _json,
     _replacing,
     _row_indices,
     _row_pass,
@@ -139,14 +140,28 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainingConfig":
-        doc = dict(doc)
-        sampler = dict(doc.pop("sampler", {}))
+        doc = dict(_json(doc, "a training config", dict))
+        doc.pop("init_model", None)  # machines have their own format
+        doc = _json_fields(cls, doc)
+        sampler = _json_fields(SamplerConfig, doc.pop("sampler", {}))
         if "backend" in sampler:
             sampler["backend"] = Backend(sampler["backend"])
         if "gradient_mode" in doc:
             doc["gradient_mode"] = GradientMode(doc["gradient_mode"])
-        doc.pop("init_model", None)
         return cls(sampler=SamplerConfig(**sampler), **doc)
+
+
+# The JSON kinds a config field's annotation admits: a float field also takes
+# an integer, an enum field its string value, the sampler field an object.
+_JSON_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,), "str | None": (str, type(None)),
+               "Backend": (str,), "GradientMode": (str,), "SamplerConfig": (dict,)}
+
+
+def _json_fields(cls, doc: dict) -> dict:
+    """``doc``, each field checked by ``_json`` for the kinds its annotation in
+    dataclass ``cls`` admits; a field ``cls`` lacks is left for ``cls`` to refuse."""
+    types = {f.name: f.type for f in fields(cls)}
+    return {k: _json(v, k, *_JSON_KINDS[types[k]]) if k in types else v for k, v in doc.items()}
 
 
 @dataclass(frozen=True)
@@ -320,9 +335,7 @@ def grad_dkl(
         h, q = n // 2, dataset.weights  # moments over the halves: no state table wider than n - h
         mean, second, p = _exact_phases(all_energies(bm).reshape(1 << m, -1), dataset._indices, q, cfg.beta,
                                         cached_state_table(h, basis), cached_state_table(n - h, basis))
-        # the relative entropy as metrics.kl_divergence computes it
-        loss = float("inf") if np.any(p <= 0.0) else max(float(np.sum(q * np.log(q / p))), 0.0)
-        return _estimate(bm, mean, second, loss)
+        return _estimate(bm, mean, second, _relative_entropy(q, p))
 
     [(full, full_counts)] = _clamped_draws(bm, cfg, [np.zeros(0)], [cfg.seed], call_counter, "full")
     seen = [full >> (n - m) == v for v in _row_indices(V)]
@@ -359,15 +372,15 @@ def grad_ncll(
     if mode is GradientMode.EXACT:
         S_out = cached_state_table(m_o, basis)
         S_hidden = cached_state_table(bm.num_hidden, basis)
-        mean, second, loss = np.zeros(bm.num_nodes), np.zeros((bm.num_nodes, bm.num_nodes)), 0.0
+        mean, second, p = np.zeros(bm.num_nodes), np.zeros((bm.num_nodes, bm.num_nodes)), []
         for v, y in zip(V, dataset._indices % (1 << m_o)):  # per row: a shared input counts once per row
             E = prefix_energies(bm, v[:m_i]).reshape(1 << m_o, -1)  # rows (x, o) for every output o
             S_a = np.hstack([np.broadcast_to(v[:m_i], (1 << m_o, m_i)), S_out])
-            row_mean, row_second, p = _exact_phases(E, y[None], np.ones(1), cfg.beta, S_a, S_hidden)
+            row_mean, row_second, row_p = _exact_phases(E, y[None], np.ones(1), cfg.beta, S_a, S_hidden)
             mean += row_mean
             second += row_second
-            # -ln p(y | x) as metrics.negative_conditional_log_likelihood sums it
-            loss = loss - float(np.log(float(p[0]))) if p[0] > 0.0 else float("inf")
+            p.append(row_p)
+        loss = _ncll_sum(np.concatenate(p))
     else:
         # per row: all visible nodes clamped (sign +1), then the inputs only (sign -1)
         fixed = [f for v in V for f in (v, v[:m_i])]

@@ -428,6 +428,21 @@ def test_fit_beta_refuses_a_sample_file_with_a_nan_beta(runner, tmp_path):
     assert "finite and positive" in json.loads(result.stderr.strip().splitlines()[-1])["error"]["message"]
 
 
+@pytest.mark.parametrize("args, name, text", [
+    (["fit-beta", "--model", "and_gate", "--sample-file"], "s.json",
+     '{"beta": 1.0, "num_reads": 2, "states": [[0, 1, 1.5, 0]], "counts": [2]}'),
+    (["sample", "--model"], "m.json",
+     '{"basis": "01", "m_I": 2.7, "m_O": 0, "n": 0, "biases": [0.5, 0.5], "couplings": []}'),
+], ids=["fit-beta-sample-file", "sample-model-file"])
+def test_a_file_value_of_the_wrong_json_type_exits_2(runner, tmp_path, args, name, text):
+    (tmp_path / name).write_text(text + "\n")
+    result = runner.invoke(main, args + [str(tmp_path / name), "--out", str(tmp_path / "out.json")])
+    assert result.exit_code == 2, result.output
+    err = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+    assert err["kind"] == "input" and "must be JSON of type" in err["message"]
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_sample_remote_dead_endpoint_exits_3(runner, tmp_path):
     result = runner.invoke(main, [
         "sample", "--model", "and_gate", "--backend", "remote",

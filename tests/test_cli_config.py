@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from click.testing import CliRunner
 
 from isingbm.cli import main
@@ -59,3 +61,35 @@ def test_train_bad_config_exits_2(tmp_path):
         "train", "--dataset", "and", "--arch", "3v1h",
         "--config", str(config_path), "--out", str(tmp_path / "x")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("fields", [
+    {"max_steps": True},             # ran one step
+    {"max_steps": 2.5},
+    {"loss_every": True},
+    {"sampler": {"num_reads": True}},
+    {"sampler": {"endpoint": 5}},
+    {"eta": "0.2"},
+    {"sampler": []},
+], ids=["max_steps-true", "max_steps-2.5", "loss_every-true", "num_reads-true", "endpoint-5", "eta-string",
+        "sampler-list"])
+def test_train_config_values_of_the_wrong_json_type_exit_2(tmp_path, fields):
+    doc = TrainingConfig(max_steps=2).to_dict()
+    doc.update({k: {**doc[k], **v} if isinstance(v, dict) else v for k, v in fields.items()})
+    with pytest.raises(ValueError, match="must be JSON of type"):
+        TrainingConfig.from_dict(doc)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, [
+        "train", "--dataset", "and", "--arch", "3v1h",
+        "--config", str(config_path), "--out", str(tmp_path / "x")])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr.strip().splitlines()[-1])["error"]["kind"] == "input"
+
+
+def test_a_config_reads_an_integer_for_a_float_field_and_null_or_a_string_for_the_endpoint():
+    doc = TrainingConfig().to_dict()
+    assert doc["sampler"]["endpoint"] is None and TrainingConfig.from_dict(doc) == TrainingConfig()
+    doc["eta"], doc["sampler"]["endpoint"] = 1, "http://127.0.0.1:1"
+    cfg = TrainingConfig.from_dict(doc)
+    assert cfg.eta == 1 and cfg.sampler.endpoint == "http://127.0.0.1:1"

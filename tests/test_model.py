@@ -113,6 +113,25 @@ def test_model_file_with_non_finite_parameters_is_refused(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m_I", 2.7),                      # was loaded as 2
+    ("m_I", "2"),                      # likewise
+    ("couplings", [[0, 1.9, 0.125]]),  # an index, was loaded as 1
+    ("biases", [True, -0.5]),          # was loaded as 1.0
+    ("couplings", [[0, 1, True]]),     # likewise
+    ("h_max", "1"),
+    ("basis", 1),
+    ("metadata", []),
+], ids=["m_I-2.7", "m_I-string", "index-1.9", "bias-true", "coupling-true", "h_max-string", "basis-1",
+        "metadata-list"])
+def test_model_file_values_of_the_wrong_json_type_are_refused(tmp_path, field, value):
+    doc = model_to_dict(machine([0.25, -0.5], {(0, 1): 0.125}))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**doc, field: value}))
+    with pytest.raises(ValueError, match="must be JSON of type"):
+        load_model(path)
+
+
 def test_machine_coupling_lookup_is_symmetric():
     bm = machine([0.0, 0.0, 0.0], {(2, 0): 0.25})
     assert bm.coupling(0, 2) == bm.coupling(2, 0) == 0.25
@@ -340,3 +359,12 @@ def test_json_writer_refuses_what_strict_json_cannot_hold(tmp_path, value, error
     with pytest.raises(error):
         _write_json(tmp_path / "doc.json", {"reads": [1, 2.5], "bad": value})
     assert list(tmp_path.iterdir()) == []  # no file and no temporary left behind
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, FutureWarning])
+def test_a_deprecation_raised_in_the_package_fails_the_suite(category):
+    # pyproject's filterwarnings: on the numpy floor, leaning on a deprecated
+    # behaviour (such as a wrapping int8 cast) is an error, not a warning
+    code = f"import warnings; warnings.warn('deprecated', {category.__name__})"
+    with pytest.raises(category):
+        exec(code, {"__name__": "isingbm.model"})

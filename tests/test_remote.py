@@ -151,9 +151,10 @@ def _reply_counts(counts: list, samples: list | None = None) -> type:
     (_replying(body=b'{"samples": [[1, -1]], "counts": [Infinity]}'), ProtocolError),
     (_reply_counts([5], [[1, -1.0]]), ProtocolError),  # a float state value
     (_reply_counts([5], [[1, 0.5]]), ProtocolError),
+    (_reply_counts([4, True], [[1, -1], [-1, True]]), ProtocolError),  # was read as spins and counts
 ], indirect=["broken_server"], ids=["503", "404", "non-json", "truncated", "slow", "count-1e300", "count-2.5",
                                     "count-string", "count-true", "count-past-int64", "count-infinity",
-                                    "sample-float", "sample-fraction"])
+                                    "sample-float", "sample-fraction", "mixed-true"])
 def test_remote_faults_map_to_typed_errors(broken_server, error, rng, monkeypatch):
     monkeypatch.setattr(samplers, "_TIMEOUT_S", 0.2)
     bm = random_machine(2, 0, 0, rng)

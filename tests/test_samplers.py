@@ -84,6 +84,45 @@ def test_load_sample_set_refuses_non_finite_values(tmp_path):
             load_sample_set(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("states", [[1.5, -1]]),   # was read as [[1, -1]]
+    ("states", [[True, -1]]),  # likewise
+    ("states", [1, -1]),       # a state must be a list
+    ("counts", [2.0]),
+    ("counts", [True]),
+    ("counts", ["2"]),
+    ("num_reads", 2.0),
+    ("num_reads", True),
+    ("beta", "1.0"),
+    ("beta", True),
+    ("exhaustive", 0),
+    ("backend_id", 7),
+], ids=["state-1.5", "state-true", "state-flat", "count-2.0", "count-true", "count-string", "num_reads-2.0",
+        "num_reads-true", "beta-string", "beta-true", "exhaustive-0", "backend_id-7"])
+def test_load_sample_set_refuses_values_of_the_wrong_json_type(tmp_path, field, value):
+    doc = {"beta": 1.0, "num_reads": 2, "states": [[1, -1]], "counts": [2], "basis": "pm1"}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert load_sample_set(path).states.tolist() == [[1, -1]]
+    path.write_text(json.dumps({**doc, field: value}))
+    with pytest.raises(ValueError, match="must be JSON of type"):
+        load_sample_set(path)
+
+
+def test_load_sample_set_reads_exhaustive_counts_as_numbers(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"beta": 1.0, "num_reads": 0, "states": [[0], [1]], "counts": [1, 0.0],
+                                "exhaustive": True}))
+    assert load_sample_set(path).counts.tolist() == [1.0, 0.0]
+
+
+def test_sample_set_checks_state_values_before_narrowing_them():
+    # int8 wraps 257 to 1, and truncates 1.5 to 1
+    for states in ([[257, 0]], [[1.5, 0]]):
+        with pytest.raises(ValueError, match="not in basis"):
+            SampleSet(np.array(states), np.array([3]), 1.0, 3, "t")
+
+
 def test_sample_set_copies_the_callers_arrays_before_freezing():
     states, counts = np.array([[0, 1], [1, 1]], dtype=np.int8), np.array([1.0, 2.0])
     ss = SampleSet(states, counts, 1.0, 3, "t")
