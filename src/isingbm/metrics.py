@@ -246,8 +246,7 @@ def _row_conditionals(bm: BoltzmannMachine, beta: float, ds: Dataset) -> np.ndar
 
 
 def _ncll_sum(p: np.ndarray) -> float:
-    """sum -ln p added one row at a time, +inf where p is 0: the NCLL of both
-    ``negative_conditional_log_likelihood`` and ``grad_ncll``."""
+    """sum -ln p added one row at a time, +inf where p is 0: the NCLL of both metric and gradient."""
     if np.any(p <= 0.0):
         return float("inf")
     total = 0.0

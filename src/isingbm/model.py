@@ -642,7 +642,7 @@ def model_from_dict(doc: dict) -> tuple[BoltzmannMachine, dict]:
             j_max=float(_json(doc.get("j_max", 1.0), "j_max", int, float)),
         )
         return bm, _json(doc.get("metadata", {}), "metadata", dict)
-    except (KeyError, TypeError, OverflowError) as exc:  # float() overflows past 1e308
+    except (KeyError, TypeError, OverflowError) as exc:  # an integer past float range
         raise ValueError(f"malformed model document: {exc}") from exc
 
 

@@ -1,7 +1,6 @@
 import json
 
 import pytest
-
 from click.testing import CliRunner
 
 from isingbm.cli import main
