@@ -47,6 +47,7 @@ from .metrics import (
 )
 from .model import (
     BoltzmannMachine,
+    _read_json,
     _replacing,
     _write_json,
     ground_set,
@@ -258,8 +259,8 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
 
     if config_path is not None:
         try:
-            base_cfg = TrainingConfig.from_dict(json.loads(config_path.read_text()))
-        except (OSError, ValueError, TypeError) as exc:
+            base_cfg = TrainingConfig.from_dict(_read_json(config_path.read_text(), "a training config"))
+        except (OSError, ValueError, TypeError, OverflowError) as exc:  # an integer past float range
             raise _fail(EXIT_INPUT, "input", f"cannot load training config: {exc}")
     else:
         base_cfg = TrainingConfig(
@@ -473,8 +474,8 @@ def cmd_verify_propositions(machines, max_nodes, seed, out_path):
         n_h = int(rng.integers(0, total))
         bm = random_machine(total - n_h, 0, n_h, rng)
         ground = ground_set(bm)  # both checks read the one ground set
-        ok1, strict = _check_ground_monotone(bm, betas, ground)
-        ok2, beta_c = _check_excited_decrease(bm, betas, ground)
+        ok1, strict = _check_ground_monotone(ground, betas)
+        ok2, beta_c = _check_excited_decrease(ground, betas)
         report["ground_state_monotone"]["pass" if ok1 else "fail"] += 1
         if ok1 and not strict:
             report["ground_state_monotone"]["non_strict"] += 1

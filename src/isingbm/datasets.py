@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 import re
@@ -26,6 +25,7 @@ from .model import (
     BoltzmannMachine,
     _basis_of,
     _check_probabilities,
+    _read_json,
     _replacing,
     _row_indices,
     model_from_dict,
@@ -263,5 +263,4 @@ def load_fixture(name: str) -> BoltzmannMachine:
 def load_fixture_entry(name: str) -> tuple[BoltzmannMachine, dict]:
     if name not in FIXTURE_NAMES:
         raise ValueError(f"unknown fixture {name!r}; available: {FIXTURE_NAMES}")
-    with _fixture_resource(name).open() as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(_read_json(_fixture_resource(name).read_text(), "a model document"))

@@ -337,30 +337,28 @@ def _excited_mass(num_ground: int, gaps: np.ndarray, betas: np.ndarray) -> np.nd
     return np.array([S / z for _, S, z in _excited_weights(num_ground, gaps, betas)], dtype=np.float64)
 
 
-def _check_ground_monotone(bm: BoltzmannMachine, betas: np.ndarray, ground=None) -> tuple[bool, bool]:
-    """(passes, strictly_increasing). Constant probability 1 counts as a pass
-    for all-ground-state machines. ``ground`` is ``ground_set(bm)``, computed
-    when not given."""
-    minimizers, _, gaps = ground or ground_set(bm)
+def _check_ground_monotone(ground: tuple, betas: np.ndarray) -> tuple[bool, bool]:
+    """(passes, strictly_increasing) for the machine whose ``ground_set`` is
+    ``ground``. Constant probability 1 counts as a pass for all-ground-state
+    machines."""
+    minimizers, _, gaps = ground
     excited = _excited_mass(len(minimizers), gaps, betas)
     if np.all(excited == 0.0):
         return True, False
     return bool(np.all(np.diff(excited) < 0)), True
 
 
-def _check_excited_decrease(
-    bm: BoltzmannMachine, betas: np.ndarray, ground=None
-) -> tuple[bool, float | None]:
+def _check_excited_decrease(ground: tuple, betas: np.ndarray) -> tuple[bool, float | None]:
     """Scan for a beta past which every excited-state probability is
-    nonincreasing, extending the grid upward when the critical point lies
-    beyond it. Returns (found, beta_c). ``ground`` is ``ground_set(bm)``,
-    computed when not given."""
-    ground, _, gaps = ground or ground_set(bm)
+    nonincreasing, for the machine whose ``ground_set`` is ``ground``,
+    extending the grid upward when the critical point lies beyond it.
+    Returns (found, beta_c)."""
+    minimizers, _, gaps = ground
     if gaps.size == 0:
         return True, None
     grid = np.asarray(betas, dtype=np.float64)
     for _ in range(8):
-        probs = np.array([w / z for w, _, z in _excited_weights(len(ground), gaps, grid)])
+        probs = np.array([w / z for w, _, z in _excited_weights(len(minimizers), gaps, grid)])
         diffs = np.diff(probs, axis=0)
         tol = 1e-13 * np.maximum(probs[:-1], probs[1:])
         increases = np.any(diffs > tol, axis=1)

@@ -21,9 +21,7 @@ import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import numpy as np
-
-from .model import Basis, BoltzmannMachine, _json, _row_indices, all_energies
+from .model import Basis, BoltzmannMachine, _json, _read_json, _row_indices, _terms_from_dict, all_energies
 from .samplers import SAMPLE_ROUTE, SamplerConfig, exact_sample
 
 # A request body is bounded by what the node limit allows: every bias and every
@@ -167,34 +165,19 @@ def _make_handler(server: MockAnnealerServer):
                 self._reply(413, {"error": f"{length}-byte body exceeds service limit {server._max_body}"}, close=True)
                 return
             try:
-                doc = _json(json.loads(self.rfile.read(length)), "the request", dict)
+                doc = _read_json(self.rfile.read(length), "the request")
                 if doc.get("basis") != Basis.PLUS_MINUS.value:
                     raise ValueError(f"basis must be {Basis.PLUS_MINUS.value!r}")
-                biases = np.array([_json(b, "a bias", int, float) for b in _json(doc["biases"], "biases", list)], float)
-                terms = [_json(term, "a coupling", list) for term in _json(doc["couplings"], "couplings", list)]
-                couplings = {(_json(k, "index", int), _json(l, "index", int)): float(_json(v, "a value", int, float))
-                             for k, l, v in terms}
+                biases, couplings = _terms_from_dict(doc)
                 num_reads = _json(doc["num_reads"], "num_reads", int)
                 if num_reads < 1:
                     raise ValueError("num_reads must be >= 1")
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
-                self._reply(400, {"error": str(exc)})
-                return
-
-            n = biases.shape[0]
-            if n > server.max_nodes:
-                self._reply(413, {"error": f"{n} nodes exceeds service limit {server.max_nodes}"})
-                return
-            try:
-                bm = BoltzmannMachine(
-                    num_visible_input=n,
-                    num_visible_output=0,
-                    num_hidden=0,
-                    biases=biases,
-                    couplings=couplings,
-                    basis=Basis.PLUS_MINUS,
-                )
-            except ValueError as exc:
+                n = len(biases)
+                if n > server.max_nodes:
+                    self._reply(413, {"error": f"{n} nodes exceeds service limit {server.max_nodes}"})
+                    return
+                bm = BoltzmannMachine(n, 0, 0, biases, couplings, Basis.PLUS_MINUS)
+            except (ValueError, KeyError, OverflowError) as exc:  # an integer past float range
                 self._reply(400, {"error": str(exc)})
                 return
 

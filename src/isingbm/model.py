@@ -91,19 +91,20 @@ class SpinState:
 class BoltzmannMachine:
     """Node partition, biases and symmetric pairwise couplings.
 
-    Couplings are stored sparsely, keyed by the (min, max) index pair; lookup
-    is symmetric. Every parameter must be finite. ``h_max``/``j_max`` record
-    the intended parameter bounds but are only *checked* on demand
-    (``assert_within_bounds``); training clips to them, and bundled reference
-    machines may sit exactly on or slightly past the caps. Machines compare
-    by identity: their fields hold arrays.
+    Couplings, a mapping or a sequence of ((k, l), value) terms, are stored
+    sparsely, keyed by the (min, max) index pair; lookup is symmetric, and a
+    pair given twice, in either order, is refused. Every parameter must be
+    finite. ``h_max``/``j_max`` record the intended parameter bounds but are
+    only *checked* on demand (``assert_within_bounds``); training clips to
+    them, and bundled reference machines may sit exactly on or slightly past
+    the caps. Machines compare by identity: their fields hold arrays.
     """
 
     num_visible_input: int
     num_visible_output: int
     num_hidden: int
     biases: np.ndarray
-    couplings: Mapping[tuple[int, int], float]
+    couplings: Mapping[tuple[int, int], float] | Sequence[tuple[tuple[int, int], float]]
     basis: Basis = Basis.ZERO_ONE
     h_max: float = 1.0
     j_max: float = 1.0
@@ -121,7 +122,8 @@ class BoltzmannMachine:
         object.__setattr__(self, "biases", biases)
 
         normalized: dict[tuple[int, int], float] = {}
-        for pair, value in dict(self.couplings).items():
+        terms = self.couplings.items() if isinstance(self.couplings, Mapping) else self.couplings
+        for pair, value in terms:
             k, l = int(pair[0]), int(pair[1])
             if k == l:
                 raise ValueError(f"self-coupling ({k},{k}) is not allowed")
@@ -616,8 +618,7 @@ def model_to_dict(bm: BoltzmannMachine, metadata: dict | None = None) -> dict:
         "m_I": bm.num_visible_input,
         "m_O": bm.num_visible_output,
         "n": bm.num_hidden,
-        "biases": [float(b) for b in bm.biases],
-        "couplings": [[k, l, v] for (k, l), v in sorted(bm.couplings.items())],
+        **_terms_to_dict(bm),
         "h_max": bm.h_max,
         "j_max": bm.j_max,
     }
@@ -629,21 +630,39 @@ def model_to_dict(bm: BoltzmannMachine, metadata: dict | None = None) -> dict:
 def model_from_dict(doc: dict) -> tuple[BoltzmannMachine, dict]:
     try:
         doc = _json(doc, "a model document", dict)
-        terms = (_json(term, "a coupling", list) for term in _json(doc["couplings"], "couplings", list))
         bm = BoltzmannMachine(
-            num_visible_input=_json(doc["m_I"], "m_I", int),
-            num_visible_output=_json(doc["m_O"], "m_O", int),
-            num_hidden=_json(doc["n"], "n", int),
-            biases=[_json(b, "a bias", int, float) for b in _json(doc["biases"], "biases", list)],
-            couplings={(_json(k, "index", int), _json(l, "index", int)): _json(v, "a value", int, float)
-                       for k, l, v in terms},
+            _json(doc["m_I"], "m_I", int),
+            _json(doc["m_O"], "m_O", int),
+            _json(doc["n"], "n", int),
+            *_terms_from_dict(doc),
             basis=Basis(_json(doc["basis"], "basis", str)),
             h_max=float(_json(doc.get("h_max", 1.0), "h_max", int, float)),
             j_max=float(_json(doc.get("j_max", 1.0), "j_max", int, float)),
         )
         return bm, _json(doc.get("metadata", {}), "metadata", dict)
-    except (KeyError, TypeError, OverflowError) as exc:  # an integer past float range
+    except (KeyError, OverflowError) as exc:  # an integer past float range
         raise ValueError(f"malformed model document: {exc}") from exc
+
+
+def _terms_to_dict(bm: BoltzmannMachine) -> dict:
+    """The machine's ``biases`` and ``couplings`` ([k, l, v] per pair, in
+    pair order) as JSON values. The one writer of a machine's terms, for
+    model files and the remote client's requests."""
+    return {
+        "biases": [float(b) for b in bm.biases],
+        "couplings": [[k, l, v] for (k, l), v in sorted(bm.couplings.items())],
+    }
+
+
+def _terms_from_dict(doc: dict) -> tuple[list, list]:
+    """The biases and the ((k, l), v) coupling terms of ``doc``, each value
+    checked by ``_json``; ``BoltzmannMachine`` checks the rest, so a pair
+    given twice is refused there. The one reader of a machine's terms, for
+    model files and the mock's requests."""
+    biases = [_json(b, "a bias", int, float) for b in _json(doc["biases"], "biases", list)]
+    terms = (_json(term, "a coupling", list) for term in _json(doc["couplings"], "couplings", list))
+    return biases, [((_json(k, "index", int), _json(l, "index", int)), _json(v, "a value", int, float))
+                    for k, l, v in terms]
 
 
 @contextmanager
@@ -673,12 +692,27 @@ def _write_json(path: str | os.PathLike, doc: dict, indent: int | None = 1) -> N
 
 def _json(value, what: str, *kinds: type):
     """``value`` if ``json`` read it as one of ``kinds``, else a ValueError; a JSON
-    boolean reads as bool, not int. The one type check of every JSON value read."""
+    boolean reads as bool, not int. The one type check of every JSON value read.
+    A value other than a string, number or null is named by its type, not
+    written out: a list nested deep enough could not be."""
     if type(value) not in kinds:
         finite = "" if type(value) is not float or math.isfinite(value) else "finite "  # NaN, Infinity
-        raise ValueError(f"{what} must be {finite}JSON of type {'/'.join(k.__name__ for k in kinds)}, "
-                         f"got {json.dumps(value)}")
+        got = json.dumps(value) if isinstance(value, (str, int, float, type(None))) else type(value).__name__
+        raise ValueError(f"{what} must be {finite}JSON of type {'/'.join(k.__name__ for k in kinds)}, got {got}")
     return value
+
+
+def _read_json(text: str | bytes, what: str) -> dict:
+    """The JSON object ``text`` holds, else a ValueError naming ``what``: for
+    text that is not JSON, a document that is not an object and one nested
+    past the parser's recursion limit. ``NaN`` and ``Infinity`` parse, for
+    the finite checks to refuse by name. The one JSON parser of every input:
+    files, configs, requests and replies."""
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"{what} nests too deeply to parse") from exc
+    return _json(doc, what, dict)
 
 
 def save_model(bm: BoltzmannMachine, path: str | os.PathLike, metadata: dict | None = None) -> None:
@@ -691,4 +725,4 @@ def load_model(path: str | os.PathLike) -> BoltzmannMachine:
 
 def load_model_entry(path: str | os.PathLike) -> tuple[BoltzmannMachine, dict]:
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        return model_from_dict(_read_json(fh.read(), "a model document"))

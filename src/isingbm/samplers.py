@@ -35,8 +35,10 @@ from .model import (
     BoltzmannMachine,
     _check_probabilities,
     _json,
+    _read_json,
     _row_indices,
     _state_rows,
+    _terms_to_dict,
     _write_json,
     cached_state_table,
     convert_basis,
@@ -451,12 +453,7 @@ def remote_sample(
         return _tally(np.zeros(cfg.num_reads, dtype=np.int64), 0, bm.basis, cfg.beta, f"remote({endpoint})")
 
     wire_bm = bm if bm.basis is Basis.PLUS_MINUS else convert_basis(bm)
-    payload = {
-        "basis": Basis.PLUS_MINUS.value,
-        "biases": [float(b) for b in wire_bm.biases],
-        "couplings": [[k, l, v] for (k, l), v in sorted(wire_bm.couplings.items())],
-        "num_reads": cfg.num_reads,
-    }
+    payload = {"basis": Basis.PLUS_MINUS.value, **_terms_to_dict(wire_bm), "num_reads": cfg.num_reads}
     try:
         status, body = _post(endpoint, json.dumps(payload, allow_nan=False).encode())
     except (OSError, http.client.HTTPException) as exc:
@@ -469,13 +466,13 @@ def remote_sample(
     if status != 200:
         raise ProtocolError(f"unexpected status {status}: {text}")
     try:
-        doc = _json(json.loads(body), "the reply", dict)
+        doc = _read_json(body, "the reply")
         samples = np.array([[_json(s, "a sample value", int) for s in _json(row, "a sample", list)]
                             for row in _json(doc["samples"], "samples", list)], dtype=np.int64)
         counts = np.array([_json(c, "a count", int) for c in _json(doc["counts"], "counts", list)], dtype=np.int64)
     except OverflowError as exc:  # a JSON integer past int64
         raise ProtocolError("samples and counts must be integers in int64 range") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError) as exc:
         raise ProtocolError(f"malformed response: {exc}") from exc
 
     if samples.ndim != 2 or samples.shape[1] != bm.num_nodes:
@@ -574,7 +571,7 @@ def save_sample_set(ss: SampleSet, path: str | os.PathLike) -> None:
 
 def load_sample_set(path: str | os.PathLike) -> SampleSet:
     with open(path) as fh:
-        doc = _json(json.load(fh), "a sample file", dict)
+        doc = _read_json(fh.read(), "a sample file")
     try:
         exhaustive = _json(doc.get("exhaustive", False), "exhaustive", bool)
         count_kinds = (int, float) if exhaustive else (int,)  # exhaustive counts are probabilities
@@ -589,5 +586,5 @@ def load_sample_set(path: str | os.PathLike) -> SampleSet:
             basis=Basis(_json(doc.get("basis", Basis.ZERO_ONE.value), "basis", str)),
             exhaustive=exhaustive,
         )
-    except (KeyError, TypeError, OverflowError) as exc:  # past int64 or float range
+    except (KeyError, OverflowError) as exc:  # past int64 or float range
         raise ValueError(f"malformed sample file: {exc}") from exc

@@ -26,6 +26,7 @@ expectations themselves are taken at the sampler's temperature.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
@@ -112,13 +113,16 @@ class TrainingConfig:
     enforce_recommended_ranges: bool = False
 
     def __post_init__(self):
-        if self.eta <= 0:
+        for name in ("eta", "delta_theta_min", "init_range", "h_max", "j_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.eta > 0:
             raise ValueError("eta must be positive")
         if not 0 <= self.weight_decay < 1:
             raise ValueError("weight_decay must lie in [0, 1)")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.max_steps < 1 or self.delta_theta_min < 0:
+        if self.max_steps < 1 or not self.delta_theta_min >= 0:
             raise ValueError("bad stopping rule")
         if self.clamped_resample not in ("auto", "always"):
             raise ValueError("clamped_resample must be 'auto' or 'always'")

@@ -28,6 +28,7 @@ from isingbm.model import (
     clamp_visible,
     convert_basis,
     energies,
+    ground_set,
     ground_states,
     random_machine,
     state_matrix,
@@ -345,8 +346,9 @@ def test_criterion_09_propositions_suite():
         total = int(rng.integers(2, 9))
         n_h = int(rng.integers(0, total))
         bm = random_machine(total - n_h, 0, n_h, rng)
-        ok1, _ = _check_ground_monotone(bm, betas)
-        ok3, _ = _check_excited_decrease(bm, betas)
+        ground = ground_set(bm)
+        ok1, _ = _check_ground_monotone(ground, betas)
+        ok3, _ = _check_excited_decrease(ground, betas)
         fails_1 += not ok1
         fails_3 += not ok3
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -225,14 +226,20 @@ def _dead_port() -> int:
     (["fit-beta", "--backend", "gibbs", "--exhaustive", "--sizes", "4:4"], 2, "input"),
     (["train", "--dataset", "and", "--arch", "3v1h", "--config", "{config}", "--beta", "5", "--eta", "0.3"],
      2, "usage"),
+    # a document nested past the parser's recursion limit exited 1
+    (["sweep-beta", "--model", "{deep}", "--dataset", "xor"], 2, "input"),
+    (["fit-beta", "--model", "and_gate", "--sample-file", "{deep}"], 2, "input"),
+    (["train", "--dataset", "and", "--arch", "3v1h", "--config", "{deep}"], 2, "input"),
 ], ids=["sample-beta-0", "sample-gibbs-beta-nan", "train-beta-negative", "fit-beta-0", "fit-no-endpoint", "fit-no-scheme",
         "fit-dead-endpoint", "sweep-dataset-width", "fit-sizes-reversed", "sample-gibbs-exhaustive",
-        "fit-gibbs-exhaustive", "train-config-with-flags"])
+        "fit-gibbs-exhaustive", "train-config-with-flags", "deep-model-file", "deep-sample-file", "deep-config"])
 def test_typed_failures_exit_with_code_and_kind(runner, tmp_path, monkeypatch, args, code, kind):
     monkeypatch.delenv("ISINGBM_ENDPOINT", raising=False)
     config = tmp_path / "cfg.json"  # a valid config: only the flags typed beside it are at fault
     config.write_text(json.dumps(TrainingConfig(sampler=SamplerConfig(beta=2.0)).to_dict()))
-    args = [a.format(dead=_dead_port(), config=config) for a in args] + ["--out", str(tmp_path / "out")]
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    args = [a.format(dead=_dead_port(), config=config, deep=deep) for a in args] + ["--out", str(tmp_path / "out")]
     result = runner.invoke(main, args)
     assert result.exit_code == code, result.output
     err = json.loads(result.stderr.strip().splitlines()[-1])
@@ -275,6 +282,25 @@ def test_cli_import_leaves_out_the_http_stack():
              "print([m for m in ('http.client', 'ssl', 'email', 'urllib.request') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_only_model_read_json_parses_json():
+    # one parser for every JSON input: files, configs, requests and replies
+    calls = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) in (
+                        "load", "loads", "JSONDecoder"):
+                    calls.append((module, function, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if inner else function)
+
+    for path in sorted(Path(isingbm.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert calls and {(module, function) for module, function, _ in calls} == {("model", "_read_json")}, calls
 
 
 def test_sweep_beta_csv(runner, tmp_path):

@@ -92,3 +92,21 @@ def test_a_config_reads_an_integer_for_a_float_field_and_null_or_a_string_for_th
     doc["eta"], doc["sampler"]["endpoint"] = 1, "http://127.0.0.1:1"
     cfg = TrainingConfig.from_dict(doc)
     assert cfg.eta == 1 and cfg.sampler.endpoint == "http://127.0.0.1:1"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("eta", float("nan"), "eta must be finite"), ("delta_theta_min", float("nan"), "delta_theta_min must be finite"),
+    ("init_range", float("inf"), "init_range must be finite"), ("h_max", -float("inf"), "h_max must be finite"),
+    ("j_max", float("nan"), "j_max must be finite"), ("h_max", 10**400, "int too large to convert to float"),
+], ids=["eta-nan", "delta_theta_min-nan", "init_range-inf", "h_max--inf", "j_max-nan", "h_max-past-float-range"])
+def test_train_config_non_finite_values_exit_2_before_a_step(tmp_path, field, value, message):
+    # a NaN eta failed after a step; a NaN delta_theta_min ran every step
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({**TrainingConfig(max_steps=5).to_dict(), field: value}))
+    result = CliRunner().invoke(main, [
+        "train", "--dataset", "and", "--arch", "3v1h",
+        "--config", str(config_path), "--out", str(tmp_path / "x")])
+    assert result.exit_code == 2, result.output
+    err = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+    assert err["kind"] == "input" and message in err["message"]
+    assert not list((tmp_path / "x").glob("trace_*.csv"))

@@ -24,7 +24,7 @@ from isingbm.model import (
     state_index,
     state_matrix,
 )
-from isingbm.model import _write_json
+from isingbm.model import _json, _write_json
 from isingbm.datasets import load_fixture
 
 
@@ -130,6 +130,26 @@ def test_model_file_values_of_the_wrong_json_type_are_refused(tmp_path, field, v
     path.write_text(json.dumps({**doc, field: value}))
     with pytest.raises(ValueError, match="must be JSON of type"):
         load_model(path)
+
+
+@pytest.mark.parametrize("terms", [[[0, 1, 0.125], [0, 1, 0.25]], [[0, 1, 0.125], [1, 0, 0.25]]],
+                         ids=["verbatim", "mirrored"])
+def test_model_file_with_a_pair_given_twice_is_refused(tmp_path, terms):
+    # the verbatim repeat was loaded with its last value
+    doc = model_to_dict(machine([0.25, -0.5], {(0, 1): 0.125}))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**doc, "couplings": terms}))
+    with pytest.raises(ValueError, match=r"duplicate coupling entry for pair \(0, 1\)"):
+        load_model(path)
+
+
+def test_a_value_of_the_wrong_json_type_is_named_by_its_type_when_nested_deep():
+    # writing the list out in the message raised a RecursionError
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(ValueError, match="a bias must be JSON of type int/float, got list"):
+        _json(deep, "a bias", int, float)
 
 
 def test_machine_coupling_lookup_is_symmetric():

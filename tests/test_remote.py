@@ -152,9 +152,10 @@ def _reply_counts(counts: list, samples: list | None = None) -> type:
     (_reply_counts([5], [[1, -1.0]]), ProtocolError),  # a float state value
     (_reply_counts([5], [[1, 0.5]]), ProtocolError),
     (_reply_counts([4, True], [[1, -1], [-1, True]]), ProtocolError),  # was read as spins and counts
+    (_replying(body=b"[" * 5000 + b"]" * 5000), ProtocolError),  # was a RecursionError
 ], indirect=["broken_server"], ids=["503", "404", "non-json", "truncated", "slow", "count-1e300", "count-2.5",
                                     "count-string", "count-true", "count-past-int64", "count-infinity",
-                                    "sample-float", "sample-fraction", "mixed-true"])
+                                    "sample-float", "sample-fraction", "mixed-true", "nested-too-deep"])
 def test_remote_faults_map_to_typed_errors(broken_server, error, rng, monkeypatch):
     monkeypatch.setattr(samplers, "_TIMEOUT_S", 0.2)
     bm = random_machine(2, 0, 0, rng)
@@ -215,6 +216,12 @@ _BAD_BODIES = {
     "couplings object": json.dumps({**_GOOD_TERMS, "couplings": {"0": [0, 1, 0.25]}}),
     **{f"biases {biases}": json.dumps({**_GOOD_TERMS, "biases": biases})
        for biases in (["0.1", 0.2], [False, 0.2], "0.1")},
+    # a pair given twice, in either order: the verbatim repeat kept its last value
+    **{f"couplings {terms}": json.dumps({**_GOOD_TERMS, "couplings": terms})
+       for terms in ([[0, 1, 0.25], [0, 1, 0.5]], [[0, 1, 0.25], [1, 0, 0.5]])},
+    # an integer past float range: the handler died and dropped the connection
+    "bias past float range": json.dumps({**_GOOD_TERMS, "biases": [10**400, 0.2]}),
+    "coupling past float range": json.dumps({**_GOOD_TERMS, "couplings": [[0, 1, 10**400]]}),
 }
 
 
@@ -366,6 +373,11 @@ def test_mock_answers_413_to_a_body_past_its_node_limit(mock_server):
                        "num_reads": 5}).encode()
     status, doc = _post_with_length(mock_server, str(len(body)), body)
     assert status == 200 and sum(doc["counts"]) == 5
+    # past the limit, a machine its terms would refuse is still too large
+    body = json.dumps({"basis": "pm1", "biases": [0.5] * (n + 1), "couplings": [[0, 1, 0.25], [1, 0, 0.5]],
+                       "num_reads": 5}).encode()
+    status, doc = _post_with_length(mock_server, str(len(body)), body)
+    assert status == 413 and "exceeds service limit" in doc["error"]
 
 
 
