@@ -703,11 +703,11 @@ def _json(value, what: str, *kinds: type):
 
 
 def _read_json(text: str | bytes, what: str) -> dict:
-    """The JSON object ``text`` holds, else a ValueError naming ``what``: for
-    text that is not JSON, a document that is not an object and one nested
-    past the parser's recursion limit. ``NaN`` and ``Infinity`` parse, for
-    the finite checks to refuse by name. The one JSON parser of every input:
-    files, configs, requests and replies."""
+    """The JSON object ``text`` holds, else a ValueError: the parser's own for
+    text that is not JSON, one naming ``what`` for a document that is not an
+    object or is nested past the parser's recursion limit. ``NaN`` and
+    ``Infinity`` parse, for the finite checks to refuse by name. The one JSON
+    parser of every input: files, configs, requests and replies."""
     try:
         doc = json.loads(text)
     except RecursionError as exc:
