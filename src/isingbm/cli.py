@@ -237,7 +237,8 @@ _CONFIG_FLAGS = ("gradient", "backend", "beta", "reads", "chains", "endpoint", "
 @click.option("--loss-every", default=TrainingConfig.loss_every, show_default=True)
 @click.option("--seeds", default=1, show_default=True, type=click.IntRange(min=1),
               help="number of seeded restarts")
-@click.option("--seed", default=TrainingConfig.seed, show_default=True, help="base seed")
+@click.option("--seed", default=TrainingConfig.seed, show_default=True, type=click.IntRange(0, 2**63 - 1),
+              help="base seed")
 @click.option("--config", "config_path", type=click.Path(path_type=Path), default=None,
               help="training-config JSON, such as a train manifest's training_config; "
                    "it sets every hyperparameter, so no hyperparameter flag may be given beside it")
@@ -260,7 +261,7 @@ def cmd_train(dataset_spec, arch_spec, connectivity, mode, gradient, backend, be
     if config_path is not None:
         try:
             base_cfg = TrainingConfig.from_dict(_read_json(config_path.read_text(), "a training config"))
-        except (OSError, ValueError, TypeError, OverflowError) as exc:  # an integer past float range
+        except (OSError, ValueError) as exc:
             raise _fail(EXIT_INPUT, "input", f"cannot load training config: {exc}")
     else:
         base_cfg = TrainingConfig(

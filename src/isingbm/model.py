@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
+from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -628,20 +630,17 @@ def model_to_dict(bm: BoltzmannMachine, metadata: dict | None = None) -> dict:
 
 
 def model_from_dict(doc: dict) -> tuple[BoltzmannMachine, dict]:
-    try:
-        doc = _json(doc, "a model document", dict)
-        bm = BoltzmannMachine(
-            _json(doc["m_I"], "m_I", int),
-            _json(doc["m_O"], "m_O", int),
-            _json(doc["n"], "n", int),
-            *_terms_from_dict(doc),
-            basis=Basis(_json(doc["basis"], "basis", str)),
-            h_max=float(_json(doc.get("h_max", 1.0), "h_max", int, float)),
-            j_max=float(_json(doc.get("j_max", 1.0), "j_max", int, float)),
-        )
-        return bm, _json(doc.get("metadata", {}), "metadata", dict)
-    except (KeyError, OverflowError) as exc:  # an integer past float range
-        raise ValueError(f"malformed model document: {exc}") from exc
+    doc = _json(doc, "a model document", dict)
+    bm = BoltzmannMachine(
+        _json(doc.get("m_I"), "m_I", int),
+        _json(doc.get("m_O"), "m_O", int),
+        _json(doc.get("n"), "n", int),
+        *_terms_from_dict(doc),
+        basis=Basis(_json(doc.get("basis"), "basis", str)),
+        h_max=_json(doc.get("h_max", 1.0), "h_max", int, float),
+        j_max=_json(doc.get("j_max", 1.0), "j_max", int, float),
+    )
+    return bm, _json(doc.get("metadata", {}), "metadata", dict)
 
 
 def _terms_to_dict(bm: BoltzmannMachine) -> dict:
@@ -659,8 +658,8 @@ def _terms_from_dict(doc: dict) -> tuple[list, list]:
     checked by ``_json``; ``BoltzmannMachine`` checks the rest, so a pair
     given twice is refused there. The one reader of a machine's terms, for
     model files and the mock's requests."""
-    biases = [_json(b, "a bias", int, float) for b in _json(doc["biases"], "biases", list)]
-    terms = (_json(term, "a coupling", list) for term in _json(doc["couplings"], "couplings", list))
+    biases = [_json(b, "a bias", int, float) for b in _json(doc.get("biases"), "biases", list)]
+    terms = (_json(term, "a coupling", list) for term in _json(doc.get("couplings"), "couplings", list))
     return biases, [((_json(k, "index", int), _json(l, "index", int)), _json(v, "a value", int, float))
                     for k, l, v in terms]
 
@@ -692,24 +691,35 @@ def _write_json(path: str | os.PathLike, doc: dict, indent: int | None = 1) -> N
 
 def _json(value, what: str, *kinds: type):
     """``value`` if ``json`` read it as one of ``kinds``, else a ValueError; a JSON
-    boolean reads as bool, not int. The one type check of every JSON value read.
-    A value other than a string, number or null is named by its type, not
-    written out: a list nested deep enough could not be."""
+    boolean reads as bool, not int, and a missing field, read as null, fails. An
+    integer read for a number (``int, float``) is returned as a float within float
+    range, any other lies within int64. The one type and range check of every JSON
+    value read; a list or object is named by its type, as a deep one cannot be dumped."""
     if type(value) not in kinds:
         finite = "" if type(value) is not float or math.isfinite(value) else "finite "  # NaN, Infinity
         got = json.dumps(value) if isinstance(value, (str, int, float, type(None))) else type(value).__name__
         raise ValueError(f"{what} must be {finite}JSON of type {'/'.join(k.__name__ for k in kinds)}, got {got}")
-    return value
+    number = float in kinds
+    if type(value) is int and not (abs(value) <= sys.float_info.max if number else -2**63 <= value < 2**63):
+        raise ValueError(f"{what} must lie within {'float' if number else 'int64'} range")
+    return float(value) if number and type(value) is int else value
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's ``pairs`` as a dict; a key given twice is a ValueError."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise ValueError(f"repeated key {json.dumps(Counter(k for k, _ in pairs).most_common(1)[0][0])}")
+    return doc
 
 
 def _read_json(text: str | bytes, what: str) -> dict:
-    """The JSON object ``text`` holds, else a ValueError: the parser's own for
-    text that is not JSON, one naming ``what`` for a document that is not an
-    object or is nested past the parser's recursion limit. ``NaN`` and
-    ``Infinity`` parse, for the finite checks to refuse by name. The one JSON
-    parser of every input: files, configs, requests and replies."""
+    """The JSON object ``text`` holds, else a ValueError: the parser's own for text
+    that is not JSON or repeats a key, one naming ``what`` for a non-object or one
+    nested past the recursion limit. ``NaN`` and ``Infinity`` parse, for the finite
+    checks to refuse by name. The one JSON parser of files, configs and the wire."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError as exc:
         raise ValueError(f"{what} nests too deeply to parse") from exc
     return _json(doc, what, dict)

@@ -26,7 +26,7 @@ expectations themselves are taken at the sampler's temperature.
 from __future__ import annotations
 
 import csv
-import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
@@ -114,7 +114,7 @@ class TrainingConfig:
 
     def __post_init__(self):
         for name in ("eta", "delta_theta_min", "init_range", "h_max", "j_max"):
-            if not math.isfinite(getattr(self, name)):
+            if not abs(getattr(self, name)) <= sys.float_info.max:  # NaN fails too; an int cannot overflow
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
@@ -144,9 +144,7 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainingConfig":
-        doc = dict(_json(doc, "a training config", dict))
-        doc.pop("init_model", None)  # machines have their own format
-        doc = _json_fields(cls, doc)
+        doc = _json_fields(cls, _json(doc, "a training config", dict))
         sampler = _json_fields(SamplerConfig, doc.pop("sampler", {}))
         if "backend" in sampler:
             sampler["backend"] = Backend(sampler["backend"])
@@ -156,16 +154,18 @@ class TrainingConfig:
 
 
 # The JSON kinds a config field's annotation admits: a float field also takes
-# an integer, an enum field its string value, the sampler field an object.
+# an integer, read as a float; an enum field its string value; sampler an object.
 _JSON_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,), "str | None": (str, type(None)),
                "Backend": (str,), "GradientMode": (str,), "SamplerConfig": (dict,)}
 
 
 def _json_fields(cls, doc: dict) -> dict:
-    """``doc``, each field checked by ``_json`` for the kinds its annotation in
-    dataclass ``cls`` admits; a field ``cls`` lacks is left for ``cls`` to refuse."""
-    types = {f.name: f.type for f in fields(cls)}
-    return {k: _json(v, k, *_JSON_KINDS[types[k]]) if k in types else v for k, v in doc.items()}
+    """A copy of ``doc``, each field checked by ``_json`` for the kinds its annotation in dataclass
+    ``cls`` admits; a field ``cls`` lacks or holds in memory only (``init_model``) is a ValueError."""
+    types = {f.name: f.type for f in fields(cls) if f.type in _JSON_KINDS}
+    for k in doc.keys() - types.keys():
+        raise ValueError(f"{cls.__name__} has no JSON field {k!r}")
+    return {k: _json(v, k, *_JSON_KINDS[types[k]]) for k, v in doc.items()}
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,18 @@ def test_only_model_read_json_parses_json():
     assert calls and {(module, function) for module, function, _ in calls} == {("model", "_read_json")}, calls
 
 
+def test_no_except_clause_names_key_error_or_overflow_error():
+    # _json and _read_json turn a missing field and an integer out of range into
+    # a ValueError, so no reader of JSON input catches anything else
+    named = []
+    for path in sorted(Path(isingbm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+                named += [(path.stem, node.lineno, name) for name in names & {"KeyError", "OverflowError"}]
+    assert not named, named
+
+
 def test_sweep_beta_csv(runner, tmp_path):
     out = tmp_path / "sweep.csv"
     result = runner.invoke(main, [

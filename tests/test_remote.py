@@ -1,4 +1,5 @@
 import base64
+import copy
 import gc
 import json
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingbm import samplers
 from isingbm.errors import CapacityError, ProtocolError, TransportError
@@ -153,9 +155,12 @@ def _reply_counts(counts: list, samples: list | None = None) -> type:
     (_reply_counts([5], [[1, 0.5]]), ProtocolError),
     (_reply_counts([4, True], [[1, -1], [-1, True]]), ProtocolError),  # was read as spins and counts
     (_replying(body=b"[" * 5000 + b"]" * 5000), ProtocolError),  # was a RecursionError
+    (_replying(body=json.dumps({"samples": [[1, -1]], "counts": [5], "backend_id": [1]}).encode()),
+     ProtocolError),  # was written into the set as "[1]"
 ], indirect=["broken_server"], ids=["503", "404", "non-json", "truncated", "slow", "count-1e300", "count-2.5",
                                     "count-string", "count-true", "count-past-int64", "count-infinity",
-                                    "sample-float", "sample-fraction", "mixed-true", "nested-too-deep"])
+                                    "sample-float", "sample-fraction", "mixed-true", "nested-too-deep",
+                                    "backend-id-list"])
 def test_remote_faults_map_to_typed_errors(broken_server, error, rng, monkeypatch):
     monkeypatch.setattr(samplers, "_TIMEOUT_S", 0.2)
     bm = random_machine(2, 0, 0, rng)
@@ -190,7 +195,8 @@ def test_drift_lowers_effective_beta_with_size():
 
 
 @pytest.mark.parametrize("kwargs", [{"beta": 0.0}, {"beta": -1.0}, {"beta": float("nan")}, {"beta": float("inf")},
-                                    {"beta_drift": -0.1}, {"beta_drift": float("nan")}])
+                                    {"beta": 10**400}, {"beta_drift": -0.1}, {"beta_drift": float("nan")},
+                                    {"beta_drift": 10**400}])  # 10**400 raised OverflowError
 def test_mock_refuses_a_temperature_no_request_could_sample_at(kwargs):
     with pytest.raises(ValueError):
         MockAnnealerServer(**kwargs)
@@ -592,3 +598,118 @@ def test_kept_alive_requests_do_not_wait_for_delayed_acks(mock_server, rng):
     for _ in range(100):
         remote_sample(bm, SamplerConfig(num_reads=5), mock_server.url)
     assert time.perf_counter() - start < 2.0
+
+
+# Each JSON boundary: a document it accepts, the keys it cannot do without, and
+# where it holds numbers (read as floats) and integers.
+_BOUNDARY_DOCS = {
+    "model": ({"basis": "01", "m_I": 1, "m_O": 1, "n": 0, "biases": [0.5, -0.5], "couplings": [[0, 1, 0.25]],
+               "h_max": 1.0, "j_max": 1.0},
+              ["basis", "m_I", "m_O", "n", "biases", "couplings"],
+              [("biases", 0), ("couplings", 0, 2), ("h_max",), ("j_max",)],
+              [("m_I",), ("m_O",), ("n",), ("couplings", 0, 0), ("couplings", 0, 1)]),
+    "sample": ({"beta": 1.0, "num_reads": 5, "states": [[0, 1]], "counts": [5], "backend_id": "file", "basis": "01",
+                "exhaustive": False},
+               ["beta", "num_reads", "states", "counts"],
+               [("beta",)],
+               [("num_reads",), ("states", 0, 0), ("counts", 0)]),
+    "config": ({"eta": 0.1, "weight_decay": 1e-5, "momentum": 0.6, "max_steps": 2, "delta_theta_min": 1e-6,
+                "h_max": 1.0, "j_max": 1.0, "init_range": 0.5, "seed": 0, "loss_every": 1,
+                "sampler": {"beta": 1.0, "num_reads": 10, "burn_in": 10, "seed": 0, "num_chains": 1}},
+               [],  # every field has a default
+               [("eta",), ("weight_decay",), ("momentum",), ("delta_theta_min",), ("h_max",), ("j_max",),
+                ("init_range",), ("sampler", "beta")],
+               [("max_steps",), ("seed",), ("loss_every",), ("sampler", "num_reads"), ("sampler", "burn_in"),
+                ("sampler", "seed"), ("sampler", "num_chains")]),
+    "request": (_GOOD_TERMS, ["basis", "biases", "couplings", "num_reads"],
+                [("biases", 0), ("couplings", 0, 2)],
+                [("num_reads",), ("couplings", 0, 0), ("couplings", 0, 1)]),
+    "reply": ({"samples": [[1, -1]], "counts": [5], "backend_id": "stub"}, ["samples", "counts"],
+              [], [("samples", 0, 0), ("counts", 0)]),
+}
+_PAST_FLOAT = [10**400, -(10**400), 2**1024]
+_PAST_INT64 = [2**63, -(2**63) - 1, 2**70, 10**400]
+
+
+def _faulty(data, doc: dict, required: list, numbers: list, integers: list) -> str:
+    """``doc`` as JSON text with one fault drawn by ``data``: a key given twice
+    (at the top or in a nested object), a required key left out, or a number
+    past float range or an integer past int64 in its place."""
+    faults = ["repeat"] + ["omit"] * bool(required) + ["range"]
+    fault = data.draw(st.sampled_from(faults))
+    if fault == "repeat":
+        where = data.draw(st.sampled_from([()] + [(k,) for k, v in doc.items() if isinstance(v, dict)]))
+        inner = doc[where[0]] if where else doc
+        key = data.draw(st.sampled_from(sorted(inner)))
+        value = data.draw(st.sampled_from([inner[key], None, 0]))  # the same value too
+        text = json.dumps(inner)[:-1] + f", {json.dumps(key)}: {json.dumps(value)}}}"
+        return json.dumps({**doc, where[0]: "@"}).replace('"@"', text) if where else text
+    doc = copy.deepcopy(doc)
+    if fault == "omit":
+        del doc[data.draw(st.sampled_from(required))]
+        return json.dumps(doc)
+    path, value = data.draw(st.one_of(
+        st.tuples(st.sampled_from(numbers), st.sampled_from(_PAST_FLOAT)) if numbers else st.nothing(),
+        st.tuples(st.sampled_from(integers), st.sampled_from(_PAST_INT64))))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+def test_every_json_boundary_refuses_repeated_missing_and_out_of_range_values(mock_server, tmp_path, monkeypatch):
+    # a repeated key kept its last value at every boundary, and a config value
+    # past float range raised OverflowError; each must now be the boundary's
+    # typed refusal: ValueError or exit 2, a 400 or a ProtocolError
+    from click.testing import CliRunner
+
+    from isingbm.cli import main
+    from isingbm.model import _read_json, load_model_entry
+    from isingbm.samplers import load_sample_set
+    from isingbm.training import TrainingConfig
+
+    monkeypatch.setattr(samplers, "_TIMEOUT_S", 5.0)
+    bm = random_machine(2, 0, 0, np.random.default_rng(0))
+    runner = CliRunner()
+    model, sample, config = tmp_path / "model.json", tmp_path / "sample.json", tmp_path / "config.json"
+    handler = _replying(requests=[])
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    stub = "http://{}:{}".format(*httpd.server_address[:2])
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def fuzz(data):
+        texts = {name: _faulty(data, *spec) for name, spec in _BOUNDARY_DOCS.items()}
+        model.write_text(texts["model"])
+        sample.write_text(texts["sample"])
+        config.write_text(texts["config"])
+        handler.body = texts["reply"].encode()
+        for load, path in ((load_model_entry, model), (load_sample_set, sample)):
+            with pytest.raises(ValueError):
+                load(path)
+        with pytest.raises(ValueError):
+            TrainingConfig.from_dict(_read_json(texts["config"], "a training config"))
+        result = runner.invoke(main, ["train", "--dataset", "and", "--arch", "3v1h", "--config", str(config),
+                                      "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, (texts["config"], result.output)
+        assert json.loads(result.stderr.strip().splitlines()[-1])["error"]["kind"] == "input"
+        body = texts["request"].encode()
+        assert _post_with_length(mock_server, str(len(body)), body)[0] == 400, texts["request"]
+        with pytest.raises(ProtocolError):
+            remote_sample(bm, SamplerConfig(num_reads=5), stub)
+
+    try:
+        # the documents themselves are accepted, so each refusal is the fault's
+        model.write_text(json.dumps(_BOUNDARY_DOCS["model"][0]))
+        sample.write_text(json.dumps(_BOUNDARY_DOCS["sample"][0]))
+        handler.body = json.dumps(_BOUNDARY_DOCS["reply"][0]).encode()
+        load_model_entry(model)
+        load_sample_set(sample)
+        remote_sample(bm, SamplerConfig(num_reads=5), stub)
+        TrainingConfig.from_dict(_BOUNDARY_DOCS["config"][0])
+        fuzz()
+    finally:
+        httpd.shutdown()
+        httpd.server_close()

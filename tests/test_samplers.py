@@ -32,7 +32,7 @@ def single_node(bias=1.0):
 
 
 def test_sampler_config_validation():
-    for beta in (0.0, float("nan"), float("inf")):
+    for beta in (0.0, float("nan"), float("inf"), 10**400):  # 10**400 raised OverflowError
         with pytest.raises(ValueError):
             SamplerConfig(beta=beta)
     with pytest.raises(ValueError):

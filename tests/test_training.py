@@ -95,7 +95,7 @@ def test_training_config_validation():
         TrainingConfig(enforce_recommended_ranges=True, momentum=0.95)
     TrainingConfig(enforce_recommended_ranges=True, weight_decay=1e-4, momentum=0.9)
     for name in ("eta", "delta_theta_min", "init_range", "h_max", "j_max"):
-        for value in (np.nan, np.inf, -np.inf):  # a NaN eta or delta_theta_min was accepted
+        for value in (np.nan, np.inf, -np.inf, 10**400):  # a NaN eta was accepted; 10**400 raised OverflowError
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 TrainingConfig(**{name: value})
 
