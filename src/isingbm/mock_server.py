@@ -21,7 +21,7 @@ import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .model import Basis, BoltzmannMachine, _json, _read_json, _row_indices, _terms_from_dict, all_energies
+from .model import Basis, BoltzmannMachine, _MISSING, _json, _read_json, _row_indices, _terms_from_dict, all_energies
 from .samplers import SAMPLE_ROUTE, SamplerConfig, exact_sample
 
 # A request body is bounded by what the node limit allows: every bias and every
@@ -169,7 +169,7 @@ def _make_handler(server: MockAnnealerServer):
                 if doc.get("basis") != Basis.PLUS_MINUS.value:
                     raise ValueError(f"basis must be {Basis.PLUS_MINUS.value!r}")
                 biases, couplings = _terms_from_dict(doc)
-                num_reads = _json(doc.get("num_reads"), "num_reads", int)
+                num_reads = _json(doc.get("num_reads", _MISSING), "num_reads", int)
                 if num_reads < 1:
                     raise ValueError("num_reads must be >= 1")
                 n = len(biases)

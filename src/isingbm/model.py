@@ -168,8 +168,10 @@ class BoltzmannMachine:
     @cached_property
     def _energy_table(self) -> np.ndarray:
         """Read-only energy of every state; parameters are immutable, so it is
-        built at most once per machine. Read it through ``all_energies``,
-        which enforces the enumeration cap."""
+        built at most once per machine, on the first read. Read it through
+        ``all_energies``, which enforces the enumeration cap. The exact beta
+        points read ``_row_gaps`` instead, so a machine that is only swept
+        never holds it."""
         E = _split_energies(self.biases, self.coupling_matrix, self.basis)
         E.flags.writeable = False
         return E
@@ -179,12 +181,14 @@ class BoltzmannMachine:
         """Read-only (m, D) of the energy table as E[v, h], visible rows v:
         m[v] = min_h E[v, h] and D = E - m[:, None], the gaps every beta
         point of ``_weighting`` exponentiates. They do not depend on beta,
-        so they are built at most once per machine, beside the table (8·2^n
-        bytes more). Read them after ``check_capacity``, as ``_weighting``
-        does."""
-        E = self._energy_table.reshape(1 << self.num_visible, -1)
-        m = E.min(axis=1)
-        D = E - m[:, None]
+        so they are built at most once per machine: from a table of their
+        own, shifted in place, so they hold its 8·2^n bytes and no more.
+        ``_energy_table`` is neither read nor kept; a machine also read
+        through ``all_energies`` holds both, at one more split sum. Read
+        them after ``check_capacity``, as ``_weighting`` does."""
+        D = _split_energies(self.biases, self.coupling_matrix, self.basis).reshape(1 << self.num_visible, -1)
+        m = D.min(axis=1)
+        D -= m[:, None]
         m.flags.writeable = False
         D.flags.writeable = False
         return m, D
@@ -320,8 +324,8 @@ def _basis_of(rows: np.ndarray) -> Basis:
 def all_energies(bm: BoltzmannMachine) -> np.ndarray:
     """Read-only energy of every state, indexed lexicographically.
 
-    Built once per machine by ``_split_energies`` and kept on it; the cap is
-    checked on every call.
+    Built by ``_split_energies`` on the first call and kept on the machine;
+    the cap is checked on every call.
     """
     check_capacity(bm.num_nodes)
     return bm._energy_table
@@ -514,9 +518,14 @@ def ground_set(bm: BoltzmannMachine) -> tuple[np.ndarray, float, np.ndarray]:
     ])
     e_min = float(exact.min())
     is_ground = exact == e_min
-    gaps = E - e_min
-    gaps[candidates] = exact - e_min
-    return candidates[is_ground], e_min, np.delete(gaps, candidates[is_ground])
+    ground, rest = candidates[is_ground], candidates[~is_ground]
+    # one table-sized copy: the ground states go first, then every gap is
+    # shifted in place and the other candidates' rechecked gaps are written
+    # where the deletion moved them, down by the ground states before them
+    gaps = np.delete(E, ground)
+    gaps -= e_min
+    gaps[rest - np.searchsorted(ground, rest)] = exact[~is_ground] - e_min
+    return ground, e_min, gaps
 
 
 def ground_states(bm: BoltzmannMachine) -> tuple[list[SpinState], float]:
@@ -632,11 +641,11 @@ def model_to_dict(bm: BoltzmannMachine, metadata: dict | None = None) -> dict:
 def model_from_dict(doc: dict) -> tuple[BoltzmannMachine, dict]:
     doc = _json(doc, "a model document", dict)
     bm = BoltzmannMachine(
-        _json(doc.get("m_I"), "m_I", int),
-        _json(doc.get("m_O"), "m_O", int),
-        _json(doc.get("n"), "n", int),
+        _json(doc.get("m_I", _MISSING), "m_I", int),
+        _json(doc.get("m_O", _MISSING), "m_O", int),
+        _json(doc.get("n", _MISSING), "n", int),
         *_terms_from_dict(doc),
-        basis=Basis(_json(doc.get("basis"), "basis", str)),
+        basis=Basis(_json(doc.get("basis", _MISSING), "basis", str)),
         h_max=_json(doc.get("h_max", 1.0), "h_max", int, float),
         j_max=_json(doc.get("j_max", 1.0), "j_max", int, float),
     )
@@ -658,8 +667,8 @@ def _terms_from_dict(doc: dict) -> tuple[list, list]:
     checked by ``_json``; ``BoltzmannMachine`` checks the rest, so a pair
     given twice is refused there. The one reader of a machine's terms, for
     model files and the mock's requests."""
-    biases = [_json(b, "a bias", int, float) for b in _json(doc.get("biases"), "biases", list)]
-    terms = (_json(term, "a coupling", list) for term in _json(doc.get("couplings"), "couplings", list))
+    biases = [_json(b, "a bias", int, float) for b in _json(doc.get("biases", _MISSING), "biases", list)]
+    terms = (_json(term, "a coupling", list) for term in _json(doc.get("couplings", _MISSING), "couplings", list))
     return biases, [((_json(k, "index", int), _json(l, "index", int)), _json(v, "a value", int, float))
                     for k, l, v in terms]
 
@@ -689,15 +698,28 @@ def _write_json(path: str | os.PathLike, doc: dict, indent: int | None = 1) -> N
         fh.write("\n")
 
 
+# A required field's default in ``doc.get(key, _MISSING)``: ``_json`` names it
+# missing, where a field given as null reads as None.
+_MISSING = object()
+
+# A refused value is written out to this many characters and an ellipsis.
+_GOT_CHARS = 40
+
+
 def _json(value, what: str, *kinds: type):
     """``value`` if ``json`` read it as one of ``kinds``, else a ValueError; a JSON
-    boolean reads as bool, not int, and a missing field, read as null, fails. An
+    boolean reads as bool, not int, and ``_MISSING`` is refused as missing. An
     integer read for a number (``int, float``) is returned as a float within float
     range, any other lies within int64. The one type and range check of every JSON
-    value read; a list or object is named by its type, as a deep one cannot be dumped."""
+    value read; a list or object is named by its type, as a deep one cannot be
+    dumped, and a long string or integer is cut short."""
     if type(value) not in kinds:
+        if value is _MISSING:
+            raise ValueError(f"{what} is missing")
         finite = "" if type(value) is not float or math.isfinite(value) else "finite "  # NaN, Infinity
         got = json.dumps(value) if isinstance(value, (str, int, float, type(None))) else type(value).__name__
+        if len(got) > _GOT_CHARS:
+            got = got[:_GOT_CHARS] + "..."
         raise ValueError(f"{what} must be {finite}JSON of type {'/'.join(k.__name__ for k in kinds)}, got {got}")
     number = float in kinds
     if type(value) is int and not (abs(value) <= sys.float_info.max if number else -2**63 <= value < 2**63):

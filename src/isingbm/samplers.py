@@ -33,6 +33,7 @@ from .metrics import Distribution, boltzmann_probabilities
 from .model import (
     Basis,
     BoltzmannMachine,
+    _MISSING,
     _check_probabilities,
     _json,
     _read_json,
@@ -468,8 +469,9 @@ def remote_sample(
     try:
         doc = _read_json(body, "the reply")
         samples = np.array([[_json(s, "a sample value", int) for s in _json(row, "a sample", list)]
-                            for row in _json(doc.get("samples"), "samples", list)], dtype=np.int64)
-        counts = np.array([_json(c, "a count", int) for c in _json(doc.get("counts"), "counts", list)], np.int64)
+                            for row in _json(doc.get("samples", _MISSING), "samples", list)], dtype=np.int64)
+        counts = np.array([_json(c, "a count", int) for c in _json(doc.get("counts", _MISSING), "counts", list)],
+                          np.int64)
         backend_id = _json(doc.get("backend_id", f"remote({endpoint})"), "backend_id", str)
     except ValueError as exc:
         raise ProtocolError(f"malformed response: {exc}") from exc
@@ -574,11 +576,11 @@ def load_sample_set(path: str | os.PathLike) -> SampleSet:
     count_kinds = (int, float) if exhaustive else (int,)  # exhaustive counts are probabilities
     return SampleSet(
         states=np.array([[_json(b, "a state value", int) for b in _json(s, "a state", list)]
-                         for s in _json(doc.get("states"), "states", list)], dtype=np.int64),
-        counts=np.array([_json(c, "a count", *count_kinds) for c in _json(doc.get("counts"), "counts", list)],
+                         for s in _json(doc.get("states", _MISSING), "states", list)], dtype=np.int64),
+        counts=np.array([_json(c, "a count", *count_kinds) for c in _json(doc.get("counts", _MISSING), "counts", list)],
                         dtype=np.float64),
-        beta=_json(doc.get("beta"), "beta", int, float),
-        num_reads=_json(doc.get("num_reads"), "num_reads", int),
+        beta=_json(doc.get("beta", _MISSING), "beta", int, float),
+        num_reads=_json(doc.get("num_reads", _MISSING), "num_reads", int),
         backend_id=_json(doc.get("backend_id", "file"), "backend_id", str),
         basis=Basis(_json(doc.get("basis", Basis.ZERO_ONE.value), "basis", str)),
         exhaustive=exhaustive,

@@ -142,12 +142,31 @@ def naive_ground_set(bm):
 def test_ground_set_equals_naive_ties_on_symmetric_machines(seed):
     rng = np.random.default_rng(seed)
     for _ in range(8):
-        bm = symmetric_machine(int(rng.integers(2, 11)), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        ground, e_min, gaps = ground_set(bm)
-        ref_ground, ref_min, E = naive_ground_set(bm)
-        assert np.array_equal(ground, ref_ground)
-        assert e_min == ref_min
-        np.testing.assert_allclose(gaps, np.delete(E, ref_ground) - ref_min, rtol=1e-12, atol=1e-13)
+        symmetric = symmetric_machine(int(rng.integers(2, 11)), rng.uniform(-1, 1), rng.uniform(-1, 1))
+        # nudging the first and last biases apart splits the ties, so the
+        # states between them are near-minimal candidates but not ground
+        nudge = np.zeros(symmetric.num_nodes)
+        nudge[0], nudge[-1] = 1e-12, -1e-12
+        for bm in (symmetric, symmetric.with_parameters(symmetric.biases + nudge, symmetric.couplings)):
+            ground, e_min, gaps = ground_set(bm)
+            ref_ground, ref_min, E = naive_ground_set(bm)
+            assert np.array_equal(ground, ref_ground)
+            assert e_min == ref_min
+            np.testing.assert_allclose(gaps, np.delete(E, ref_ground) - ref_min, rtol=1e-12, atol=1e-13)
+            assert gaps.tobytes() == copied_ground_gaps(bm).tobytes()
+
+
+def copied_ground_gaps(bm):
+    """``ground_set``'s gaps by the formula that copies the table twice: every
+    gap, the candidates' overwritten by their rechecked energies, then the
+    ground states deleted."""
+    E = all_energies(bm)
+    scale = float(np.abs(bm.biases).sum() + np.abs(bm.coupling_matrix).sum())
+    candidates = np.flatnonzero(E <= E.min() + 1e-12 * max(scale, 1.0))
+    exact = energies(bm, state_matrix(bm.num_nodes, bm.basis)[candidates])
+    gaps = E - exact.min()
+    gaps[candidates] = exact - exact.min()
+    return np.delete(gaps, candidates[exact == exact.min()])
 
 
 # ---------------------------------------------------------------- conditionals
@@ -412,6 +431,14 @@ def fresh_copy(bm):
 def test_weighting_slot_hit_is_bytes_of_a_fresh_machine():
     bm = load_fixture("adder_function")
     ds = adder2()
+    # a swept machine holds its gaps only; the table, read after them, and the
+    # gaps of a machine that held its table first keep every byte
+    visible_marginal(bm, 0.7)
+    assert "_energy_table" not in bm.__dict__
+    assert all_energies(bm).tobytes() == all_energies(fresh_copy(bm)).tobytes()
+    table_first = fresh_copy(bm)
+    all_energies(table_first)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(table_first._row_gaps, bm._row_gaps))
     for beta in (0.7, 5.0):
         first = visible_marginal(bm, beta)
         again = visible_marginal(bm, beta)  # a hit: every quantity below reads the slot

@@ -122,14 +122,17 @@ def test_model_file_with_non_finite_parameters_is_refused(tmp_path):
     ("h_max", "1"),
     ("basis", 1),
     ("metadata", []),
+    ("basis", 10**4000),               # was written out whole, 4,037 characters
+    ("m_I", "2" * 5000),               # likewise
 ], ids=["m_I-2.7", "m_I-string", "index-1.9", "bias-true", "coupling-true", "h_max-string", "basis-1",
-        "metadata-list"])
+        "metadata-list", "basis-10**4000", "m_I-long-string"])
 def test_model_file_values_of_the_wrong_json_type_are_refused(tmp_path, field, value):
     doc = model_to_dict(machine([0.25, -0.5], {(0, 1): 0.125}))
     path = tmp_path / "m.json"
     path.write_text(json.dumps({**doc, field: value}))
-    with pytest.raises(ValueError, match="must be JSON of type"):
+    with pytest.raises(ValueError, match="must be JSON of type") as refused:
         load_model(path)
+    assert len(str(refused.value)) <= 100
 
 
 @pytest.mark.parametrize("terms", [[[0, 1, 0.125], [0, 1, 0.25]], [[0, 1, 0.125], [1, 0, 0.25]]],
@@ -361,10 +364,13 @@ def test_model_round_trip(tmp_path, rng):
 
 
 def test_model_dict_rejects_missing_fields():
+    # a missing field read as a null one did, "got null"
     doc = model_to_dict(machine([0.0], {}))
-    del doc["biases"]
-    with pytest.raises(ValueError):
-        model_from_dict(doc)
+    for field in ("m_I", "m_O", "n", "basis", "biases", "couplings"):
+        with pytest.raises(ValueError, match="got null"):
+            model_from_dict({**doc, field: None})
+        with pytest.raises(ValueError, match=f"^{field} is missing$"):
+            model_from_dict({k: v for k, v in doc.items() if k != field})
 
 
 def test_load_model_plain(tmp_path):
