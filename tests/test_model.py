@@ -364,7 +364,7 @@ def test_model_round_trip(tmp_path, rng):
 
 
 def test_model_dict_rejects_missing_fields():
-    # a missing field read as a null one did, "got null"
+    # a missing field and a null one are told apart; both read "got null" before
     doc = model_to_dict(machine([0.0], {}))
     for field in ("m_I", "m_O", "n", "basis", "biases", "couplings"):
         with pytest.raises(ValueError, match="got null"):
