@@ -28,9 +28,15 @@ with its ``src`` first on ``PYTHONPATH``:
   of this script skips it, so the suite does not run itself).
 
 ``--repeat N`` runs the commands N times, one after the other in turn, so a
-drift of the host touches each command alike. The JSON on stdout holds each
-command's argv, its run times in seconds and their median and quartiles,
-and the environment. A command that exits non-zero stops the script.
+drift of the host touches each command alike. ``--base PATH`` names a second
+checkout, say of the parent commit: each command then runs in both, one
+right after the other, with that checkout's ``src`` first on ``PYTHONPATH``
+and the side that runs first alternating from pair to pair, as in
+``bench_pairs.py``. The JSON on stdout holds each command's argv, its run
+times in seconds and their median and quartiles, and the environment; with
+``--base``, each command also holds the base checkout's times under
+``base``, and ``checkouts`` gives both checkouts' short sha and whether they
+had uncommitted changes. A command that exits non-zero stops the script.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import quartiles
+from bench_pairs import is_dirty, quartiles, short_sha
 
 ROOT = Path(__file__).resolve().parents[1]
 CLI = [sys.executable, "-m", "isingbm.cli"]
@@ -71,36 +77,49 @@ def commands(out: Path, skip_tier1: bool) -> dict[str, list[str]]:
     return cmds
 
 
+def run(name: str, argv: list[str], root: Path) -> float:
+    """Seconds of one run of ``argv`` in ``root`` with its ``src`` first on ``PYTHONPATH``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"{name} exited {proc.returncode} in {root}\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return elapsed
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=3, help="runs of each command")
     ap.add_argument("--skip-tier1", action="store_true", help="leave out the tier-1 suite")
+    ap.add_argument("--base", type=Path, help="a second checkout to run each command in, in alternation")
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be >= 1")
+    sides = {"change": ROOT} if args.base is None else {"change": ROOT, "base": args.base.resolve()}
 
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     with tempfile.TemporaryDirectory() as tmp:
         cmds = commands(Path(tmp), args.skip_tier1)
-        seconds: dict[str, list[float]] = {name: [] for name in cmds}
-        for _ in range(args.repeat):
-            for name, argv_ in cmds.items():
-                start = time.perf_counter()
-                proc = subprocess.run(argv_, cwd=ROOT, env=env, capture_output=True, text=True)
-                elapsed = time.perf_counter() - start
-                if proc.returncode != 0:
-                    raise SystemExit(f"{name} exited {proc.returncode}\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-                seconds[name].append(elapsed)
+        seconds: dict[str, dict[str, list[float]]] = {side: {name: [] for name in cmds} for side in sides}
+        for pair, (name, argv_) in enumerate(list(cmds.items()) * args.repeat):
+            for side in list(sides)[::1 if pair % 2 else -1]:  # the base first in even pairs
+                seconds[side][name].append(run(name, argv_, sides[side]))
         shown = {name: ["python" if a == sys.executable else a.replace(tmp, "<tmp>") for a in argv_]
                  for name, argv_ in cmds.items()}
 
+    def timing(side: str, name: str) -> dict:
+        return {"seconds": seconds[side][name], **quartiles(seconds[side][name])}
+
     doc = {
         "repeat": args.repeat,
-        "commands": {name: {"argv": shown[name], "seconds": seconds[name], **quartiles(seconds[name])}
-                     for name in cmds},
+        "commands": {name: {"argv": shown[name], **timing("change", name)} for name in cmds},
         "environment": {"python": platform.python_version(), "platform": platform.platform(),
                         "cpu_count": os.cpu_count()},
     }
+    if "base" in sides:
+        for name, entry in doc["commands"].items():
+            entry["base"] = timing("base", name)
+        doc["checkouts"] = {side: {"sha": short_sha(root), "dirty": is_dirty(root)} for side, root in sides.items()}
     print(json.dumps(doc, indent=1))
     return 0
 

@@ -15,6 +15,7 @@ All backends are deterministic for a fixed (machine, config, seed).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -201,120 +202,208 @@ def _chunk_widths(n: int) -> list[int]:
 def _gibbs_lanes(
     machines: Sequence[BoltzmannMachine], cfg: SamplerConfig, seeds: Sequence[int]
 ) -> list[SampleSet]:
-    """Machines of one size and basis, machine g seeded with ``seeds[g]``,
-    drawn as the lanes of ``_gibbs_arrays``: one set per machine."""
-    n, basis = machines[0].num_nodes, machines[0].basis
-    J_syms = np.stack([bm.coupling_matrix + bm.coupling_matrix.T for bm in machines])
-    lanes = _gibbs_arrays(J_syms, np.stack([bm.biases for bm in machines]), basis, cfg, seeds)
-    return [SampleSet._indexed(index, count, n, basis, cfg.beta, f"gibbs/chains={cfg.num_chains}")
-            for index, count in lanes]
+    """Machines of one basis, machine g seeded with ``seeds[g]``, drawn as the
+    lanes of ``_gibbs_arrays`` in one group per node count: one set per
+    machine."""
+    sizes: dict[int, list[int]] = {}
+    for i, bm in enumerate(machines):
+        sizes.setdefault(bm.num_nodes, []).append(i)
+    order = [i for members in sizes.values() for i in members]
+    groups = [(np.stack([machines[i].coupling_matrix + machines[i].coupling_matrix.T for i in members]),
+               np.stack([machines[i].biases for i in members])) for members in sizes.values()]
+    out: list[SampleSet | None] = [None] * len(machines)
+    for i, (index, count) in zip(order, _gibbs_arrays(groups, machines[0].basis, cfg, [seeds[i] for i in order])):
+        out[i] = SampleSet._indexed(index, count, machines[i].num_nodes, machines[i].basis, cfg.beta,
+                                    f"gibbs/chains={cfg.num_chains}")
+    return out
 
 
 def _gibbs_arrays(
-    J_syms: np.ndarray, biases: np.ndarray, basis: Basis, cfg: SamplerConfig, seeds: Sequence[int]
+    groups: Sequence[tuple[np.ndarray, np.ndarray]], basis: Basis, cfg: SamplerConfig, seeds: Sequence[int]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gibbs under ``cfg`` for any number of lanes of one size and basis:
-    lane g has the symmetric couplings ``J_syms[g]`` (or the one matrix every
-    lane shares), the biases ``biases[g]`` and its own ``default_rng(seeds[g])``
-    start and stream, so it draws as such a machine alone. Returns each
-    lane's distinct draws as (state index, count), index-sorted.
+    """Gibbs under ``cfg`` for any number of lanes in one basis, given in
+    groups (J_syms, biases) of one node count each: a group's lane g has the
+    symmetric couplings ``J_syms[g]`` (or the one matrix every lane of the
+    group shares) and the biases ``biases[g]``. Counted across the groups in
+    order, lane i takes ``default_rng(seeds[i])`` as its start and stream,
+    so it draws as such a machine alone. Returns each lane's distinct draws
+    as (state index, count), index-sorted, in lane order.
 
-    The lanes run through ``_gibbs_run`` at most 2^(_TABLE_BITS - widest
-    chunk) at a time, so a run's chunks hold at most 2^_TABLE_BITS states.
-    A lane's stream yields the same values in any run, so its draws do not
-    depend on the lanes beside it.
+    Lanes of one chunk (at most _TABLE_BITS nodes), of any node counts,
+    share ``_gibbs_run`` calls in order: a run is cut where the sum of their
+    2^n would pass 2^_TABLE_BITS. A group of several chunks runs on its own,
+    2^(_TABLE_BITS - widest chunk) lanes at a time. A lane's stream yields
+    the same values in any run, so its draws do not depend on the lanes
+    beside it.
     """
-    seeds, n = list(seeds), biases.shape[1]
-    size = 1 << (_TABLE_BITS - _chunk_widths(n)[0])
-    out = []
-    for start in range(0, len(seeds), size):
-        run = slice(start, start + size)
-        out += _gibbs_run(J_syms if len(J_syms) == 1 else J_syms[run], biases[run], basis, cfg, seeds[run])
+    runs, room = [], 0  # room: the states left in the last run if it takes one-chunk lanes
+    for J_syms, biases in groups:
+        lanes, n = biases.shape
+        w, a = _chunk_widths(n)[0], 0
+        while a < lanes:
+            if n > _TABLE_BITS or room < 1 << n:
+                runs.append([])
+                room = 1 << _TABLE_BITS
+            b = min(lanes, a + (room >> w))
+            runs[-1].append((J_syms if len(J_syms) == 1 else J_syms[a:b], biases[a:b]))
+            room = 0 if n > _TABLE_BITS else room - ((b - a) << n)
+            a = b
+    out: list[tuple[np.ndarray, np.ndarray]] = []
+    for run in runs:
+        out += _gibbs_run(run, basis, cfg, seeds[len(out):len(out) + sum(len(biases) for _, biases in run)])
     return out
 
 
 def _gibbs_run(
-    J_syms: np.ndarray, biases: np.ndarray, basis: Basis, cfg: SamplerConfig, seeds: Sequence[int]
+    groups: Sequence[tuple[np.ndarray, np.ndarray]], basis: Basis, cfg: SamplerConfig, seeds: Sequence[int]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One kernel run of ``_gibbs_arrays``, with its arguments and result,
-    for lanes whose chunks hold at most 2^_TABLE_BITS states together.
+    """One kernel run of ``_gibbs_arrays``, with its arguments and result:
+    lanes of one chunk each, or one group of n nodes, whose chunks hold at
+    most 2^_TABLE_BITS states together.
 
-    A chain is one index per chunk of ``_chunk_widths(n)``: in a chunk of w
-    nodes, lane g's chains hold g * 2^w plus the index of the chunk's nodes.
-    Chunk by chunk, site k compares v_k with its table at the chunk's index
-    and gathers the index with k's bit cleared or set from its steps. The
-    field -beta*dE_k is the sum over chunks d of G_d[k][x_d], built by one
-    GEMM per chunk and matrix. With one chunk, G is mapped in place to the
-    probability of the upper symbol and v_k is the uniform u_k. With several,
-    the other chunks hold still in a chunk's pass, so v_k is log u_k -
-    log1p(-u_k) less their fields and the table is G_c[k], deciding alike
-    unless u_k is within rounding of the probability. For L lanes and c
-    chunks of widest w the tables take at most 8·n·(c + 2)·L·2^w bytes, the
-    kept states 8·c bytes a read.
+    A chain is one index per chunk of ``_chunk_widths(n)``, for the widest
+    lane's n, and holds it doubled. With one chunk, lane g's chains hold
+    off_g plus their index, where off_g is the sum of 2^n_h over the earlier
+    lanes; a lane of fewer nodes is right-aligned, its nodes the last sites,
+    and a site it lacks steps to itself. With several, off_g is g * 2^w in
+    a chunk of w nodes. Chunk by chunk, site k gathers its table at the
+    chain's doubled index (the table holds each entry at 2i and 2i + 1),
+    compares v_k with it, adds the outcome and gathers the next doubled
+    index from its steps, which hold the index with k's bit cleared at 2i
+    and set at 2i + 1. The field -beta*dE_k is the sum over chunks d of
+    G_d[k][x_d], built by one GEMM per chunk and matrix at each group's own
+    width. With one chunk, G is mapped in place to the probability of the
+    upper symbol and v_k is the uniform u_k. With several, the other chunks
+    hold still in a chunk's pass and their fields are gathered at x_d >> 1
+    once per pass: v_k is log u_k - log1p(-u_k) less those fields and the
+    table is G_c[k], deciding alike unless u_k is within rounding of the
+    probability. Only a chunk's own sites' tables are doubled. For c chunks
+    of widest w holding S states each, the tables take at most
+    8·n·(c + 3)·S bytes, the kept states 8·c bytes a read.
     """
-    lanes, n = biases.shape
-    lo, hi = basis.symbols
+    sizes = [biases.shape[1] for _, biases in groups for _ in biases]
+    lanes, n = len(sizes), max(sizes)
     chains, per_chain = cfg.num_chains, -(-cfg.num_reads // cfg.num_chains)
-    keep = range(cfg.burn_in + cfg.thinning - 1, cfg.burn_in + per_chain * cfg.thinning, cfg.thinning)
     widths = _chunk_widths(n)
     ends = list(accumulate(widths))
-    # b_k joins chunk 0; J_sym's zero diagonal drops site k, and hi - lo = 1 or 2 scales exactly
-    fields = [((-cfg.beta * (hi - lo)) * (
-        np.stack([cached_state_table(w, basis) @ J_sym[end - w:end] for J_sym in J_syms])
-        + (biases * (d == 0))[:, None, :])).transpose(2, 0, 1).reshape(n, lanes << w)
-        for d, (w, end) in enumerate(zip(widths, ends))]
-    if len(widths) == 1:
-        # log-odds here too, a log and a log1p per uniform, made a 10-node, 50-chain draw 20-43 % slower
-        G = fields[0]
-        np.exp(np.clip(np.negative(G, out=G), -500, 500, out=G), out=G)
-        np.divide(1.0, np.add(G, 1.0, out=G), out=G)
-    tables = [[G[end - w:end] for G in fields] for w, end in zip(widths, ends)]
+    several = len(widths) > 1
+    # each lane's width in each chunk (with one chunk, its own node count) and its first state there
+    spans = [[w] * lanes for w in widths] if several else [sizes]
+    offsets = [np.cumsum([0] + [1 << s for s in span]) for span in spans]
+    # per chunk, its sites' doubled tables and the other sites' tables, then its sites' steps: all
+    # tables before any steps kept a 70-node draw's peak RSS 10 MB lower
+    own, rest = zip(*(_chunk_tables(groups, basis, cfg.beta, d, w, end, n, offs[-1], several)
+                      for d, (w, end, offs) in enumerate(zip(widths, ends, offsets))))
+    steps = [_chunk_steps(w, span, offs) for w, span, offs in zip(widths, spans, offsets)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    coins = np.stack([rng.random((chains, n)) for rng in rngs]) >= 0.5
-    x, chunks = [], []  # each chunk's lane indices; its sites and the other chunks' fields
-    for c, (w, end) in enumerate(zip(widths, ends)):
-        masks = 1 << np.arange(w - 1, -1, -1, dtype=np.int64)
-        every = np.arange(lanes << w, dtype=np.int64)
-        x.append((coins[:, :, end - w:end] @ masks + (np.arange(lanes, dtype=np.int64) << w)[:, None]).reshape(-1))
-        # site k's steps: every index with k's bit cleared, then every index with it set
-        steps = np.stack([every & ~masks[:, None], every | masks[:, None]], axis=1).reshape(w, 2 * every.shape[0])
-        chunks.append((c, every.shape[0], list(zip(steps, tables[c][c])),
-                       [(G, d) for d, G in enumerate(tables[c]) if d != c]))
-    kept = np.empty((per_chain, len(x), x[0].shape[0]), dtype=np.int64 if n <= 62 else object)
-    for sweep, us in enumerate(_sweep_uniforms(rngs, keep.stop, widths, chains)):
-        for (c, size, sites, others), v in zip(chunks, us):
+    coins = np.zeros((lanes, chains, n), dtype=bool)
+    for g, (rng, m) in enumerate(zip(rngs, sizes)):
+        coins[g, :, n - m:] = rng.random((chains, m)) >= 0.5
+    # each chain's doubled index in each chunk
+    x = [((coins[:, :, end - w:end] @ (1 << np.arange(w - 1, -1, -1, dtype=np.int64)) + offs[:-1, None])
+          << 1).reshape(-1) for w, end, offs in zip(widths, ends, offsets)]
+    chunks = [(c, list(zip(steps[c], own[c])),
+               [(rest[d][end - w - widths[d] * (d < c):end - widths[d] * (d < c)], d)
+                for d in range(len(widths)) if d != c])
+              for c, (w, end) in enumerate(zip(widths, ends))]
+    kept = np.empty((per_chain, len(widths), lanes * chains), dtype=np.int64)
+    slot, at = 0, cfg.burn_in + cfg.thinning - 1  # the next kept slot and its sweep
+    for sweep, us in enumerate(_sweep_uniforms(rngs, sizes, cfg.burn_in + per_chain * cfg.thinning, widths, chains)):
+        for (c, sites, others), v in zip(chunks, us):
             idx = x[c]
-            for G, d in others:
-                v = v - G[:, x[d]]
+            if others:  # fixed during this chunk's pass
+                for G, d in others:
+                    v = v - G[:, x[d] >> 1]
             for (step_k, t_k), v_k in zip(sites, v):
-                idx = step_k[idx + size * (v_k < t_k[idx])]
+                idx = step_k[idx + (v_k < t_k[idx])]
             x[c] = idx
-        if sweep in keep:
-            kept[keep.index(sweep)] = x
-    # chunk c is the index's bits from n - ends[c] up; shifted to lane g * 2^n plus its index, one
-    # sort tallies every lane (an np.unique per lane was slower: four clamped lanes 555 -> 575 us)
-    draws = kept[:, 0]
+        if sweep == at:
+            for c, x_c in enumerate(x):
+                kept[slot, c] = x_c
+            slot, at = slot + 1, at + cfg.thinning
+    kept >>= 1
+    # chunk c is the index's bits from n - ends[c] up; one sort tallies every lane (an np.unique per lane
+    # was slower: four clamped lanes 555 -> 575 us)
+    draws = kept[:, 0] if n <= 62 else kept[:, 0].astype(object)
     for c, w in enumerate(widths[1:], 1):
         draws = (draws << w) + kept[:, c]
-    offset = sum(1 << (n - end + w) for w, end in zip(widths, ends))
     reads = draws.reshape(per_chain, lanes, chains).transpose(1, 0, 2).reshape(lanes, -1)[:, :cfg.num_reads]
-    keys, count = np.unique(reads - np.arange(lanes, dtype=draws.dtype)[:, None] * (offset - (1 << n)),
-                            return_counts=True)
-    lane = keys >> n
-    index = keys - (lane << n)
-    bounds = np.searchsorted(lane.astype(np.int64), np.arange(lanes + 1))
-    return [(index[a:b], count[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if several:  # lane g's reads start at g * offset: move them to g * 2^n (int64 wraps, and wraps back)
+        offset = sum(1 << (n - end + w) for w, end in zip(widths, ends))
+        reads = reads - np.arange(lanes, dtype=draws.dtype)[:, None] * (offset - (1 << n))
+        starts = [g << n for g in range(lanes)]
+    else:
+        starts = np.cumsum([0] + [1 << m for m in sizes[:-1]])
+    keys, count = np.unique(reads, return_counts=True)
+    bounds = [*np.searchsorted(keys, starts).tolist(), len(keys)]
+    return [(keys[a:b] - s, count[a:b]) for s, a, b in zip(starts, bounds, bounds[1:])]
 
 
-def _sweep_uniforms(rngs: Sequence[np.random.Generator], sweeps: int, widths: Sequence[int], chains: int):
-    """Yield each sweep's (n, len(rngs) * chains) uniforms, one generator's chains
-    after another's, in rows split by ``widths`` (log-odds if several); drawn in
-    blocks of whole sweeps, in the stream order of one ``rng.random(chains)`` per site."""
+def _chunk_tables(
+    groups: Sequence[tuple[np.ndarray, np.ndarray]], basis: Basis, beta: float, d: int, w: int, end: int,
+    n: int, states: int, several: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_gibbs_run``'s field tables of chunk d, its w sites ending at
+    ``end`` of n: those of its own sites, each entry at 2i and 2i + 1, and
+    those of the other sites, by one GEMM per group and matrix. A group's
+    lanes follow the earlier groups' lanes; with one chunk, the tables hold
+    probabilities of the upper symbol, and a group of fewer nodes fills the
+    last rows at its own width, leaving a zero field where it lacks a site."""
+    lo, hi = basis.symbols
+    blocks = []
+    for J_syms, biases in groups:
+        m = biases.shape[1]
+        gw, ge = (w, end) if several else (m, m)
+        # b_k joins chunk 0; J_sym's zero diagonal drops site k, and hi - lo = 1 or 2 scales exactly
+        blocks.append(((-beta * (hi - lo)) * (
+            np.stack([cached_state_table(gw, basis) @ J_sym[ge - gw:ge] for J_sym in J_syms])
+            + (biases * (d == 0))[:, None, :])).transpose(2, 0, 1).reshape(m, len(biases) << gw))
+    if len(blocks) == 1 and blocks[0].shape[0] == n:
+        G = blocks[0]
+    else:
+        G = np.zeros((n, states))
+        for block, a in zip(blocks, accumulate([0] + [block.shape[1] for block in blocks])):
+            G[n - block.shape[0]:, a:a + block.shape[1]] = block
+    if not several:
+        # log-odds here too, a log and a log1p per uniform, made a 10-node, 50-chain draw 20-43 % slower
+        np.exp(np.clip(np.negative(G, out=G), -500, 500, out=G), out=G)
+        np.divide(1.0, np.add(G, 1.0, out=G), out=G)
+    return np.repeat(G[end - w:end], 2, axis=1), np.concatenate([G[:end - w], G[end:]])
+
+
+def _chunk_steps(w: int, span: Sequence[int], offs: np.ndarray) -> np.ndarray:
+    """``_gibbs_run``'s steps in a chunk of w sites where lane g's states
+    start at ``offs[g]`` and it has the last ``span[g]`` sites: site k's row
+    takes 2i to 2·(i with k's bit cleared) and 2i + 1 to 2·(i with it set),
+    and keeps i in a lane without site k."""
+    states = np.diff(offs)
+    start = np.repeat(offs[:-1], states)
+    bits = np.arange(w - 1, -1, -1, dtype=np.int64)[:, None]
+    local = np.arange(offs[-1], dtype=np.int64) - start
+    flip = np.where(bits < np.repeat(span, states), 1 << bits, 0)
+    step = np.empty((w, offs[-1], 2), dtype=np.int64)
+    np.bitwise_and(local, ~flip, out=step[:, :, 0])
+    np.bitwise_or(local, flip, out=step[:, :, 1])
+    step += start[:, None]
+    step <<= 1
+    return step.reshape(w, 2 * offs[-1])
+
+
+def _sweep_uniforms(
+    rngs: Sequence[np.random.Generator], sizes: Sequence[int], sweeps: int, widths: Sequence[int], chains: int
+):
+    """Yield each sweep's (n, len(rngs) * chains) uniforms, one generator's
+    chains after another's, in rows split by ``widths`` (log-odds if
+    several); generator g fills the last ``sizes[g]`` rows, its lane's
+    sites, and zeros lie above them. Drawn in blocks of whole sweeps, in the
+    stream order of one ``rng.random(chains)`` per site."""
     n, ends = sum(widths), list(accumulate(widths))
     block = max(1, _UNIFORM_BLOCK // max(1, n * chains * len(rngs)))
     for start in range(0, sweeps, block):
-        size = (min(block, sweeps - start), n, chains)
-        u = np.concatenate([rng.random(size) for rng in rngs], axis=2)
+        size = min(block, sweeps - start)
+        u = np.zeros((size, n, len(rngs) * chains))
+        for g, (rng, m) in enumerate(zip(rngs, sizes)):
+            u[:, n - m:, g * chains:(g + 1) * chains] = rng.random((size, m, chains))
         if len(widths) > 1:
             with np.errstate(divide="ignore"):  # u = 0 has log-odds -inf
                 u = np.log(u) - np.log1p(-u)
@@ -373,10 +462,10 @@ def _open(url: urllib.parse.SplitResult) -> tuple:
     and headers.
 
     An http proxy gets the absolute-form target; https goes through a CONNECT
-    tunnel. ``connect`` sets TCP_NODELAY, so a request's body, written after
-    its headers, does not wait for the peer's delayed ACK. The socket is
-    closed when the connection is collected (as it is when its thread ends)
-    or at the latest at interpreter exit.
+    tunnel. A request's head and body go out in one write (``_one_write``),
+    and ``connect`` sets TCP_NODELAY, so a request does not wait for the
+    peer's delayed ACK. The socket is closed when the connection is collected
+    (as it is when its thread ends) or at the latest at interpreter exit.
     """
     import base64
     import http.client
@@ -385,7 +474,7 @@ def _open(url: urllib.parse.SplitResult) -> tuple:
     proxy = urllib.request.getproxies().get(url.scheme)
     if proxy and urllib.request.proxy_bypass(url.netloc):
         proxy = None
-    cls = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+    cls = _one_write(http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection)
     target = url.path.rstrip("/") + SAMPLE_ROUTE
     headers = {"Host": url.netloc, "Content-Type": "application/json"}
     if proxy is None:
@@ -409,6 +498,31 @@ def _open(url: urllib.parse.SplitResult) -> tuple:
         raise
     weakref.finalize(conn, conn.sock.close)
     return conn, target, headers
+
+
+@functools.cache
+def _one_write(base: type) -> type:
+    """``base``, an ``http.client`` connection class, writing a request's
+    head and body with one ``send``: ``endheaders`` holds the body back and
+    ``send`` adds it to the head, the one write ``endheaders`` makes without
+    a body. A CONNECT request, sent while no body is held, goes out as it
+    is."""
+
+    class OneWrite(base):
+        _body = None
+
+        def endheaders(self, message_body=None, **kwargs):
+            self._body = message_body
+            try:
+                super().endheaders(**kwargs)
+            finally:
+                self._body = None
+
+        def send(self, data):
+            body, self._body = self._body, None
+            super().send(data if body is None else data + body)
+
+    return OneWrite
 
 
 def _readable(sock) -> bool:
@@ -502,9 +616,9 @@ def draw_many(
     machines: Sequence[BoltzmannMachine], cfg: SamplerConfig, seeds: Sequence[int]
 ) -> list[SampleSet]:
     """``[draw_samples(bm, replace(cfg, seed=s)) for bm, s in zip(machines,
-    seeds)]``, byte for byte, with the Gibbs draws batched: grouped by node
-    count and basis, each group's machines are the lanes of one
-    ``_gibbs_lanes`` call.
+    seeds)]``, byte for byte, with the Gibbs draws batched: grouped by basis,
+    each group's machines are the lanes of one ``_gibbs_lanes`` call, where
+    machines of one chunk share kernel runs whatever their node counts.
     Exact and remote draws go through ``draw_samples`` in the given order, so
     a remote service sees the same requests in the same order.
     """
@@ -513,9 +627,9 @@ def draw_many(
     if cfg.backend is not Backend.GIBBS:
         return [draw_samples(bm, replace(cfg, seed=s)) for bm, s in zip(machines, seeds)]
     out: list[SampleSet | None] = [None] * len(machines)
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[Basis, list[int]] = {}
     for i, bm in enumerate(machines):
-        groups.setdefault((bm.num_nodes, bm.basis), []).append(i)
+        groups.setdefault(bm.basis, []).append(i)
     for members in groups.values():
         for i, ss in zip(members, _gibbs_lanes([machines[i] for i in members], cfg, [seeds[i] for i in members])):
             out[i] = ss

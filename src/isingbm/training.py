@@ -15,9 +15,12 @@ row and column sums of the weights and the cross block of the second moments
 from one matrix product. Exact mode weighs the cached energy table or an
 input's slice (``prefix_energies``) in one exp pass that gives both phases
 and the loss (``_exact_phases``), clamping and re-enumerating nothing;
-sampled mode clamps a step's rows in one array op (``_clamped_rows``), draws
-them as lanes of one Gibbs kernel call per width and takes the moments from
-each lane's tallied (state index, count) arrays (``_clamped_draws``).
+sampled mode clamps a step's rows of each width in one array op
+(``_clamped_rows``), draws the rows of every width, the whole machine
+included, as lanes of one Gibbs ``_gibbs_arrays`` call, so that on a machine
+of one chunk a step is one kernel run (two under ``clamped_resample="auto"``,
+whose redraws depend on the full draw), and takes the moments from each
+lane's tallied (state index, count) arrays (``_clamped_draws``).
 The overall inverse-temperature prefactor of the analytic gradient
 is deliberately dropped: it only rescales the learning rate, while the
 expectations themselves are taken at the sampler's temperature.
@@ -281,32 +284,38 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence([int(p) & 0x7FFFFFFF for p in parts]).generate_state(1)[0])
 
 
+def _count_calls(call_counter: dict | None, kind: str, calls: int) -> None:
+    if call_counter is not None and calls:
+        call_counter[kind] = call_counter.get(kind, 0) + calls
+
+
 def _clamped_draws(
-    bm: BoltzmannMachine, cfg: SamplerConfig, fixed: Sequence[np.ndarray], seeds: Sequence[int],
-    call_counter: dict | None, kind: str,
+    bm: BoltzmannMachine, cfg: SamplerConfig, fixed: Sequence[np.ndarray], seeds: Sequence[int]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """One draw per row of fixed leading values (none: the whole machine),
-    with ``cfg`` under the row's seed, counted as ``kind`` sampler calls:
-    per row, its distinct state indices over all nodes, ascending, and their
-    counts. On Gibbs, rows of one width are clamped at once and run as
-    ``_gibbs_arrays`` lanes on their shared free couplings; other backends
-    draw a machine per row in the given order, as a service saw them."""
-    if call_counter is not None and fixed:
-        call_counter[kind] = call_counter.get(kind, 0) + len(fixed)
+    with ``cfg`` under the row's seed: per row, its distinct state indices
+    over all nodes, ascending, and their counts. On Gibbs, the rows of each
+    width are clamped at once into a lane group on their shared free
+    couplings, and the groups of every width go to one ``_gibbs_arrays``
+    call, so rows of at most _TABLE_BITS free nodes share kernel runs; other
+    backends draw a machine per row in the given order, as a service saw
+    them."""
     n, widths, out = bm.num_nodes, np.array([len(v) for v in fixed]), [None] * len(fixed)
     if cfg.backend is not Backend.GIBBS:
         for j, (v, seed) in enumerate(zip(fixed, seeds)):
             ss = draw_samples(clamp_visible(bm, dict(enumerate(v)))[0] if len(v) else bm, replace(cfg, seed=seed))
             out[j] = (_row_indices(np.hstack([np.broadcast_to(v, (len(ss.counts), len(v))), ss.states])), ss.counts)
         return out
+    groups, rows, prefixes = [], [], []
     for c in sorted(set(widths.tolist())):
         js = np.flatnonzero(widths == c)
         V = np.array([fixed[j] for j in js], dtype=np.float64).reshape(len(js), c)
         _, J_free, biases = _clamped_rows(bm, range(c), V)
-        prefix = _row_indices(V).astype(np.int64 if n <= 62 else object) << (n - c)
-        lanes = _gibbs_arrays(J_free[None], biases, bm.basis, cfg, [seeds[j] for j in js])
-        for j, p, (index, count) in zip(js, prefix[:, None], lanes):
-            out[j] = (p + index, count)
+        groups.append((J_free[None], biases))
+        rows += js.tolist()
+        prefixes += list((_row_indices(V).astype(np.int64 if n <= 62 else object) << (n - c))[:, None])
+    for j, p, (index, count) in zip(rows, prefixes, _gibbs_arrays(groups, bm.basis, cfg, [seeds[j] for j in rows])):
+        out[j] = (p + index, count)
     return out
 
 
@@ -341,11 +350,17 @@ def grad_dkl(
                                         cached_state_table(h, basis), cached_state_table(n - h, basis))
         return _estimate(bm, mean, second, _relative_entropy(q, p))
 
-    [(full, full_counts)] = _clamped_draws(bm, cfg, [np.zeros(0)], [cfg.seed], call_counter, "full")
+    # "always" draws the whole machine, the width-0 row, and every data row in one call
+    redraw = range(len(V)) if clamped_resample == "always" else range(0)
+    (full, full_counts), *drawn = _clamped_draws(bm, cfg, [np.zeros(0), *(V[d] for d in redraw)],
+                                                 [cfg.seed, *(_derived_seed(cfg.seed, d, 1) for d in redraw)])
     seen = [full >> (n - m) == v for v in _row_indices(V)]
-    redraw = [d for d in range(len(V)) if clamped_resample == "always" or not seen[d].any()]
-    draws = dict(zip(redraw, _clamped_draws(bm, cfg, [V[d] for d in redraw],
-                                            [_derived_seed(cfg.seed, d, 1) for d in redraw], call_counter, "clamped")))
+    if clamped_resample == "auto":  # the rows to redraw depend on the full draw: a second call
+        redraw = [d for d in range(len(V)) if not seen[d].any()]
+        drawn = _clamped_draws(bm, cfg, [V[d] for d in redraw], [_derived_seed(cfg.seed, d, 1) for d in redraw])
+    draws = dict(zip(redraw, drawn))
+    _count_calls(call_counter, "full", 1)
+    _count_calls(call_counter, "clamped", len(draws))
     segments = [(full, full_counts, -1.0)]
     for d, q in enumerate(dataset.weights.tolist()):
         segments.append(draws[d] + (q,) if d in draws else (full[seen[d]], full_counts[seen[d]], q))
@@ -389,7 +404,8 @@ def grad_ncll(
         # per row: all visible nodes clamped (sign +1), then the inputs only (sign -1)
         fixed = [f for v in V for f in (v, v[:m_i])]
         seeds = [_derived_seed(cfg.seed, j // 2, 2 + j % 2) for j in range(len(fixed))]
-        draws = _clamped_draws(bm, cfg, fixed, seeds, call_counter, "clamped")
+        draws = _clamped_draws(bm, cfg, fixed, seeds)
+        _count_calls(call_counter, "clamped", len(fixed))
         mean, second = _sample_moments(bm, [draw + (1.0 - 2 * (j % 2),) for j, draw in enumerate(draws)])
     # Both phases fix the inputs, so their terms are the same constants.
     mean[:m_i] = 0.0

@@ -600,6 +600,26 @@ def test_kept_alive_requests_do_not_wait_for_delayed_acks(mock_server, rng):
     assert time.perf_counter() - start < 2.0
 
 
+def test_a_request_goes_out_in_one_write(mock_server, rng, monkeypatch):
+    # the head and the body in one sendall, on the kept-alive connection
+    bm = random_machine(2, 0, 0, rng)
+    remote_sample(bm, SamplerConfig(num_reads=5), mock_server.url)
+    client, writes, sendall = samplers._link.current[1].sock, [], socket.socket.sendall
+
+    def recorded(self, data, *args):
+        if self is client:
+            writes.append(bytes(data))
+        return sendall(self, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", recorded)
+    assert remote_sample(bm, SamplerConfig(num_reads=5), mock_server.url).num_reads == 5
+    (write,) = writes
+    head, body = write.split(b"\r\n\r\n")
+    assert head.startswith(b"POST /v1/sample HTTP/1.1\r\n")
+    assert f"Content-Length: {len(body)}".encode() in head.split(b"\r\n")
+    assert json.loads(body)["num_reads"] == 5
+
+
 # Each JSON boundary: a document it accepts, the keys it cannot do without, and
 # where it holds numbers (read as floats) and integers.
 _BOUNDARY_DOCS = {

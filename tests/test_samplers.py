@@ -375,9 +375,10 @@ def test_gibbs_draws_of_a_training_config_are_unchanged():
 
 @st.composite
 def draw_batches(draw):
-    """A ``_TABLE_BITS`` small enough to chunk groups and split some machines
+    """A ``_TABLE_BITS`` small enough to cut runs and split some machines
     into several chunks, one Gibbs or exact config, and a batch of machines of
-    a few sizes in both bases, so some share a kernel and some do not."""
+    a few sizes in both bases, so that one-chunk machines of mixed sizes share
+    a run, and some machines do not share one."""
     chains = draw(st.integers(1, 12))
     reads = draw(st.integers(1, 4)) * chains - draw(st.integers(0, chains - 1))
     cfg = SamplerConfig(beta=draw(st.floats(0.05, 5.0)), num_reads=reads, burn_in=draw(st.integers(0, 12)),
@@ -407,9 +408,11 @@ def test_draw_many_equals_one_draw_per_machine(batch):
     table_bits, machines, cfg, seeds = batch
     kernels = []
 
-    def run(J_syms, biases, *args):
-        kernels.append(len(biases) << samplers._chunk_widths(biases.shape[1])[0])
-        return gibbs_run(J_syms, biases, *args)
+    def run(groups, *args):
+        kernels.append(sum(len(biases) << samplers._chunk_widths(biases.shape[1])[0] for _, biases in groups))
+        sizes = {biases.shape[1] for _, biases in groups}
+        assert len(sizes) == 1 or max(sizes) <= table_bits  # machines of several chunks run by node count
+        return gibbs_run(groups, *args)
 
     gibbs_run = samplers._gibbs_run
     with mock.patch.object(samplers, "_TABLE_BITS", table_bits), mock.patch.object(samplers, "_gibbs_run", run):
@@ -432,9 +435,9 @@ def test_draw_many_of_17_and_18_node_machines_equals_one_draw_per_machine():
                                                 (18, Basis.ZERO_ONE), (18, Basis.PLUS_MINUS)])]
     gibbs_run, kernels = samplers._gibbs_run, []
 
-    def run(J_syms, biases, *args):
-        kernels.append(len(biases))
-        return gibbs_run(J_syms, biases, *args)
+    def run(groups, *args):
+        kernels.append(sum(len(biases) for _, biases in groups))
+        return gibbs_run(groups, *args)
 
     with mock.patch.object(samplers, "_gibbs_run", run):
         many = draw_many(machines, cfg, range(len(machines)))
@@ -442,6 +445,26 @@ def test_draw_many_of_17_and_18_node_machines_equals_one_draw_per_machine():
     for i, (got, bm) in enumerate(zip(many, machines)):
         want = gibbs_sample(bm, replace(cfg, seed=i))
         assert got.states.tobytes() == want.states.tobytes() and got.counts.tobytes() == want.counts.tobytes()
+
+
+def test_one_chunk_machines_of_mixed_sizes_share_runs():
+    # 2^4 states a run: in groups by node count, in order of first appearance,
+    # the 1-, 3-, 0-, 2- and 4-node machines fill 2 + 8, 8 + 1 + 4 and 16 states
+    cfg = SamplerConfig(beta=1.2, num_reads=11, burn_in=3, thinning=2, num_chains=4, backend=Backend.GIBBS)
+    machines = [random_machine(n, 0, 0, np.random.default_rng(i), basis=Basis.PLUS_MINUS)
+                for i, n in enumerate([1, 3, 0, 2, 4, 3])]
+    gibbs_run, runs = samplers._gibbs_run, []
+
+    def run(groups, *args):
+        runs.append([biases.shape[1] for _, biases in groups for _ in biases])
+        return gibbs_run(groups, *args)
+
+    with mock.patch.object(samplers, "_TABLE_BITS", 4), mock.patch.object(samplers, "_gibbs_run", run):
+        many = draw_many(machines, cfg, range(len(machines)))
+    assert runs == [[1, 3], [3, 0, 2], [4]]
+    for i, (got, bm) in enumerate(zip(many, machines)):
+        want = per_site_gibbs(bm, replace(cfg, seed=i))
+        assert got.states.tobytes() == want[0].tobytes() and got.counts.tobytes() == want[1].astype(float).tobytes()
 
 
 def test_draw_many_wants_one_config_per_machine():

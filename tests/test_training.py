@@ -462,7 +462,8 @@ def dict_loop_clamp(bm, assignment):
 @st.composite
 def clamped_steps(draw):
     """A machine with a sorted coupling dict, in either basis; rows of fixed
-    values for its leading nodes; a Gibbs (or exact) config with one seed per
+    values for its leading nodes, of mixed widths, the whole machine (width
+    0) and every node included; a Gibbs (or exact) config with one seed per
     row; a chunk width that often puts more rows than one kernel run holds;
     and a clamp of any node subset."""
     basis = draw(st.sampled_from(list(Basis)))
@@ -470,7 +471,8 @@ def clamped_steps(draw):
     c = draw(st.integers(0, n))
     bm = random_machine(c, 0, n - c, np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
                         scale=draw(st.floats(0.1, 3.0)), basis=basis)
-    rows = draw(st.lists(st.lists(st.sampled_from(basis.symbols), min_size=c, max_size=c), min_size=1, max_size=10))
+    row = st.integers(0, n).flatmap(lambda c: st.lists(st.sampled_from(basis.symbols), min_size=c, max_size=c))
+    rows = [np.array(v, dtype=np.float64) for v in draw(st.lists(row, min_size=1, max_size=10))]
     chains = draw(st.integers(1, 6))
     cfg = SamplerConfig(beta=draw(st.floats(0.05, 5.0)), num_reads=draw(st.integers(1, 3)) * chains,
                         burn_in=draw(st.integers(0, 6)), thinning=draw(st.integers(1, 2)), num_chains=chains,
@@ -478,38 +480,70 @@ def clamped_steps(draw):
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(rows), max_size=len(rows)))
     nodes = draw(st.lists(st.integers(0, n - 1), unique=True))
     assignment = {k: draw(st.sampled_from(basis.symbols)) for k in nodes}
-    return bm, np.array(rows, dtype=np.float64).reshape(len(rows), c), cfg, seeds, draw(st.sampled_from([2, 3, 14])), assignment
+    return bm, rows, cfg, seeds, draw(st.sampled_from([2, 3, 14])), assignment
 
 
 def _sixteen_free_nodes():
-    # two chunks of eight free nodes at the default chunk width
+    # two chunks of eight free nodes at the default chunk width, beside the
+    # whole machine's two chunks of nine and a one-chunk row
     bm = random_machine(2, 0, 16, np.random.default_rng(16), basis=Basis.PLUS_MINUS)
     cfg = SamplerConfig(beta=1.5, num_reads=30, burn_in=5, thinning=2, num_chains=3, backend=Backend.GIBBS)
-    return bm, np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]]), cfg, [7, 8, 9], 14, {0: 1, 5: -1, 17: 1}
+    rows = [np.array(v, dtype=np.float64) for v in [[1, -1], [], [-1, -1], [1, 1], [1, -1, 1, 1, -1] + [1] * 9]]
+    return bm, rows, cfg, [7, 8, 9, 10, 11], 14, {0: 1, 5: -1, 17: 1}
 
 
 @settings(max_examples=60, deadline=None)
 @given(clamped_steps())
 @example(_sixteen_free_nodes())
 def test_array_clamp_and_draws_equal_the_per_machine_path(step):
-    bm, V, cfg, seeds, table_bits, assignment = step
-    c = V.shape[1]
-    # biases: bit for bit the dict loop's, for every row at once and for clamp_visible
-    _, _, biases = _clamped_rows(bm, range(c), V)
-    for v, b in zip(V, biases):
-        assert b.tobytes() == dict_loop_clamp(bm, dict(enumerate(v))).tobytes()
+    bm, rows, cfg, seeds, table_bits, assignment = step
+    # biases: bit for bit the dict loop's, for every row of a width at once and for clamp_visible
+    for c in {len(v) for v in rows}:
+        V = np.array([v for v in rows if len(v) == c]).reshape(sum(len(v) == c for v in rows), c)
+        _, _, biases = _clamped_rows(bm, range(c), V)
+        for v, b in zip(V, biases):
+            assert b.tobytes() == dict_loop_clamp(bm, dict(enumerate(v))).tobytes()
     reduced, _ = clamp_visible(bm, assignment)
     assert reduced.biases.tobytes() == dict_loop_clamp(bm, assignment).tobytes()
-    # draws: one draw_samples call per row on its clamped machine, byte for byte
+    # draws: rows of every width in one call, each one draw_samples call on its clamped machine, byte for byte
     with mock.patch.object(samplers, "_TABLE_BITS", table_bits):
-        draws = training._clamped_draws(bm, cfg, list(V), seeds, None, "clamped")
-        assert len(draws) == len(V)
-        for v, seed, (index, count) in zip(V, seeds, draws):
-            want = draw_samples(clamp_visible(bm, dict(enumerate(v)))[0], replace(cfg, seed=seed))
+        draws = training._clamped_draws(bm, cfg, rows, seeds)
+        assert len(draws) == len(rows)
+        for v, seed, (index, count) in zip(rows, seeds, draws):
+            c = len(v)
+            want = draw_samples(clamp_visible(bm, dict(enumerate(v)))[0] if c else bm, replace(cfg, seed=seed))
             states = _state_rows(index, bm.num_nodes, bm.basis)
             assert np.all(states[:, :c] == v)
             assert states[:, c:].tobytes() == want.states.tobytes()
             assert count.astype(np.float64).tobytes() == want.counts.tobytes()
+
+
+def test_a_sampled_step_makes_one_kernel_run_unless_auto_redraws():
+    # a one-chunk machine: "always" draws the whole machine and every row in
+    # one run, and a Gibbs NCLL step both phases of every row; "auto" with a
+    # row the full draw missed runs again for it
+    bm = random_machine(2, 1, 2, np.random.default_rng(5))
+    cfg = SamplerConfig(beta=1.0, num_reads=40, burn_in=3, thinning=1, num_chains=4, backend=Backend.GIBBS)
+    rows = [(0, 0, 1), (0, 1, 1), (1, 1, 0)]
+    gibbs_run, runs = samplers._gibbs_run, []
+
+    def run(*args):
+        runs.append(args)
+        return gibbs_run(*args)
+
+    def count(fn, *args):
+        runs.clear()
+        with mock.patch.object(samplers, "_gibbs_run", run):
+            fn(*args)
+        return len(runs)
+
+    assert count(grad_dkl, bm, from_rows(rows), GradientMode.SAMPLED, cfg, "always") == 1
+    assert count(grad_ncll, bm, from_rows(rows, io_split=(2, 1)), GradientMode.SAMPLED, cfg) == 1
+    # one read on one chain: the full draw shows a single visible row, so the others are redrawn
+    one = replace(cfg, num_reads=1, num_chains=1)
+    counter: dict = {}
+    assert count(grad_dkl, bm, from_rows(rows), GradientMode.SAMPLED, one, "auto", counter) == 2
+    assert counter == {"full": 1, "clamped": 2}
 
 
 @pytest.mark.parametrize("basis", list(Basis))
